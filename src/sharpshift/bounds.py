@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LabError
-from .losses import temperature_cross_entropy
+from .losses import contrastive_rows, cross_entropy_rows
 
 # Exact K-negative enumeration runs over multisets of negatives; this guard
 # keeps the count table small. n <= 6 with K <= 4 is always inside it.
@@ -100,16 +100,10 @@ def sup_loss_mean_classifier(world, tau):
     The classifier row for class c is the class-conditional mean feature; the
     loss is sum_c pi_c sum_x p_c(x) * tauCE(W f(x), c).
     """
-    w_bar = world.mean_features
-    logits = world.features @ w_bar.T  # (n, M)
-    total = 0.0
-    for c in range(world.n_classes):
-        for x in range(world.n_points):
-            weight = world.priors[c] * world.conditionals[c, x]
-            if weight == 0.0:
-                continue
-            total += weight * temperature_cross_entropy(logits[x], c, tau)
-    return float(total)
+    m, n = world.conditionals.shape
+    logits = world.features @ world.mean_features.T  # (n, M)
+    losses, _ = cross_entropy_rows(np.tile(logits, (m, 1)), np.repeat(np.arange(m), n), tau)
+    return float(np.sum(world.priors[:, None] * world.conditionals * losses.reshape(m, n)))
 
 
 def surrogate_unsup_loss(world, tau):
@@ -225,13 +219,9 @@ def _mc_expectation(world, tau, beta_neg, k_negatives, mc_samples, seed):
         anchors[mask] = rng.choice(n, size=count, p=world.conditionals[c])
         positives[mask] = rng.choice(n, size=count, p=world.conditionals[c])
     negatives = rng.choice(n, size=(mc_samples, k_negatives), p=world.p_data)
-    s_pos = sims[anchors, positives]
-    s_neg = sims[anchors[:, None], negatives]
-    shift = np.maximum(s_pos, s_neg.max(axis=1))
-    denom = np.exp(s_pos - shift) + (beta_neg / k_negatives) * np.sum(
-        np.exp(s_neg - shift[:, None]), axis=1
+    losses, _, _ = contrastive_rows(
+        sims[anchors, positives], sims[anchors[:, None], negatives], beta_neg
     )
-    losses = np.log(denom) + shift - s_pos
     stderr = float(np.std(losses, ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else np.inf
     return ExpectationResult(float(np.mean(losses)), stderr, False)
 

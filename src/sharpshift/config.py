@@ -139,7 +139,7 @@ class TrainConfig:
         defaults = cls()
         for key, raw in mapping.items():
             f = by_key[key]
-            kwargs[f.name] = _parse(raw, getattr(defaults, f.name))
+            kwargs[f.name] = _parse(key, raw, getattr(defaults, f.name))
         return cls(**kwargs)
 
     def config_hash(self):
@@ -215,7 +215,7 @@ def _render(value):
     return str(value)
 
 
-def _parse(raw, template):
+def _parse(key, raw, template):
     if isinstance(raw, str):
         raw = raw.strip()
     if isinstance(template, bool):
@@ -225,17 +225,20 @@ def _parse(raw, template):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
-        raise PipelineError(f"cannot parse boolean from {raw!r}")
-    if isinstance(template, tuple):
-        if isinstance(raw, tuple):
-            return tuple(int(v) for v in raw)
-        if raw == "":
-            return ()
-        return tuple(int(v) for v in str(raw).split(","))
-    if isinstance(template, int):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
+        raise PipelineError(f"cannot parse boolean from {key}={raw!r}")
+    try:
+        if isinstance(template, tuple):
+            if isinstance(raw, tuple):
+                return tuple(int(v) for v in raw)
+            if raw == "":
+                return ()
+            return tuple(int(v) for v in str(raw).split(","))
+        if isinstance(template, int):
+            return int(raw)
+        if isinstance(template, float):
+            return float(raw)
+    except ValueError as exc:
+        raise PipelineError(f"cannot parse {key}={raw!r}: {exc}") from exc
     return str(raw)
 
 

@@ -305,11 +305,6 @@ class Encoder:
         self._backbone_backward(p, gh, bb_caches, grads, want_input=False)
         return float(loss), self.flatten_params(grads)
 
-    def loss_gradient(self, params, images, feature_loss):
-        """Gradient only; see loss_and_grad."""
-        _, grad = self.loss_and_grad(params, images, feature_loss)
-        return grad
-
     def input_gradient(self, params, images, upstream, tap="backbone"):
         """Gradient of sum(tap_features * upstream-ish) w.r.t. the input images.
 
@@ -428,34 +423,41 @@ def save_checkpoint(path, encoder, params, train_config_hash, epoch=0, extra=Non
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; fails loudly on any layout or size mismatch."""
+    """Read a checkpoint; any truncation, corrupt header or size mismatch is a ModelError."""
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(len(_CHECKPOINT_MAGIC))
-            if magic != _CHECKPOINT_MAGIC:
-                raise ModelError(f"{path}: not a checkpoint file")
-            (header_len,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            raw = fh.read()
+            blob = fh.read()
     except OSError as exc:
         raise ModelError(f"{path}: cannot read checkpoint ({exc})") from exc
-    config = EncoderConfig.from_dict(header["encoder_config"])
+    if blob[:len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
+        raise ModelError(f"{path}: not a checkpoint file")
+    start = len(_CHECKPOINT_MAGIC) + 8
+    try:
+        # a proper prefix of the json object never parses, so a cut header fails here too
+        (header_len,) = struct.unpack("<Q", blob[start - 8:start])
+        header = json.loads(blob[start:start + header_len])
+        config = EncoderConfig.from_dict(header["encoder_config"])
+        stored_layout = tuple((n, tuple(s), o) for n, s, o in header["layout"])
+        train_config_hash = str(header["train_config_hash"])
+        epoch = int(header.get("epoch", 0))
+        extra = dict(header.get("extra", {}))
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ModelError(f"{path}: truncated or corrupt checkpoint header ({exc!r})") from exc
+    raw = blob[start + header_len:]
     encoder = Encoder(config)
-    stored_layout = tuple((n, tuple(s), o) for n, s, o in header["layout"])
     if stored_layout != encoder.layout:
         raise ModelError(f"{path}: layout mismatch against encoder config")
-    params = np.frombuffer(raw, dtype="<f8").astype(float)
-    if params.shape != (encoder.n_params,):
+    if len(raw) != 8 * encoder.n_params:
         raise ModelError(
-            f"{path}: parameter payload has {params.size} values, expected {encoder.n_params}"
+            f"{path}: parameter payload has {len(raw)} bytes, expected {8 * encoder.n_params}"
         )
     return Checkpoint(
-        params=params,
+        params=np.frombuffer(raw, dtype="<f8").astype(float),
         encoder_config=config,
         layout=encoder.layout,
-        train_config_hash=header["train_config_hash"],
-        epoch=int(header.get("epoch", 0)),
-        extra=header.get("extra", {}),
+        train_config_hash=train_config_hash,
+        epoch=epoch,
+        extra=extra,
     )
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
+from .losses import cross_entropy_rows
 
 FGSM_DEFAULT_EPSILON = 8.0 / 255.0
 
@@ -76,17 +77,11 @@ def train_linear_probe(encoder, params, labeled_data, config, num_classes=None):
         raise EvaluationError(f"classes {missing} have no training examples")
     feats = encoder.features(params, images, tap=config.tap_point)
     n, dim = feats.shape
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels] = 1.0
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(config.seed)])))
     weights = 0.01 * rng.standard_normal((n_classes, dim))
     for _ in range(config.epochs):
-        logits = feats @ weights.T / config.tau
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        grad = (probs - onehot).T @ feats / (n * config.tau)
-        weights -= config.lr * grad
+        _, dlogits = cross_entropy_rows(feats @ weights.T, labels, config.tau)
+        weights -= (config.lr / n) * (dlogits.T @ feats)
     return weights
 
 
@@ -123,12 +118,7 @@ class ProbeModel:
     def input_gradient(self, images, labels):
         """Per-sample gradient of the tau=1 cross-entropy w.r.t. the pixels."""
         images, labels = _as_batch(images, labels)
-        logits = self.logits(images)
-        logits_shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits_shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        dlogits = probs
-        dlogits[np.arange(images.shape[0]), labels] -= 1.0
+        _, dlogits = cross_entropy_rows(self.logits(images), labels, 1.0)
         upstream = dlogits @ self.weights
         return self.encoder.input_gradient(
             self.params, images, upstream, tap=self.tap_point

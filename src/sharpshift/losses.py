@@ -7,9 +7,9 @@ The scalar loss for an anchor a with positive p and negatives n_1..n_K is
 where beta weighs the averaged negative term; beta = K recovers the standard
 softmax contrastive form. Features are expected to be already normalized:
 similarities are plain inner products, and with unit vectors the loss is
-bounded by 2/tau + log(1 + beta). Analytic gradients with respect to every
-feature vector are provided alongside the values so the encoder can backprop
-without re-deriving the softmax algebra.
+bounded by 2/tau + log(1 + beta). Each formula is written once, as a
+row-batched kernel returning values with their gradients (``contrastive_rows``,
+``cross_entropy_rows``); the other entry points, the bound lab and the probe call them.
 """
 
 from __future__ import annotations
@@ -64,24 +64,24 @@ def _check_unit(vectors, what):
         )
 
 
-def _info_nce_parts(anchor, positive, negatives, config):
-    """Shared forward pass: returns (loss, pos_weight, neg_weights)."""
-    k_count = negatives.shape[0]
-    if config.k_negatives is not None and k_count != config.k_negatives:
-        raise ContractViolationError(
-            f"expected {config.k_negatives} negatives, got {k_count}"
-        )
-    beta = float(config.beta_neg) if config.beta_neg is not None else float(k_count)
-    s_pos = float(anchor @ positive) / config.tau
-    s_neg = (negatives @ anchor) / config.tau
-    shift = max(s_pos, float(np.max(s_neg)))
+def contrastive_rows(s_pos, s_neg, beta):
+    """Row-batched contrastive loss on similarities already divided by tau.
+
+    ``s_pos`` (m,) and ``s_neg`` (m, K) give the loss (m,), the positive weights
+    w (m,) and the negative weights u (m, K), so that dloss/ds_pos = w - 1 and
+    dloss/ds_neg = u.
+    """
+    k_count = s_neg.shape[1]
+    shift = np.maximum(s_pos, s_neg.max(axis=1))
     e_pos = np.exp(s_pos - shift)
-    e_neg = np.exp(s_neg - shift)
-    denom = e_pos + (beta / k_count) * np.sum(e_neg)
+    e_neg = np.exp(s_neg - shift[:, None])
+    denom = e_pos + (beta / k_count) * e_neg.sum(axis=1)
     loss = shift + np.log(denom) - s_pos
-    pos_weight = e_pos / denom
-    neg_weights = (beta / k_count) * e_neg / denom
-    return loss, pos_weight, neg_weights
+    return loss, e_pos / denom, (beta / k_count) * e_neg / denom[:, None]
+
+
+def _beta(config, k_count):
+    return float(config.beta_neg) if config.beta_neg is not None else float(k_count)
 
 
 def info_nce(anchor, positive, negatives, config, validate=True):
@@ -90,17 +90,7 @@ def info_nce(anchor, positive, negatives, config, validate=True):
     ``validate`` gates the unit-norm precondition check; tests that probe the
     loss off the unit sphere (finite differences) switch it off.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    positive = np.asarray(positive, dtype=float)
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=float))
-    if negatives.shape[0] < 1:
-        raise ContractViolationError("need at least one negative")
-    if validate:
-        _check_unit(anchor, "anchor")
-        _check_unit(positive, "positive")
-        _check_unit(negatives, "negatives")
-    loss, _, _ = _info_nce_parts(anchor, positive, negatives, config)
-    return float(loss)
+    return info_nce_grad(anchor, positive, negatives, config, validate=validate)[0]
 
 
 def info_nce_grad(anchor, positive, negatives, config, validate=True):
@@ -108,28 +98,25 @@ def info_nce_grad(anchor, positive, negatives, config, validate=True):
     anchor = np.asarray(anchor, dtype=float)
     positive = np.asarray(positive, dtype=float)
     negatives = np.atleast_2d(np.asarray(negatives, dtype=float))
+    k_count = negatives.shape[0]
+    if k_count < 1:
+        raise ContractViolationError("need at least one negative")
+    if config.k_negatives is not None and k_count != config.k_negatives:
+        raise ContractViolationError(
+            f"expected {config.k_negatives} negatives, got {k_count}"
+        )
     if validate:
         _check_unit(anchor, "anchor")
         _check_unit(positive, "positive")
         _check_unit(negatives, "negatives")
-    loss, pos_w, neg_w = _info_nce_parts(anchor, positive, negatives, config)
+    s_pos = np.array([anchor @ positive]) / config.tau
+    s_neg = (negatives @ anchor)[None] / config.tau
+    (loss,), (pos_w,), (neg_w,) = contrastive_rows(s_pos, s_neg, _beta(config, k_count))
     # dL/ds_pos = pos_w - 1, dL/ds_k = neg_w[k]; similarities are dots / tau.
     g_pos = (pos_w - 1.0) * anchor / config.tau
     g_neg = neg_w[:, None] * anchor / config.tau
     g_anchor = ((pos_w - 1.0) * positive + neg_w @ negatives) / config.tau
     return float(loss), g_anchor, g_pos, g_neg
-
-
-def _check_batch(views):
-    views = np.asarray(views, dtype=float)
-    if views.ndim != 2:
-        raise ContractViolationError(f"views must be a (2b, d) array, got {views.shape}")
-    n = views.shape[0]
-    if n < 4 or n % 2 != 0:
-        raise ContractViolationError(
-            f"in-batch loss needs 2b views with b >= 2, got {n} views"
-        )
-    return views
 
 
 def info_nce_batch(views, config, validate=True):
@@ -139,44 +126,62 @@ def info_nce_batch(views, config, validate=True):
     the positive is its paired view and the negatives are the other 2(b - 1)
     views; beta defaults to K = 2(b - 1) unless the config overrides it.
     """
-    loss, _ = info_nce_batch_grad(views, config, validate=validate)
-    return loss
+    return info_nce_batch_grad(views, config, validate=validate)[0]
 
 
 def info_nce_batch_grad(views, config, validate=True):
-    """Batch loss and its gradient w.r.t. every view (same pairing rules)."""
-    views = _check_batch(views)
+    """Batch loss and its gradient w.r.t. every view (same pairing rules).
+
+    With W[j, l] = dL_j/ds_jl and s_jl = v_j . v_l / tau, the gradient of the
+    mean loss is (W + W^T) V / (n tau).
+    """
+    views = np.asarray(views, dtype=float)
+    if views.ndim != 2:
+        raise ContractViolationError(f"views must be a (2b, d) array, got {views.shape}")
+    n = views.shape[0]
+    if n < 4 or n % 2 != 0:
+        raise ContractViolationError(
+            f"in-batch loss needs 2b views with b >= 2, got {n} views"
+        )
     if validate:
         _check_unit(views, "views")
-    n, _ = views.shape
-    k_count = n - 2
-    beta = float(config.beta_neg) if config.beta_neg is not None else float(k_count)
     sims = views @ views.T / config.tau
-    total = 0.0
-    grads = np.zeros_like(views)
-    for j in range(n):
-        pj = paired_index(j)
-        neg_idx = np.array([l for l in range(n) if l != j and l != pj])
-        s_pos = sims[j, pj]
-        s_neg = sims[j, neg_idx]
-        shift = max(s_pos, float(np.max(s_neg)))
-        e_pos = np.exp(s_pos - shift)
-        e_neg = np.exp(s_neg - shift)
-        denom = e_pos + (beta / k_count) * np.sum(e_neg)
-        total += shift + np.log(denom) - s_pos
-        pos_w = e_pos / denom
-        neg_w = (beta / k_count) * e_neg / denom
-        scale = 1.0 / (n * config.tau)
-        grads[pj] += scale * (pos_w - 1.0) * views[j]
-        grads[neg_idx] += scale * neg_w[:, None] * views[j]
-        grads[j] += scale * ((pos_w - 1.0) * views[pj] + neg_w @ views[neg_idx])
-    return float(total / n), grads
+    rows = np.arange(n)
+    pairs = paired_index(rows)
+    negative = np.ones((n, n), dtype=bool)
+    negative[rows, rows] = False
+    negative[rows, pairs] = False
+    loss, pos_w, neg_w = contrastive_rows(
+        sims[rows, pairs], sims[negative].reshape(n, n - 2), _beta(config, n - 2)
+    )
+    weights = np.zeros((n, n))
+    weights[negative] = neg_w.ravel()
+    weights[rows, pairs] = pos_w - 1.0
+    return float(loss.mean()), (weights + weights.T) @ views / (n * config.tau)
+
+
+def cross_entropy_rows(logits, labels, tau):
+    """Per-row -log softmax(logits / tau)[label] and its gradient w.r.t. logits.
+
+    ``logits`` is (m, C) and ``labels`` (m,); returns the loss (m,) and the
+    gradient (m, C).
+    """
+    # column-major: the row max and sum over few classes run as elementwise passes
+    z = np.divide(logits, tau, order="F")
+    z -= z.max(axis=1, keepdims=True)
+    probs = np.exp(z)
+    norm = probs.sum(axis=1, keepdims=True)
+    rows = np.arange(z.shape[0])
+    loss = np.log(norm[:, 0]) - z[rows, labels]
+    probs /= norm
+    probs[rows, labels] -= 1.0
+    probs /= tau
+    return loss, probs
 
 
 def temperature_cross_entropy(logits, label, tau):
     """-log softmax(logits / tau)[label] for a single row of logits."""
-    loss, _ = temperature_cross_entropy_grad(logits, label, tau)
-    return loss
+    return temperature_cross_entropy_grad(logits, label, tau)[0]
 
 
 def temperature_cross_entropy_grad(logits, label, tau):
@@ -184,14 +189,7 @@ def temperature_cross_entropy_grad(logits, label, tau):
     if tau <= 0.0:
         raise ContractViolationError(f"tau must be positive, got {tau}")
     logits = np.asarray(logits, dtype=float)
-    m = logits.shape[0]
-    if not 0 <= label < m:
-        raise ContractViolationError(f"label {label} out of range for {m} classes")
-    z = logits / tau
-    shift = float(np.max(z))
-    log_norm = shift + np.log(np.sum(np.exp(z - shift)))
-    loss = log_norm - z[label]
-    probs = np.exp(z - log_norm)
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return float(loss), grad / tau
+    if not 0 <= label < len(logits):
+        raise ContractViolationError(f"label {label} out of range for {len(logits)} classes")
+    loss, grad = cross_entropy_rows(logits[None], np.array([label]), tau)
+    return float(loss[0]), grad[0]

@@ -11,6 +11,7 @@ fixed config yields bit-identical metrics and checkpoints.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -147,6 +148,8 @@ def train_ssl(config: TrainConfig, resume=None):
     A non-finite loss aborts the run with the last written checkpoint left
     intact. With ``resume`` the stored config hash must match the current
     config, otherwise the run fails loudly instead of silently retraining.
+    A resumed run restores the momentum velocity and rewinds the metrics
+    stream to the checkpoint's epoch, as if it had never been interrupted.
     """
     out_dir = config.resolved_output_dir()
     os.makedirs(out_dir, exist_ok=True)
@@ -165,9 +168,20 @@ def train_ssl(config: TrainConfig, resume=None):
             )
         params = ckpt.params.copy()
         start_epoch = ckpt.epoch + 1
-        metrics_fh = open(metrics_path, "a", encoding="utf-8")
+        velocity = None
+        if config.momentum > 0.0:
+            try:
+                velocity = np.array(ckpt.extra["velocity"], dtype=float).reshape(params.shape)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise PipelineError(f"refusing to resume: {resume} has no velocity") from exc
+        # rewind the stream to the checkpoint, so that no epoch is logged twice
+        records = _read_metrics(metrics_path) if os.path.exists(metrics_path) else []
+        metrics_fh = open(metrics_path, "w", encoding="utf-8")
+        for record in itertools.takewhile(lambda r: r.get("epoch", -1) <= ckpt.epoch, records):
+            metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
     else:
         params = encoder.init_params(derived_seed(config.seed, TAG_INIT))
+        velocity = np.zeros_like(params) if config.momentum > 0.0 else None
         metrics_fh = open(metrics_path, "w", encoding="utf-8")
 
     images, _ = load_train_data(config)
@@ -178,7 +192,6 @@ def train_ssl(config: TrainConfig, resume=None):
     pool = config.augment_pool()
     sam_cfg = config.sam_config()
     feature_loss = _feature_loss(config.tau)
-    velocity = np.zeros_like(params) if config.momentum > 0.0 else None
     last_checkpoint = None
     step = 0
 
@@ -231,18 +244,20 @@ def train_ssl(config: TrainConfig, resume=None):
             metrics_fh.flush()
             if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
                 path = os.path.join(out_dir, f"checkpoint_ep{epoch:04d}.ckpt")
-                _atomic_checkpoint(path, encoder, params, config_hash, epoch)
+                _atomic_checkpoint(path, encoder, params, config_hash, epoch, velocity)
                 last_checkpoint = path
     finally:
         metrics_fh.close()
 
-    _atomic_checkpoint(final_path, encoder, params, config_hash, config.epochs - 1)
+    _atomic_checkpoint(final_path, encoder, params, config_hash, config.epochs - 1, velocity)
     return final_path
 
 
-def _atomic_checkpoint(path, encoder, params, config_hash, epoch):
+def _atomic_checkpoint(path, encoder, params, config_hash, epoch, velocity):
+    # JSON floats round-trip exactly; without momentum the header is unchanged
+    extra = None if velocity is None else {"velocity": velocity.tolist()}
     tmp = path + ".tmp"
-    save_checkpoint(tmp, encoder, params, config_hash, epoch=epoch)
+    save_checkpoint(tmp, encoder, params, config_hash, epoch=epoch, extra=extra)
     os.replace(tmp, path)
 
 
@@ -406,12 +421,11 @@ def run_experiment_matrix(variants, summary_path=None, ks=(1,), epsilon=8.0 / 25
 
 
 def _read_metrics(path):
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+        try:
+            return [json.loads(line) for line in fh if line.strip()]
+        except ValueError as exc:
+            raise PipelineError(f"{path}: corrupt metrics record ({exc})") from exc
 
 
 def _write_summary(path, rows):

@@ -45,6 +45,38 @@ def scalar_contrastive_loss(anchor, positive, negatives, tau, beta):
     return -np.log(num / den)
 
 
+def paired_batch_info_nce(views, tau, beta=None):
+    """Mean paired-batch loss and its view gradient, one anchor at a time.
+
+    Views 2i and 2i+1 are positives of each other, every other view is a
+    negative, and beta defaults to K = 2b - 2.
+    """
+    views = np.asarray(views, dtype=float)
+    n = views.shape[0]
+    k = n - 2
+    beta = float(k) if beta is None else float(beta)
+    sims = views @ views.T / tau
+    total = 0.0
+    grads = np.zeros_like(views)
+    for j in range(n):
+        pj = j ^ 1
+        neg_idx = np.array([l for l in range(n) if l != j and l != pj])
+        s_pos = sims[j, pj]
+        s_neg = sims[j, neg_idx]
+        shift = max(s_pos, float(np.max(s_neg)))
+        e_pos = np.exp(s_pos - shift)
+        e_neg = np.exp(s_neg - shift)
+        denom = e_pos + (beta / k) * np.sum(e_neg)
+        total += shift + np.log(denom) - s_pos
+        pos_w = e_pos / denom
+        neg_w = (beta / k) * e_neg / denom
+        scale = 1.0 / (n * tau)
+        grads[pj] += scale * (pos_w - 1.0) * views[j]
+        grads[neg_idx] += scale * neg_w[:, None] * views[j]
+        grads[j] += scale * ((pos_w - 1.0) * views[pj] + neg_w @ views[neg_idx])
+    return total / n, grads
+
+
 def enumerate_sup_loss(priors, conditionals, features, tau):
     """Mean-classifier supervised loss by explicit loops."""
     m, n = np.asarray(conditionals).shape

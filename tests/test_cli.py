@@ -156,6 +156,14 @@ def test_bad_override_fails_cleanly(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["train.epochs=abc", "train.tau=warm", "encoder.hidden=8,x"])
+def test_unparsable_override_fails_cleanly(override, capsys):
+    key, raw = override.split("=")
+    assert main(["train", "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and raw in err
+
+
 def test_data_flag_selects_cifar(tmp_path, capsys):
     # a 12-record CIFAR-style directory driven purely by --data
     blob = bytearray()

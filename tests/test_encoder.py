@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,43 @@ def test_checkpoint_truncated_payload_fails(tmp_path):
     path = tmp_path / "enc.ckpt"
     save_checkpoint(path, enc, enc.init_params(0), "h")
     path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ModelError):
+        load_checkpoint(path)
+
+
+def test_every_checkpoint_prefix_fails_cleanly(tmp_path):
+    enc = Encoder(TINY_MLP)
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(path, enc, enc.init_params(0), "h")
+    blob = path.read_bytes()
+    for length in range(len(blob)):
+        path.write_bytes(blob[:length])
+        with pytest.raises(ModelError):
+            load_checkpoint(path)
+
+
+def _checkpoint_parts(tmp_path):
+    """(magic line, header dict, payload bytes) of a small valid checkpoint."""
+    enc = Encoder(TINY_MLP)
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(path, enc, enc.init_params(0), "h")
+    blob = path.read_bytes()
+    start = blob.index(b"\n") + 1
+    (header_len,) = struct.unpack("<Q", blob[start:start + 8])
+    end = start + 8 + header_len
+    return blob[:start], json.loads(blob[start + 8:end]), blob[end:]
+
+
+@pytest.mark.parametrize("drop", [None, "layout", "encoder_config", "train_config_hash"])
+def test_corrupt_checkpoint_header_fails_cleanly(tmp_path, drop):
+    magic, header, payload = _checkpoint_parts(tmp_path)
+    if drop is None:
+        corrupt = b"{not json"
+    else:
+        del header[drop]
+        corrupt = json.dumps(header).encode()
+    path = tmp_path / "corrupt.ckpt"
+    path.write_bytes(magic + struct.pack("<Q", len(corrupt)) + corrupt + payload)
     with pytest.raises(ModelError):
         load_checkpoint(path)
 

@@ -14,7 +14,7 @@ from sharpshift.losses import (
     temperature_cross_entropy_grad,
 )
 
-from oracles import scalar_contrastive_loss
+from oracles import paired_batch_info_nce, scalar_contrastive_loss
 
 
 def unit(v):
@@ -220,6 +220,17 @@ def test_batch_gradient_matches_finite_differences():
                 - info_nce_batch(down, cfg, validate=False)
             ) / 2e-6
     assert np.linalg.norm(grads - fd) / np.linalg.norm(fd) < 1e-4
+
+
+@pytest.mark.parametrize("beta_neg", [None, 3.5])
+@pytest.mark.parametrize("n", [4, 6, 32, 64])
+def test_batch_kernel_matches_per_anchor_oracle(n, beta_neg):
+    rng = np.random.default_rng(n)
+    views = unit_rows(rng, n, 8)
+    loss, grads = info_nce_batch_grad(views, LossConfig(tau=0.5, beta_neg=beta_neg))
+    ref_loss, ref_grads = paired_batch_info_nce(views, 0.5, beta_neg)
+    assert abs(loss - ref_loss) < 1e-12
+    assert np.max(np.abs(grads - ref_grads)) < 1e-12
 
 
 def test_batch_requires_two_anchors():

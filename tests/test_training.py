@@ -7,7 +7,7 @@ import pytest
 
 from sharpshift import training
 from sharpshift.config import TrainConfig, load_config, parse_config_file
-from sharpshift.encoder import Encoder, load_checkpoint
+from sharpshift.encoder import Encoder, load_checkpoint, params_digest, save_checkpoint
 from sharpshift.errors import PipelineError
 from sharpshift.training import (
     CHECKPOINT_NAME,
@@ -213,6 +213,44 @@ def test_resume_requires_matching_config(tmp_path):
     # any config drift fails loudly
     with pytest.raises(PipelineError):
         train_ssl(replace(cfg, lr=0.123), resume=mid)
+
+
+def test_momentum_resume_matches_uninterrupted_run(tmp_path):
+    straight = tiny_config(tmp_path, output_dir=str(tmp_path / "straight"), epochs=4,
+                           momentum=0.9, checkpoint_every=1)
+    train_ssl(straight)
+    # the resumed directory already holds epochs 2-3, as after a crash late in the run
+    resumed = replace(straight, output_dir=str(tmp_path / "resumed"))
+    train_ssl(resumed)
+    final = train_ssl(resumed, resume=os.path.join(resumed.output_dir, "checkpoint_ep0001.ckpt"))
+    expected = load_checkpoint(os.path.join(straight.output_dir, CHECKPOINT_NAME))
+    assert params_digest(load_checkpoint(final).params) == params_digest(expected.params)
+    with open(os.path.join(straight.output_dir, METRICS_NAME), "rb") as a, \
+            open(os.path.join(resumed.output_dir, METRICS_NAME), "rb") as b:
+        assert a.read() == b.read()
+
+
+def test_resume_with_corrupt_metrics_fails_cleanly(tmp_path):
+    cfg = tiny_config(tmp_path, epochs=2, checkpoint_every=1)
+    train_ssl(cfg)
+    with open(os.path.join(cfg.output_dir, METRICS_NAME), "a") as fh:
+        fh.write('{"epoch": 2, "lo\n')
+    with pytest.raises(PipelineError, match="corrupt metrics"):
+        train_ssl(cfg, resume=os.path.join(cfg.output_dir, "checkpoint_ep0000.ckpt"))
+
+
+def test_momentum_resume_needs_stored_velocity(tmp_path):
+    cfg = tiny_config(tmp_path, epochs=2, checkpoint_every=1)
+    train_ssl(cfg)
+    plain = load_checkpoint(os.path.join(cfg.output_dir, "checkpoint_ep0000.ckpt"))
+    assert plain.extra == {}
+    # the same parameters without a velocity, under the momentum run's config hash
+    moving = replace(cfg, momentum=0.9)
+    ckpt_path = os.path.join(cfg.output_dir, "moving.ckpt")
+    save_checkpoint(ckpt_path, Encoder(moving.encoder_config()), plain.params,
+                    moving.config_hash(), epoch=0)
+    with pytest.raises(PipelineError, match="velocity"):
+        train_ssl(moving, resume=ckpt_path)
 
 
 def test_periodic_checkpoints_written(tmp_path):
