@@ -20,7 +20,7 @@ from .bounds import (
 )
 from .config import TrainConfig, load_config
 from .data import AugmentPool, base_augment, gen_synthetic, load_cifar10
-from .encoder import Encoder, EncoderConfig, finite_diff_gradient, load_checkpoint, save_checkpoint
+from .encoder import Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from .errors import SharpshiftError
 from .evaluation import (
     AttackConfig,
@@ -77,7 +77,6 @@ __all__ = [
     "exact_info_nce_expectation",
     "fft_augment_batch",
     "fgsm_attack",
-    "finite_diff_gradient",
     "gen_synthetic",
     "info_nce",
     "info_nce_batch",

@@ -21,8 +21,9 @@ import numpy as np
 from .errors import LabError
 from .losses import contrastive_rows, cross_entropy_rows
 
-# Exact K-negative enumeration runs over multisets of negatives; this guard
-# keeps the count table small. n <= 6 with K <= 4 is always inside it.
+# The exact K-negative expectation builds one contrastive row per (x, x+) pair
+# with p_pos > 0 and multiset of negatives: a (pairs * M, K) row table with
+# M = C(K+n-1, n-1). This guard bounds M; n <= 6 with K <= 4 is always inside.
 MAX_EXACT_MULTISETS = 100_000
 
 
@@ -127,31 +128,16 @@ class ExpectationResult(NamedTuple):
     exact: bool
 
 
-def _negative_multisets(n_points, k_negatives, log_p_data):
-    """Count vectors over points for K iid negatives, with their probabilities.
+def _negative_multisets(n_points, k_negatives):
+    """Sorted index tuples of K iid negatives (M, K), with log(K! / prod_i c_i!).
 
     Enumerating multisets instead of ordered tuples turns n^K terms into
-    C(K+n-1, n-1) weighted ones; the weight is the multinomial probability.
+    M = C(K+n-1, n-1) weighted ones; c_i counts point i in the multiset.
     """
-    counts = []
-    log_weights = []
-    log_k_fact = math.lgamma(k_negatives + 1)
-    for combo in itertools.combinations_with_replacement(range(n_points), k_negatives):
-        count = np.bincount(combo, minlength=n_points)
-        mass = 0.0
-        degenerate = False
-        for i, c in enumerate(count):
-            if c == 0:
-                continue
-            if np.isinf(log_p_data[i]):
-                degenerate = True
-                break
-            mass += c * log_p_data[i] - math.lgamma(c + 1)
-        if degenerate:
-            continue
-        counts.append(count)
-        log_weights.append(log_k_fact + mass)
-    return np.array(counts, dtype=float), np.exp(np.array(log_weights))
+    combos = np.array(list(itertools.combinations_with_replacement(range(n_points), k_negatives)))
+    counts = (combos[:, :, None] == np.arange(n_points)).sum(axis=1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k_negatives + 1)))))
+    return combos, log_fact[k_negatives] - log_fact[counts].sum(axis=1)
 
 
 def exact_info_nce_expectation(world, tau, beta_neg, k_negatives, mc_samples=None, seed=0):
@@ -167,9 +153,7 @@ def exact_info_nce_expectation(world, tau, beta_neg, k_negatives, mc_samples=Non
     n = world.n_points
     n_multisets = math.comb(k_negatives + n - 1, n - 1)
     if n_multisets <= MAX_EXACT_MULTISETS:
-        return ExpectationResult(
-            _exact_expectation(world, tau, beta_neg, k_negatives), 0.0, True
-        )
+        return ExpectationResult(_exact_expectation(world, tau, beta_neg, k_negatives), 0.0, True)
     if mc_samples is None:
         raise LabError(
             f"{n_multisets} negative multisets exceed the exact guard "
@@ -178,34 +162,23 @@ def exact_info_nce_expectation(world, tau, beta_neg, k_negatives, mc_samples=Non
     return _mc_expectation(world, tau, beta_neg, k_negatives, mc_samples, seed)
 
 
-def _loss_given_negsum(s_pos, neg_sums, beta, k_negatives, shift):
-    # loss = log(exp(s_pos) + (beta/K) * sum_k exp(s_k)) - s_pos, shift-stabilized
-    return np.log(np.exp(s_pos - shift) + (beta / k_negatives) * neg_sums) + shift - s_pos
-
-
 def _exact_expectation(world, tau, beta_neg, k_negatives):
     p_data = world.p_data
-    with np.errstate(divide="ignore"):
-        log_p_data = np.log(p_data)
-    counts, weights = _negative_multisets(world.n_points, k_negatives, log_p_data)
+    combos, log_coef = _negative_multisets(world.n_points, k_negatives)
+    keep = np.all(p_data[combos] > 0.0, axis=1)  # a p = 0 point is never drawn
+    combos = combos[keep]
+    weights = np.exp(log_coef[keep] + np.log(p_data[combos]).sum(axis=1))
     p_pos = world.p_pos
     sims = world.features @ world.features.T / tau
-    total = 0.0
-    for x in range(world.n_points):
-        if not np.any(p_pos[x] > 0.0):
-            continue
-        shift = float(np.max(sims[x]))
-        neg_sums = counts @ np.exp(sims[x] - shift)  # (n_multisets,)
-        for xp in range(world.n_points):
-            if p_pos[x, xp] == 0.0:
-                continue
-            losses = _loss_given_negsum(sims[x, xp], neg_sums, beta_neg, k_negatives, shift)
-            total += p_pos[x, xp] * float(weights @ losses)
-    return float(total)
+    xs, xps = np.nonzero(p_pos > 0.0)
+    # one row per (x, x+) pair and multiset: s_pos = sims[x, x+], s_neg = sims[x, combo]
+    s_neg = sims[xs][:, combos].reshape(-1, k_negatives)
+    losses, _, _ = contrastive_rows(np.repeat(sims[xs, xps], len(combos)), s_neg, beta_neg)
+    return float(p_pos[xs, xps] @ (losses.reshape(len(xs), -1) @ weights))
 
 
 def _mc_expectation(world, tau, beta_neg, k_negatives, mc_samples, seed):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
+    rng = np.random.default_rng([int(seed)])
     n = world.n_points
     classes = rng.choice(world.n_classes, size=mc_samples, p=world.priors)
     sims = world.features @ world.features.T / tau
@@ -295,3 +268,48 @@ def pac_penalty(inputs):
         + bound_l**2 / (8.0 * root_n)
         + 2.0 * bound_l / root_n
     )
+
+
+def _mean_classifier_row(rng, i):
+    n_points, n_classes = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+    check = verify_mean_classifier_step(make_random_world(rng, n_points, n_classes, 3), tau=0.5)
+    return {"world": i, "lhs": check.lhs, "rhs": check.rhs, "slack": check.slack,
+            "holds": check.holds}, check.holds
+
+
+def _k_trend_row(rng, i):
+    world = make_random_world(rng, n_points=4, n_classes=2, dim=3)
+    surrogate = surrogate_unsup_loss(world, tau=0.5)
+    exact = {k: exact_info_nce_expectation(world, 0.5, float(k), k).value for k in (1, 2, 4, 8)}
+    gaps = {str(k): float(abs(value - surrogate - np.log(k))) for k, value in exact.items()}
+    shrinks = bool(gaps["8"] < gaps["1"])
+    return {"world": i, "gap_by_k": gaps, "shrinks": shrinks}, shrinks
+
+
+def _pac_penalty_row(rng, i):
+    inputs = PacPenaltyInputs(
+        n_samples=int(rng.integers(10, 10_000)),
+        n_params=int(rng.integers(2, 100_000)),
+        delta=float(rng.uniform(0.01, 0.5)),
+        rho=float(rng.uniform(0.01, 2.0)),
+        tau=float(rng.uniform(0.1, 2.0)),
+        beta_neg=float(rng.uniform(0.0, 8.0)),
+        theta_norm=float(rng.uniform(0.0, 50.0)),
+    )
+    return {"case": i, "n_samples": inputs.n_samples, "n_params": inputs.n_params,
+            "penalty": pac_penalty(inputs)}, True
+
+
+def lab_suite(suite, n_worlds, seed):
+    """Lazy ``(row, holds)`` pairs of one bound-lab suite, drawn from one seeded stream.
+
+    ``mean-classifier`` checks the mean-classifier step, ``k-trend`` that the exact
+    K-negative loss nears surrogate + log K as K grows, ``pac-penalty`` evaluates the
+    penalty (it always holds).
+    """
+    rows = {"mean-classifier": _mean_classifier_row, "k-trend": _k_trend_row,
+            "pac-penalty": _pac_penalty_row}
+    if suite not in rows:
+        raise LabError(f"unknown bound-lab suite {suite!r}; choose from {sorted(rows)}")
+    rng = np.random.default_rng([int(seed)])
+    return (rows[suite](rng, i) for i in range(n_worlds))

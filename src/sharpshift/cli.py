@@ -12,7 +12,7 @@ import numpy as np
 from . import bounds, data, training
 from .config import load_config
 from .encoder import Encoder
-from .errors import SharpshiftError
+from .errors import AugmentationError, EvaluationError, SharpshiftError
 from .fourier import AugmentConfig, draw_betas, fft_augment_batch
 
 
@@ -51,9 +51,12 @@ def _cmd_train(args):
 def _cmd_linear_eval(args):
     if args.seed is not None:
         args.overrides.append(f"probe.seed={args.seed}")
+    try:
+        ks = tuple(int(k) for k in args.k.split(","))
+    except ValueError:
+        raise EvaluationError(f"--k must be comma-separated integers, got {args.k!r}") from None
     config = _config_from(args)
     encoder, params, _ = training.load_run(args.checkpoint)
-    ks = tuple(int(k) for k in args.k.split(","))
     model, results = training.evaluate_probe(config, encoder, params, ks=ks)
     if args.dump_features:
         images, labels = training.load_eval_data(config)
@@ -104,48 +107,10 @@ def _cmd_shift_gap(args):
 
 
 def _cmd_bound_lab(args):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed])))
     failures = 0
-    if args.suite == "mean-classifier":
-        for i in range(args.n_worlds):
-            world = bounds.make_random_world(
-                rng,
-                n_points=int(rng.integers(2, 7)),
-                n_classes=int(rng.integers(2, 4)),
-                dim=3,
-            )
-            check = bounds.verify_mean_classifier_step(world, tau=0.5)
-            print(json.dumps({
-                "world": i, "lhs": check.lhs, "rhs": check.rhs,
-                "slack": check.slack, "holds": check.holds,
-            }, sort_keys=True))
-            failures += 0 if check.holds else 1
-    elif args.suite == "k-trend":
-        for i in range(args.n_worlds):
-            world = bounds.make_random_world(rng, n_points=4, n_classes=2, dim=3)
-            surrogate = bounds.surrogate_unsup_loss(world, tau=0.5)
-            gaps = {}
-            for k in (1, 2, 4, 8):
-                exact = bounds.exact_info_nce_expectation(world, 0.5, float(k), k)
-                gaps[str(k)] = float(abs(exact.value - surrogate - np.log(k)))
-            print(json.dumps({"world": i, "gap_by_k": gaps,
-                              "shrinks": bool(gaps["8"] < gaps["1"])}, sort_keys=True))
-            failures += 0 if gaps["8"] < gaps["1"] else 1
-    else:  # pac-penalty
-        for i in range(args.n_worlds):
-            inputs = bounds.PacPenaltyInputs(
-                n_samples=int(rng.integers(10, 10_000)),
-                n_params=int(rng.integers(2, 100_000)),
-                delta=float(rng.uniform(0.01, 0.5)),
-                rho=float(rng.uniform(0.01, 2.0)),
-                tau=float(rng.uniform(0.1, 2.0)),
-                beta_neg=float(rng.uniform(0.0, 8.0)),
-                theta_norm=float(rng.uniform(0.0, 50.0)),
-            )
-            print(json.dumps({
-                "case": i, "n_samples": inputs.n_samples, "n_params": inputs.n_params,
-                "penalty": bounds.pac_penalty(inputs),
-            }, sort_keys=True))
+    for row, holds in bounds.lab_suite(args.suite, args.n_worlds, args.seed):
+        print(json.dumps(row, sort_keys=True))
+        failures += 0 if holds else 1
     return 1 if failures else 0
 
 
@@ -153,6 +118,8 @@ def _cmd_augment_preview(args):
     config = _config_from(args)
     images, _ = training.load_train_data(config)
     count = min(args.n, len(images))
+    if count < 2:
+        raise AugmentationError(f"amplitude mixing pairs views, so --n must be >= 2, got {count}")
     batch = np.stack([
         data.base_augment(images[i], [args.seed, i], config.augment_pool())
         for i in range(count)

@@ -244,16 +244,20 @@ def _parse(key, raw, template):
 
 def parse_config_file(path):
     """Flat key-value text: one ``key = value`` per line, '#' comments."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PipelineError(f"cannot read config file {path}: {exc}") from exc
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise PipelineError(f"{path}:{lineno}: expected key = value")
-            key, value = stripped.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise PipelineError(f"{path}:{lineno}: expected key = value")
+        key, value = stripped.split("=", 1)
+        mapping[key.strip()] = value.strip()
     return mapping
 
 

@@ -11,42 +11,53 @@ from .errors import AugmentationError, IngestionError
 
 RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes (R, G, B planes)
 CIFAR_CLASSES = 10
+CIFAR_TEST_BATCH = "test_batch.bin"  # the held-out side; every other .bin trains
 
 
 def load_cifar10(directory):
-    """Read every ``*.bin`` batch file (sorted by name) in ``directory``.
+    """Read the training batches: every ``*.bin`` file but ``test_batch.bin``.
 
-    Each record is one label byte followed by 3072 pixel bytes laid out as
-    three 32x32 row-major planes. Pixels are scaled to [0, 1]; record order
-    is preserved. Truncated files and out-of-range labels fail loudly.
+    Files are read in name order and records keep their file order; see
+    ``read_cifar_batch`` for the record layout.
     """
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        raise IngestionError(f"cannot list {directory}: {exc.strerror}") from exc
     paths = sorted(
         os.path.join(directory, name)
-        for name in os.listdir(directory)
-        if name.endswith(".bin")
+        for name in names
+        if name.endswith(".bin") and name != CIFAR_TEST_BATCH
     )
     if not paths:
         raise IngestionError(f"no .bin batch files in {directory}")
-    images, labels = [], []
-    for path in paths:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) % RECORD_BYTES != 0:
-            raise IngestionError(
-                f"{path}: truncated record", byte_offset=(len(raw) // RECORD_BYTES) * RECORD_BYTES
-            )
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, RECORD_BYTES)
-        file_labels = records[:, 0]
-        bad = np.nonzero(file_labels >= CIFAR_CLASSES)[0]
-        if bad.size:
-            raise IngestionError(
-                f"{path}: label byte {int(file_labels[bad[0]])} out of range",
-                byte_offset=int(bad[0]) * RECORD_BYTES,
-            )
-        pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-        images.append(pixels.astype(float) / 255.0)
-        labels.append(file_labels.astype(int))
+    images, labels = zip(*(read_cifar_batch(path) for path in paths))
     return np.concatenate(images), np.concatenate(labels)
+
+
+def read_cifar_batch(path):
+    """One CIFAR-10 binary batch file as (images (N, 32, 32, 3), labels (N,)).
+
+    Each record is one label byte followed by 3072 pixel bytes laid out as
+    three 32x32 row-major planes. Pixels are scaled to [0, 1]. Truncated files
+    and out-of-range labels fail loudly.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) % RECORD_BYTES != 0:
+        raise IngestionError(
+            f"{path}: truncated record", byte_offset=(len(raw) // RECORD_BYTES) * RECORD_BYTES
+        )
+    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, RECORD_BYTES)
+    labels = records[:, 0]
+    bad = np.nonzero(labels >= CIFAR_CLASSES)[0]
+    if bad.size:
+        raise IngestionError(
+            f"{path}: label byte {int(labels[bad[0]])} out of range",
+            byte_offset=int(bad[0]) * RECORD_BYTES,
+        )
+    pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+    return pixels.astype(float) / 255.0, labels.astype(int)
 
 
 def gen_synthetic(n_per_class, num_classes, image_size=16, channels=1, seed=0,
@@ -64,10 +75,8 @@ def gen_synthetic(n_per_class, num_classes, image_size=16, channels=1, seed=0,
         raise IngestionError("need n_per_class >= 1 and num_classes >= 2")
     if pattern_seed is None:
         pattern_seed = seed
-    pattern_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(pattern_seed), 0]))
-    )
-    noise_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 1])))
+    pattern_rng = np.random.default_rng([int(pattern_seed), 0])
+    noise_rng = np.random.default_rng([int(seed), 1])
     h = w = int(image_size)
     images = np.empty((n_per_class * num_classes, h, w, channels))
     labels = np.empty(n_per_class * num_classes, dtype=int)
@@ -135,7 +144,7 @@ OP_CROP, OP_FLIP, OP_JITTER, OP_GRAY = 0, 1, 2, 3
 
 def op_rng(seed, slot):
     entropy = [int(s) for s in np.atleast_1d(seed)]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy + [slot])))
+    return np.random.default_rng(entropy + [slot])
 
 
 def random_resized_crop(image, rng, scale):

@@ -7,8 +7,8 @@ feature has unit Euclidean norm (that is what licenses the loss bound used
 elsewhere). All parameters live in one flat float64 vector described by a
 layout table, which is what the sharpness-aware optimizer perturbs.
 
-Backpropagation is written out by hand per layer; ``finite_diff_gradient``
-is the independent oracle the analytic path is checked against.
+Backpropagation is written out by hand per layer; the tests check the
+analytic path against a central-difference oracle.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class Encoder:
         land on an exactly-zero projection output (which would break the
         unit-norm output contract).
         """
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)])))
+        rng = np.random.default_rng([int(seed)])
         flat = np.zeros(self.n_params)
         for name, shape, offset in self.layout:
             size = int(np.prod(shape))
@@ -322,27 +322,6 @@ class Encoder:
         else:
             raise ModelError(f"unknown tap point {tap!r}")
         return self._backbone_backward(p, g, bb_caches, None, want_input=True)
-
-
-def finite_diff_gradient(loss_closure, params, step=1e-5):
-    """Central-difference gradient oracle: O(T) closure evaluations.
-
-    Independent of the analytic backprop path on purpose; test use only.
-    """
-    if step <= 0.0:
-        raise ModelError(f"step must be positive, got {step}")
-    params = np.asarray(params, dtype=float)
-    grad = np.zeros_like(params)
-    probe = params.copy()
-    for i in range(params.size):
-        original = probe[i]
-        probe[i] = original + step
-        up = loss_closure(probe)
-        probe[i] = original - step
-        down = loss_closure(probe)
-        probe[i] = original
-        grad[i] = (up - down) / (2.0 * step)
-    return grad
 
 
 # ----- conv primitives -----------------------------------------------------

@@ -77,7 +77,7 @@ def train_linear_probe(encoder, params, labeled_data, config, num_classes=None):
         raise EvaluationError(f"classes {missing} have no training examples")
     feats = encoder.features(params, images, tap=config.tap_point)
     n, dim = feats.shape
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(config.seed)])))
+    rng = np.random.default_rng([int(config.seed)])
     weights = 0.01 * rng.standard_normal((n_classes, dim))
     for _ in range(config.epochs):
         _, dlogits = cross_entropy_rows(feats @ weights.T, labels, config.tau)

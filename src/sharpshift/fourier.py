@@ -123,7 +123,7 @@ def draw_betas(n_views, config):
     """
     betas = np.empty(n_views)
     for k in range(n_views):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.rng_seed, k])))
+        rng = np.random.default_rng([config.rng_seed, k])
         betas[k] = rng.uniform(0.0, config.alpha)
     return betas
 

@@ -103,9 +103,7 @@ def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config, classes=Non
 
     terms = np.empty(len(items))
     for i, (item, label) in enumerate(zip(items, labels)):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([int(config.seed), i]))
-        )
+        rng = np.random.default_rng([int(config.seed), i])
         copies = [augment_fn(item, rng) for _ in range(config.n_mc_aug)]
         aug_mean = np.asarray(feature_fn(copies), dtype=float).mean(axis=0)
         gap = float(np.linalg.norm(class_means[int(label)] - aug_mean))

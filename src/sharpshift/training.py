@@ -86,14 +86,16 @@ def load_train_data(config: TrainConfig):
             channels=config.channels,
             seed=config.seed,
         )
-    images, labels = data_mod.load_cifar10(config.data_dir)
-    if config.data_limit:
-        images, labels = images[: config.data_limit], labels[: config.data_limit]
-    return images, labels
+    return _cifar_sides(config)[0]
 
 
 def load_eval_data(config: TrainConfig):
-    """Held-out labeled split: same class patterns, fresh sample noise."""
+    """Held-out labeled split, disjoint from ``load_train_data``.
+
+    Synthetic data keeps the class patterns with fresh sample noise. CIFAR-10
+    holds out ``test_batch.bin``, or the last 20% of the training batches when
+    that file is absent.
+    """
     if config.dataset == "synthetic":
         return data_mod.gen_synthetic(
             config.n_eval_per_class,
@@ -103,9 +105,21 @@ def load_eval_data(config: TrainConfig):
             seed=derived_seed(config.seed, TAG_EVAL_DATA),
             pattern_seed=config.seed,
         )
-    images, labels = load_train_data(config)
-    split = max(1, int(0.8 * len(labels)))
-    return images[split:], labels[split:]
+    return _cifar_sides(config)[1]
+
+
+def _cifar_sides(config):
+    images, labels = data_mod.load_cifar10(config.data_dir)
+    test_path = os.path.join(config.data_dir, data_mod.CIFAR_TEST_BATCH)
+    if os.path.exists(test_path):
+        held_out = data_mod.read_cifar_batch(test_path)
+    else:
+        split = max(1, int(0.8 * len(labels)))
+        held_out = images[split:], labels[split:]
+        images, labels = images[:split], labels[:split]
+    if config.data_limit:
+        images, labels = images[: config.data_limit], labels[: config.data_limit]
+    return (images, labels), held_out
 
 
 def _feature_loss(tau):
@@ -151,6 +165,11 @@ def train_ssl(config: TrainConfig, resume=None):
     A resumed run restores the momentum velocity and rewinds the metrics
     stream to the checkpoint's epoch, as if it had never been interrupted.
     """
+    images, _ = load_train_data(config)
+    if len(images) < config.batch_size:
+        raise PipelineError(
+            f"dataset has {len(images)} images, batch_size {config.batch_size} is too large"
+        )
     out_dir = config.resolved_output_dir()
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, METRICS_NAME)
@@ -184,11 +203,6 @@ def train_ssl(config: TrainConfig, resume=None):
         velocity = np.zeros_like(params) if config.momentum > 0.0 else None
         metrics_fh = open(metrics_path, "w", encoding="utf-8")
 
-    images, _ = load_train_data(config)
-    if len(images) < config.batch_size:
-        raise PipelineError(
-            f"dataset has {len(images)} images, batch_size {config.batch_size} is too large"
-        )
     pool = config.augment_pool()
     sam_cfg = config.sam_config()
     feature_loss = _feature_loss(config.tau)
@@ -198,9 +212,8 @@ def train_ssl(config: TrainConfig, resume=None):
     try:
         for epoch in range(start_epoch, config.epochs):
             t0 = time.perf_counter()
-            order = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([config.seed, TAG_SHUFFLE, epoch]))
-            ).permutation(len(images))
+            shuffle_rng = np.random.default_rng([config.seed, TAG_SHUFFLE, epoch])
+            order = shuffle_rng.permutation(len(images))
             epoch_losses = []
             for b_start in range(0, len(order), config.batch_size):
                 indices = order[b_start:b_start + config.batch_size]

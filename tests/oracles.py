@@ -139,6 +139,22 @@ def enumerate_info_nce(priors, conditionals, features, tau, beta, k):
     return total
 
 
+def finite_diff_gradient(loss_closure, params, step=1e-5):
+    """Central-difference gradient: two closure evaluations per coordinate."""
+    params = np.asarray(params, dtype=float)
+    grad = np.zeros_like(params)
+    probe = params.copy()
+    for i in range(params.size):
+        original = probe[i]
+        probe[i] = original + step
+        up = loss_closure(probe)
+        probe[i] = original - step
+        down = loss_closure(probe)
+        probe[i] = original
+        grad[i] = (up - down) / (2.0 * step)
+    return grad
+
+
 def pac_penalty_direct(n, t, delta, rho, tau, beta, theta_norm):
     """One-line independent evaluation of the concrete penalty."""
     sigma = rho / (np.sqrt(t) + np.sqrt(np.log(n)))

@@ -22,7 +22,7 @@ from sharpshift.bounds import (
     verify_mean_classifier_step,
 )
 from sharpshift.config import TrainConfig
-from sharpshift.encoder import Encoder, EncoderConfig, finite_diff_gradient
+from sharpshift.encoder import Encoder, EncoderConfig
 from sharpshift.evaluation import (
     AttackConfig,
     ProbeConfig,
@@ -50,7 +50,7 @@ from sharpshift.training import (
     train_ssl,
 )
 
-from oracles import naive_dft2, pac_penalty_direct
+from oracles import finite_diff_gradient, naive_dft2, pac_penalty_direct
 
 
 def report(number, label):

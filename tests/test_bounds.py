@@ -5,6 +5,7 @@ from sharpshift.bounds import (
     DiscreteWorld,
     PacPenaltyInputs,
     exact_info_nce_expectation,
+    lab_suite,
     make_random_world,
     pac_penalty,
     sup_loss_mean_classifier,
@@ -161,16 +162,36 @@ def test_constant_world_expectation_is_log_one_plus_beta():
         assert res.value == pytest.approx(np.log1p(beta), abs=1e-12)
 
 
+def _zero_mass_world(rng):
+    # the last point has probability 0 under every class, so p_data is 0 there
+    world = make_random_world(rng, n_points=4, n_classes=2, dim=3)
+    conditionals = world.conditionals.copy()
+    conditionals[:, -1] = 0.0
+    conditionals /= conditionals.sum(axis=1, keepdims=True)
+    return DiscreteWorld(world.priors, conditionals, world.features)
+
+
 def test_multiset_enumeration_matches_ordered_product_oracle():
     rng = np.random.default_rng(4)
+    cases = []
     for _ in range(5):
         world = make_random_world(rng, n_points=3, n_classes=2, dim=3)
         tau, beta, k = rng.uniform(0.3, 1.5), rng.uniform(0.5, 4.0), int(rng.integers(1, 4))
+        cases.append((world, tau, beta, k))
+    for n, k in ((2, 4), (4, 2), (4, 3), (5, 1), (5, 4)):
+        world = make_random_world(rng, n_points=n, n_classes=3, dim=3)
+        cases.append((world, rng.uniform(0.3, 1.5), rng.uniform(0.5, 8.0), k))
+    cases.append((make_random_world(rng, n_points=4, n_classes=2, dim=3), 0.5, 0.0, 3))
+    cases.append((_zero_mass_world(rng), 0.7, 2.5, 3))
+    cases.append((_zero_mass_world(rng), 0.4, 1.0, 1))
+    assert np.any(cases[-1][0].p_data == 0.0)
+    for world, tau, beta, k in cases:
         ours = exact_info_nce_expectation(world, tau, beta, k)
         oracle = enumerate_info_nce(
             world.priors, world.conditionals, world.features, tau, beta, k
         )
-        assert ours.value == pytest.approx(oracle, abs=1e-10)
+        assert ours.exact
+        assert ours.value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_enumeration_agrees_with_monte_carlo():
@@ -198,6 +219,11 @@ def test_k_trend_gap_shrinks():
         assert res.exact
         gaps[k] = abs(res.value - surrogate - np.log(k))
     assert gaps[8] < gaps[1]
+
+
+def test_lab_suite_rejects_unknown_suite():
+    with pytest.raises(LabError, match="no-such-suite"):
+        lab_suite("no-such-suite", 3, 0)
 
 
 def test_guard_requires_mc_fallback():

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from sharpshift.bounds import lab_suite
 from sharpshift.cli import main
-from sharpshift.training import METRICS_NAME
+from sharpshift.config import load_config
+from sharpshift.training import METRICS_NAME, load_eval_data, load_train_data
 
 
 def run_args(tmp_path, *extra):
@@ -103,10 +105,9 @@ def test_bound_lab_suites(capsys):
     for suite in ("mean-classifier", "k-trend", "pac-penalty"):
         code = main(["bound-lab", "--suite", suite, "--n-worlds", "3", "--seed", "1"])
         assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3
-        for line in lines:
-            json.loads(line)
+        # the CLI prints exactly the library's rows
+        expected = [json.dumps(row, sort_keys=True) for row, _ in lab_suite(suite, 3, 1)]
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_augment_preview_writes_files(tmp_path):
@@ -164,16 +165,57 @@ def test_unparsable_override_fails_cleanly(override, capsys):
     assert err.startswith("error: ") and key in err and raw in err
 
 
-def test_data_flag_selects_cifar(tmp_path, capsys):
-    # a 12-record CIFAR-style directory driven purely by --data
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{tmp}/missing", "--set", "train.output_dir={tmp}/failed"],
+    ["train", "--config", "{tmp}/missing.cfg", "--set", "train.output_dir={tmp}/failed"],
+    ["linear-eval", "--checkpoint", "{ckpt}", "--k", "abc"],
+    ["augment-preview", "--out", "{tmp}/failed", "--n", "0"],
+])
+def test_malformed_cli_input_fails_cleanly(argv, trained, capsys):
+    ckpt, tmp_path = trained
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path, ckpt=ckpt) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "failed").exists()  # a failed command leaves no output behind
+
+
+def write_fake_cifar(data_dir, name="data_batch_1.bin", records=12, seed=0):
+    """A CIFAR-style batch file of random records with alternating labels."""
     blob = bytearray()
-    rng = np.random.default_rng(0)
-    for i in range(12):
+    rng = np.random.default_rng(seed)
+    for i in range(records):
         blob.append(i % 2)
         blob.extend(rng.integers(0, 256, size=3072, dtype=np.uint16).astype("uint8").tobytes())
+    data_dir.mkdir(exist_ok=True)
+    (data_dir / name).write_bytes(bytes(blob))
+
+
+def _record_set(images):
+    return {np.round(image * 255).astype(np.uint8).tobytes() for image in images}
+
+
+@pytest.mark.parametrize("with_test_batch", [False, True])
+def test_cifar_train_and_eval_sides_are_disjoint(tmp_path, with_test_batch):
     data_dir = tmp_path / "cifar"
-    data_dir.mkdir()
-    (data_dir / "data_batch_1.bin").write_bytes(bytes(blob))
+    write_fake_cifar(data_dir)
+    if with_test_batch:
+        write_fake_cifar(data_dir, name="test_batch.bin", records=6, seed=1)
+    for limit in (0, 5):
+        cfg = load_config(None, [
+            "dataset.name=cifar10", f"dataset.dir={data_dir}", f"dataset.limit={limit}",
+        ])
+        train_images, _ = load_train_data(cfg)
+        eval_images, eval_labels = load_eval_data(cfg)
+        assert not _record_set(train_images) & _record_set(eval_images)
+        # the limit shrinks the training side only
+        assert len(train_images) == (limit or (12 if with_test_batch else 9))
+        assert len(eval_labels) == (6 if with_test_batch else 3)
+
+
+def test_data_flag_selects_cifar(tmp_path, capsys):
+    # a 12-record CIFAR-style directory driven purely by --data
+    data_dir = tmp_path / "cifar"
+    write_fake_cifar(data_dir)
     code = main([
         "train",
         "--data", str(data_dir),

@@ -7,12 +7,13 @@ import pytest
 from sharpshift.encoder import (
     Encoder,
     EncoderConfig,
-    finite_diff_gradient,
     load_checkpoint,
     save_checkpoint,
 )
 from sharpshift.errors import ModelError
 from sharpshift.losses import LossConfig, info_nce_batch_grad
+
+from oracles import finite_diff_gradient
 
 TINY_MLP = EncoderConfig(
     architecture="mlp", input_shape=(4, 4, 1), hidden=(6,), feature_dim=4, proj_hidden=6
