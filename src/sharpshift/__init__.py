@@ -19,7 +19,7 @@ from .bounds import (
     verify_mean_classifier_step,
 )
 from .config import TrainConfig, load_config
-from .data import AugmentPool, base_augment, gen_synthetic, load_cifar10
+from .data import AugmentPool, base_augment, base_augment_batch, gen_synthetic, load_cifar10
 from .encoder import Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from .errors import SharpshiftError
 from .evaluation import (
@@ -72,6 +72,7 @@ __all__ = [
     "amplitude_phase",
     "ascent_perturbation",
     "base_augment",
+    "base_augment_batch",
     "dft2",
     "estimate_shift_gap",
     "exact_info_nce_expectation",

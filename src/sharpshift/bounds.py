@@ -311,5 +311,9 @@ def lab_suite(suite, n_worlds, seed):
             "pac-penalty": _pac_penalty_row}
     if suite not in rows:
         raise LabError(f"unknown bound-lab suite {suite!r}; choose from {sorted(rows)}")
+    if n_worlds < 1:
+        raise LabError(f"n_worlds must be >= 1, got {n_worlds}")
+    if seed < 0:
+        raise LabError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([int(seed)])
     return (rows[suite](rng, i) for i in range(n_worlds))

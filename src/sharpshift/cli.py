@@ -61,9 +61,12 @@ def _cmd_linear_eval(args):
     if args.dump_features:
         images, labels = training.load_eval_data(config)
         feats = encoder.features(params, images, tap=config.probe_tap_point)
-        with open(args.dump_features, "w", encoding="utf-8") as fh:
-            for row, label in zip(feats, labels):
-                fh.write(",".join([str(int(label))] + [repr(float(v)) for v in row]) + "\n")
+        try:
+            with open(args.dump_features, "w", encoding="utf-8") as fh:
+                for row, label in zip(feats, labels):
+                    fh.write(",".join([str(int(label))] + [repr(float(v)) for v in row]) + "\n")
+        except OSError as exc:
+            raise EvaluationError(f"cannot write {args.dump_features}: {exc.strerror}") from exc
         print(f"features written to {args.dump_features}")
     payload = {"event": "linear_eval", "checkpoint": args.checkpoint, **results}
     training.append_metrics(os.path.dirname(args.checkpoint) or ".", payload)
@@ -120,20 +123,21 @@ def _cmd_augment_preview(args):
     count = min(args.n, len(images))
     if count < 2:
         raise AugmentationError(f"amplitude mixing pairs views, so --n must be >= 2, got {count}")
-    batch = np.stack([
-        data.base_augment(images[i], [args.seed, i], config.augment_pool())
-        for i in range(count)
-    ])
+    fft_cfg = AugmentConfig(alpha=args.alpha, rng_seed=args.seed)
+    seeds = np.stack([np.full(count, args.seed), np.arange(count)], axis=1)
+    batch = data.base_augment_batch(images[:count], seeds, config.augment_pool())
     if args.checkpoint:
         encoder, params, _ = training.load_run(args.checkpoint)
     else:
         encoder = Encoder(config.encoder_config())
         params = encoder.init_params(args.seed)
     feats = encoder.forward(params, batch)
-    fft_cfg = AugmentConfig(alpha=args.alpha, rng_seed=args.seed)
     mixed = fft_augment_batch(batch, feats, fft_cfg)
     betas = draw_betas(count, fft_cfg)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise AugmentationError(f"cannot write previews to {args.out}: {exc.strerror}") from exc
     for i in range(count):
         data.write_image(os.path.join(args.out, f"view_{i:03d}_before.ppm"), batch[i])
         data.write_image(os.path.join(args.out, f"view_{i:03d}_after.ppm"), mixed[i])

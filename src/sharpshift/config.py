@@ -72,8 +72,8 @@ class TrainConfig:
             raise PipelineError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 0:
             raise PipelineError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise PipelineError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise PipelineError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.dataset not in ("synthetic", "cifar10"):
             raise PipelineError(f"unknown dataset {self.dataset!r}")
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AugmentationError, IngestionError
+from .streams import Streams
 
 RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes (R, G, B planes)
 CIFAR_CLASSES = 10
@@ -143,7 +144,9 @@ OP_CROP, OP_FLIP, OP_JITTER, OP_GRAY = 0, 1, 2, 3
 
 
 def op_rng(seed, slot):
-    entropy = [int(s) for s in np.atleast_1d(seed)]
+    # object dtype keeps every value exact: a plain array of ints >= 2**63 and
+    # smaller ones would be float64
+    entropy = [int(s) for s in np.atleast_1d(np.asarray(seed, dtype=object))]
     return np.random.default_rng(entropy + [slot])
 
 
@@ -211,6 +214,121 @@ def base_augment(image, seed, pool=AugmentPool()):
     out = color_jitter(out, op_rng(seed, OP_JITTER), pool.jitter_p, pool.jitter_strength)
     out = random_grayscale(out, op_rng(seed, OP_GRAY), pool.gray_p)
     return out
+
+
+# Pixel values one pass of base_augment_batch works on; larger batches go in
+# even chunks, whose temporaries stay in cache (about 42 views of 32x32x3).
+_BATCH_CHUNK_VALUES = 2**17
+
+
+def base_augment_batch(images, seeds, pool=AugmentPool()):
+    """``np.stack([base_augment(images[i], seeds[i], pool) for i in range(N)])``, vectorised.
+
+    ``images`` is (N, H, W, C) and ``seeds`` holds one seed per image, all of
+    equal length: N ints or an (N, L) array of non-negative ints below 2**64.
+    The op substreams are seeded and drawn together by ``Streams``, and each
+    pixel op runs the per-image arithmetic on a whole chunk of views, so the
+    result is bit-identical to the per-image composition.
+    """
+    images = np.asarray(images, dtype=float)
+    if images.ndim != 4:
+        raise AugmentationError(f"images must be (N, H, W, C), got {images.shape}")
+    if len(images) == 0:
+        return images.copy()
+    seeds = np.asarray(seeds).reshape(len(images), -1)
+    chunks = -(-images.size // _BATCH_CHUNK_VALUES)
+    if chunks == 1:
+        return _augment_chunk(images, seeds, pool)
+    return np.concatenate([
+        _augment_chunk(part, part_seeds, pool)
+        for part, part_seeds in zip(np.array_split(images, chunks), np.array_split(seeds, chunks))
+    ])
+
+
+def _augment_chunk(images, seeds, pool):
+    n, h, w, channels = images.shape
+    entropy = np.empty((4 * n, seeds.shape[1] + 1), dtype=seeds.dtype)
+    for slot in (OP_CROP, OP_FLIP, OP_JITTER, OP_GRAY):  # op-major rows: slot * n + i
+        entropy[slot * n:(slot + 1) * n, :-1] = seeds
+        entropy[slot * n:(slot + 1) * n, -1] = slot
+    streams = Streams(entropy)
+    # each op's first draw is a uniform: the crop area, then the flip, jitter and gray coins
+    low, high = np.zeros(4 * n), np.ones(4 * n)
+    low[:n], high[:n] = pool.crop_scale
+    first = streams.uniform(low, high).reshape(4, n)
+    crop, jitter = streams[OP_CROP * n:(OP_CROP + 1) * n], streams[OP_JITTER * n:(OP_JITTER + 1) * n]
+
+    side = np.sqrt(first[OP_CROP])
+    crop_h = np.maximum(1, np.rint(h * side).astype(np.int64))
+    crop_w = np.maximum(1, np.rint(w * side).astype(np.int64))
+    top = crop.integers(h - crop_h + 1)
+    left = crop.integers(w - crop_w + 1)
+    out = images.copy()
+    is_resized = (crop_h != h) | (crop_w != w)
+    resized = np.flatnonzero(is_resized)
+    if len(resized):
+        out[resized] = _resize_crops(out, resized, top[resized], left[resized],
+                                     crop_h[resized], crop_w[resized])
+
+    flipped = first[OP_FLIP] < pool.flip_p
+    out[flipped] = out[flipped, :, ::-1]
+
+    factors = jitter.uniform(max(0.0, 1.0 - pool.jitter_strength), 1.0 + pool.jitter_strength,
+                             size=3)
+    jittered = np.flatnonzero(first[OP_JITTER] < pool.jitter_p)
+    if len(jittered):
+        # base_augment's mean sums in the memory order of the view it is given: C order
+        # after a flip, (W, H, C) order after bilinear_resize, else the input's own order
+        whc = (is_resized & ~flipped)[jittered]
+        own = ~(is_resized | flipped)[jittered] & (not images[0].flags.c_contiguous)
+        f = factors[jittered, :, None, None, None]
+        view = out[jittered] * f[:, 0]
+        mean = np.empty(len(jittered))
+        for rows, axes in ((~whc & ~own, (0, 1, 2, 3)), (whc, (0, 2, 1, 3))):
+            flat = view[rows].transpose(axes).reshape(np.count_nonzero(rows), h * w * channels)
+            mean[rows] = np.add.reduce(flat, axis=1) / flat.shape[1]
+        for row in np.flatnonzero(own):
+            mean[row] = (images[jittered[row]] * f[row, 0, 0, 0, 0]).mean()
+        mean = mean[:, None, None, None]
+        view = (view - mean) * f[:, 1] + mean
+        if channels == 3:
+            gray = _luminance(view)[..., None]
+            view = (view - gray) * f[:, 2] + gray
+        out[jittered] = np.clip(view, 0.0, 1.0)
+
+    if channels == 3:
+        grayed = first[OP_GRAY] < pool.gray_p
+        out[grayed] = _luminance(out[grayed])[..., None]
+    return out
+
+
+def _bilinear_taps(out_size, in_sizes):
+    """``bilinear_resize``'s source taps and weights along one axis, one row per input size."""
+    in_sizes = in_sizes[:, None]
+    coord = (np.arange(out_size) + 0.5) * in_sizes / out_size - 0.5
+    lo = np.clip(np.floor(coord).astype(int), 0, in_sizes - 1)
+    hi = np.minimum(lo + 1, in_sizes - 1)
+    return lo, hi, np.clip(coord - lo, 0.0, 1.0)
+
+
+def _resize_crops(images, index, top, left, crop_h, crop_w):
+    """``bilinear_resize(images[i, top:top+crop_h, left:left+crop_w], H, W)`` for each i in index.
+
+    ``images`` must be C-contiguous: the four corner pixels of every output
+    pixel are gathered from it with one flat ``np.take`` over pixels.
+    """
+    _, h, w, channels = images.shape
+    y0, y1, wy = _bilinear_taps(h, crop_h)
+    x0, x1, wx = _bilinear_taps(w, crop_w)
+    rows = (index[:, None] * h + top[:, None] + np.stack([y0, y1])) * w  # (2, m, H)
+    cols = left[:, None] + np.stack([x0, x1])  # (2, m, W)
+    pixels = rows[:, None, :, :, None] + cols[None, :, :, None, :]  # (2, 2, m, H, W)
+    taps = np.take(images.reshape(-1, channels), pixels, axis=0).reshape(2, 2, -1, h, w * channels)
+    # weights repeated over channels, so that each product runs over whole rows
+    wx, wy = np.repeat(wx, channels, axis=1)[:, None, :], wy[:, :, None]
+    upper = taps[0, 0] * (1 - wx) + taps[0, 1] * wx
+    lower = taps[1, 0] * (1 - wx) + taps[1, 1] * wx
+    return (upper * (1 - wy) + lower * wy).reshape(-1, h, w, channels)
 
 
 # ----- image file output (manual inspection) --------------------------------

@@ -43,8 +43,8 @@ class AttackConfig:
     pixel_max: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise EvaluationError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < float("inf"):
+            raise EvaluationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.pixel_min >= self.pixel_max:
             raise EvaluationError("pixel_min must be below pixel_max")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AugmentationError
+from .streams import Streams
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise AugmentationError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not 0 <= self.rng_seed < 2**64:
+            raise AugmentationError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
 
 
 def dft2(channel):
@@ -118,14 +121,13 @@ def most_similar_index(features, k):
 def draw_betas(n_views, config):
     """Mixing coefficients for a batch, one Uniform(0, alpha) draw per view.
 
-    View k uses the substream SeedSequence([rng_seed, k]); the same derivation
-    is applied whether views are processed sequentially or in parallel.
+    View k uses the substream SeedSequence([rng_seed, k]); all n_views streams
+    are seeded and drawn at once, with the same values as one at a time.
     """
-    betas = np.empty(n_views)
-    for k in range(n_views):
-        rng = np.random.default_rng([config.rng_seed, k])
-        betas[k] = rng.uniform(0.0, config.alpha)
-    return betas
+    entropy = np.empty((n_views, 2), dtype=np.uint64)
+    entropy[:, 0] = config.rng_seed
+    entropy[:, 1] = np.arange(n_views)
+    return Streams(entropy).uniform(0.0, config.alpha)
 
 
 def fft_augment_batch(views, features, config):

@@ -44,6 +44,8 @@ class ShiftGapConfig:
             raise MetricError(f"tau_factor must be one of {_TAU_FACTORS}")
         if self.tau <= 0.0:
             raise MetricError(f"tau must be positive, got {self.tau}")
+        if self.seed < 0:
+            raise MetricError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -80,11 +82,12 @@ def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config, classes=Non
 
     ``feature_fn`` maps a list of items to an (n, d) array of unit features
     (bind the encoder and its parameters before calling). ``labeled_data`` is
-    a sequence of (item, class) pairs; ``augment_fn(item, rng)`` is one draw
-    from the augmentation distribution. Class means use all same-class items
-    once; the augmentation mean of each anchor averages ``n_mc_aug`` draws
-    from the substream SeedSequence([seed, anchor_index]), so anchors can be
-    processed in any order (or in parallel) without changing the result.
+    a sequence of (item, class) pairs; ``augment_fn(item, rng, n)`` returns n
+    draws from the augmentation distribution, as a sequence ``feature_fn``
+    takes. Class means use all same-class items once; the augmentation mean of
+    each anchor averages ``n_mc_aug`` draws, requested in one call, from the
+    substream SeedSequence([seed, anchor_index]), so anchors can be processed
+    in any order (or in parallel) without changing the result.
     """
     items = [item for item, _ in labeled_data]
     labels = np.array([label for _, label in labeled_data])
@@ -104,7 +107,7 @@ def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config, classes=Non
     terms = np.empty(len(items))
     for i, (item, label) in enumerate(zip(items, labels)):
         rng = np.random.default_rng([int(config.seed), i])
-        copies = [augment_fn(item, rng) for _ in range(config.n_mc_aug)]
+        copies = augment_fn(item, rng, config.n_mc_aug)
         aug_mean = np.asarray(feature_fn(copies), dtype=float).mean(axis=0)
         gap = float(np.linalg.norm(class_means[int(label)] - aug_mean))
         terms[i] = gap**config.exponent

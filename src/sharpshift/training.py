@@ -148,12 +148,13 @@ class _RecordingLoss:
 
 
 def _make_views(images, indices, epoch, config, pool):
-    views = np.empty((2 * len(indices),) + images.shape[1:])
-    for slot, idx in enumerate(indices):
-        for v in (0, 1):
-            seed = [config.seed, TAG_VIEW, epoch, int(idx), v]
-            views[2 * slot + v] = data_mod.base_augment(images[idx], seed, pool)
-    return views
+    """Views 2i and 2i+1 of a batch are the two base augmentations of anchor i."""
+    anchors = np.repeat(np.asarray(indices), 2)
+    seeds = np.empty((len(anchors), 5), dtype=np.uint64)
+    seeds[:, :3] = config.seed, TAG_VIEW, epoch
+    seeds[:, 3] = anchors
+    seeds[:, 4] = np.arange(len(anchors)) % 2
+    return data_mod.base_augment_batch(images[anchors], seeds, pool)
 
 
 def train_ssl(config: TrainConfig, resume=None):
@@ -285,48 +286,60 @@ def append_metrics(out_dir, payload):
 
 def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
                     n_candidates=8):
-    """Augmentation map t(x) used by the shift-gap estimator.
+    """Augmentation map ``t(x, rng, n)`` used by the shift-gap estimator: n draws of t(x).
 
     "identity" returns the input; "base" is the stochastic view pool; "fft"
     additionally amplitude-mixes the view toward the most feature-similar of
     ``n_candidates`` base-augmented images drawn from ``pool_images``, which
-    emulates the in-batch pairing at measurement time.
+    emulates the in-batch pairing at measurement time. Each closure makes all
+    n draws' base views in one ``base_augment_batch`` call, and ``rng`` is
+    consumed as n one-draw calls would consume it.
     """
     aug_pool = config.augment_pool()
 
     if mode == "identity":
-        return lambda image, rng: image
+        return lambda image, rng, n: [image] * n
     if mode == "base":
-        def base_fn(image, rng):
-            seed = [int(s) for s in rng.integers(0, 2**62, size=2)]
-            return data_mod.base_augment(image, seed, aug_pool)
+        def base_fn(image, rng, n):
+            seeds = rng.integers(0, 2**62, size=(n, 2))
+            return data_mod.base_augment_batch(np.broadcast_to(image, (n,) + image.shape), seeds,
+                                               aug_pool)
 
         return base_fn
     if mode != "fft":
         raise PipelineError(f"unknown augmentation mode {mode!r}")
     if encoder is None or params is None or pool_images is None:
         raise PipelineError("fft augmentation mode needs encoder, params and pool_images")
+    count = min(n_candidates, len(pool_images))
 
-    def fft_fn(image, rng):
-        seed = [int(s) for s in rng.integers(0, 2**62, size=2)]
-        view = data_mod.base_augment(image, seed, aug_pool)
-        beta = float(rng.uniform(0.0, config.fft_alpha))
-        if beta == 0.0:
-            return view
-        count = min(n_candidates, len(pool_images))
-        chosen = rng.choice(len(pool_images), size=count, replace=False)
-        candidates = np.empty((count,) + view.shape)
-        for slot, idx in enumerate(chosen):
-            cand_seed = [int(s) for s in rng.integers(0, 2**62, size=2)]
-            candidates[slot] = data_mod.base_augment(pool_images[idx], cand_seed, aug_pool)
-        stack = np.concatenate([view[None], candidates])
-        feats = encoder.forward(params, stack)
-        partner = most_similar_index(feats, 0)
-        out = np.empty_like(view)
-        for c in range(view.shape[2]):
-            amp, phase = amplitude_phase(dft2(view[:, :, c]))
-            partner_amp, _ = amplitude_phase(dft2(stack[partner][:, :, c]))
-            out[:, :, c] = reconstruct(mix_amplitude(amp, partner_amp, beta), phase)
+    def fft_fn(image, rng, n):
+        # draw in the order of n one-at-a-time draws: the view's seed, its beta, and
+        # unless beta is 0 the candidates and their seeds; then augment all at once
+        sources, seeds, betas = [], [], []
+        for _ in range(n):
+            seeds.append(rng.integers(0, 2**62, size=(1, 2)))
+            betas.append(float(rng.uniform(0.0, config.fft_alpha)))
+            sources.append(image[None])
+            if betas[-1] != 0.0:
+                chosen = rng.choice(len(pool_images), size=count, replace=False)
+                seeds.append(rng.integers(0, 2**62, size=(count, 2)))
+                sources.append(pool_images[chosen])
+        views = data_mod.base_augment_batch(np.concatenate(sources), np.concatenate(seeds),
+                                            aug_pool)
+        out = np.empty((n,) + image.shape)
+        start = 0
+        for k, beta in enumerate(betas):
+            if beta == 0.0:
+                out[k] = views[start]
+                start += 1
+                continue
+            stack = views[start:start + 1 + count]
+            start += 1 + count
+            partner = most_similar_index(encoder.forward(params, stack), 0)
+            for c in range(image.shape[2]):
+                amp, phase = amplitude_phase(dft2(stack[0, :, :, c]))
+                partner_amp, _ = amplitude_phase(dft2(stack[partner, :, :, c]))
+                out[k, :, :, c] = reconstruct(mix_amplitude(amp, partner_amp, beta), phase)
         return out
 
     return fft_fn
@@ -368,6 +381,7 @@ def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None,
         train_data = load_train_data(config)
     if eval_data is None:
         eval_data = load_eval_data(config)
+    attack = None if epsilon is None else AttackConfig(epsilon=epsilon)  # checked before training
     probe_cfg = config.probe_config()
     weights = train_linear_probe(
         encoder, params, train_data, probe_cfg, num_classes=config.num_classes
@@ -378,8 +392,7 @@ def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None,
     )
     logits = model.logits(eval_data[0])
     results = {f"top{k}": top_k_accuracy(logits, eval_data[1], k) for k in ks}
-    if epsilon is not None:
-        attack = AttackConfig(epsilon=epsilon)
+    if attack is not None:
         results["robust_top1"] = robust_accuracy(model, eval_data, attack)
         results["clean_top1"] = clean_accuracy(model, eval_data, k=1)
     return model, results

@@ -1,12 +1,17 @@
 """Independent test oracles, written before the modules they check.
 
 Everything here is deliberately naive: direct double sums, ordered-tuple
-enumerations, explicit loops. None of it shares code with the package.
+enumerations, explicit loops. None of it shares code with the package, except
+the per-draw augmentation oracles at the end, which loop over the per-image
+contract functions (``data.base_augment`` and the per-channel fourier helpers)
+that the package's batched paths must reproduce bit for bit.
 """
 
 import itertools
 
 import numpy as np
+
+from sharpshift import data, fourier, training
 
 
 def naive_dft2(channel):
@@ -175,3 +180,56 @@ def top_k_by_sorting(logits, labels, k):
         if label in ranked[:k]:
             hits += 1
     return hits / len(labels)
+
+
+# ----- per-draw augmentation (the batched paths must match these bit for bit) -----
+
+
+def draw_betas_one_by_one(n_views, config):
+    """One ``default_rng([rng_seed, k])`` generator per view."""
+    return np.array([
+        np.random.default_rng([config.rng_seed, k]).uniform(0.0, config.alpha)
+        for k in range(n_views)
+    ])
+
+
+def make_views_per_image(images, indices, epoch, config, pool):
+    """The training loop's paired views, one ``base_augment`` call per view."""
+    views = np.empty((2 * len(indices),) + images.shape[1:])
+    for slot, idx in enumerate(indices):
+        for v in (0, 1):
+            seed = [config.seed, training.TAG_VIEW, epoch, int(idx), v]
+            views[2 * slot + v] = data.base_augment(images[idx], seed, pool)
+    return views
+
+
+def per_draw_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
+                        n_candidates=8):
+    """``make_augment_fn`` as n one-draw calls: each draw builds its own views."""
+    aug_pool = config.augment_pool()
+
+    def base_draw(image, rng):
+        seed = [int(s) for s in rng.integers(0, 2**62, size=2)]
+        return data.base_augment(image, seed, aug_pool)
+
+    def fft_draw(image, rng):
+        view = base_draw(image, rng)
+        beta = float(rng.uniform(0.0, config.fft_alpha))
+        if beta == 0.0:
+            return view
+        count = min(n_candidates, len(pool_images))
+        chosen = rng.choice(len(pool_images), size=count, replace=False)
+        candidates = np.empty((count,) + view.shape)
+        for slot, idx in enumerate(chosen):
+            candidates[slot] = base_draw(pool_images[idx], rng)
+        stack = np.concatenate([view[None], candidates])
+        partner = fourier.most_similar_index(encoder.forward(params, stack), 0)
+        out = np.empty_like(view)
+        for c in range(view.shape[2]):
+            amp, phase = fourier.amplitude_phase(fourier.dft2(view[:, :, c]))
+            partner_amp, _ = fourier.amplitude_phase(fourier.dft2(stack[partner][:, :, c]))
+            out[:, :, c] = fourier.reconstruct(fourier.mix_amplitude(amp, partner_amp, beta), phase)
+        return out
+
+    draw = {"base": base_draw, "fft": fft_draw}[mode]
+    return lambda image, rng, n: [draw(image, rng) for _ in range(n)]

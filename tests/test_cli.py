@@ -170,11 +170,20 @@ def test_unparsable_override_fails_cleanly(override, capsys):
     ["train", "--config", "{tmp}/missing.cfg", "--set", "train.output_dir={tmp}/failed"],
     ["linear-eval", "--checkpoint", "{ckpt}", "--k", "abc"],
     ["augment-preview", "--out", "{tmp}/failed", "--n", "0"],
+    ["linear-eval", "{run}", "--checkpoint", "{ckpt}", "--dump-features", "{tmp}/failed/f.csv"],
+    ["augment-preview", "{run}", "--out", "{ckpt}", "--n", "2"],
+    ["robust-eval", "{run}", "--checkpoint", "{ckpt}", "--epsilon", "nan"],
+    ["bound-lab", "--suite", "k-trend", "--n-worlds", "-1"],
+    ["bound-lab", "--suite", "k-trend", "--seed", "-1"],
+    ["shift-gap", "{run}", "--checkpoint", "{ckpt}", "--seed", "-1"],
 ])
 def test_malformed_cli_input_fails_cleanly(argv, trained, capsys):
     ckpt, tmp_path = trained
     capsys.readouterr()
-    assert main([arg.format(tmp=tmp_path, ckpt=ckpt) for arg in argv]) == 1
+    # "{run}" stands for the overrides the checkpoint was trained with
+    argv = [part for arg in argv
+            for part in (run_args(tmp_path) if arg == "{run}" else [arg.format(tmp=tmp_path, ckpt=ckpt)])]
+    assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "failed").exists()  # a failed command leaves no output behind
 

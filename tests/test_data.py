@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharpshift.data import (
     IDENTITY_POOL,
@@ -9,6 +11,7 @@ from sharpshift.data import (
     OP_JITTER,
     AugmentPool,
     base_augment,
+    base_augment_batch,
     bilinear_resize,
     color_jitter,
     gen_synthetic,
@@ -214,6 +217,76 @@ def test_pool_validation():
         AugmentPool(crop_scale=(0.0, 1.0))
     with pytest.raises(AugmentationError):
         AugmentPool(flip_p=1.5)
+
+
+# ----- batched base augmentation ----------------------------------------------------
+
+BATCH_POOLS = [
+    AugmentPool(),
+    AugmentPool(crop_scale=(1.0, 1.0)),  # full-size crops: views keep the input layout
+    AugmentPool(flip_p=1.0, jitter_p=1.0, gray_p=1.0),
+    AugmentPool(jitter_p=0.0),
+    AugmentPool(crop_scale=(0.05, 1.0), jitter_strength=1.5, gray_p=0.5),
+    IDENTITY_POOL,
+]
+
+
+def assert_batch_matches_per_image(images, seeds, pool):
+    batch = base_augment_batch(images, seeds, pool)
+    expected = np.stack([
+        base_augment(image, [int(s) for s in np.atleast_1d(seed)], pool)
+        for image, seed in zip(images, seeds)
+    ])
+    assert batch.shape == expected.shape
+    mismatched = [i for i in range(len(images)) if not np.array_equal(batch[i], expected[i])]
+    assert not mismatched, f"{len(mismatched)} of {len(images)} views differ, first {mismatched[0]}"
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 1), (32, 32, 3)])
+@pytest.mark.parametrize("pool", BATCH_POOLS)
+def test_batch_matches_stacked_base_augment(shape, pool):
+    rng = np.random.default_rng(sum(shape))
+    images = rng.uniform(size=(96,) + shape)
+    seeds = rng.integers(0, 2**62, size=(96, 2))  # one or two words per value
+    seeds[::7, 1] = 0
+    seeds[::5, 0] %= 2**32
+    assert_batch_matches_per_image(images, seeds, pool)
+
+
+def test_batch_matches_on_channel_planar_images():
+    """CIFAR records are read as (C, H, W) planes, so unresized views sum in that order."""
+    rng = np.random.default_rng(9)
+    planar = rng.uniform(size=(40, 3, 32, 32)).transpose(0, 2, 3, 1)
+    for pool in BATCH_POOLS[:3]:
+        assert_batch_matches_per_image(planar, rng.integers(0, 2**40, size=(40, 3)), pool)
+
+
+def test_batch_takes_int_seeds_and_empty_batches():
+    rng = np.random.default_rng(10)
+    images = rng.uniform(size=(5, 6, 7, 3))
+    assert_batch_matches_per_image(images, [0, 1, 2**33, 7, 2**62], AugmentPool())
+    assert base_augment_batch(images[:0], [], AugmentPool()).shape == (0, 6, 7, 3)
+    with pytest.raises(AugmentationError):
+        base_augment_batch(images[0], [1], AugmentPool())
+
+
+@st.composite
+def pools(draw):
+    lo = draw(st.floats(0.01, 1.0))
+    hi = draw(st.floats(lo, 1.0))
+    prob = st.sampled_from([0.0, draw(st.floats(0.0, 1.0)), 1.0])
+    return AugmentPool(crop_scale=(lo, hi), flip_p=draw(prob), jitter_p=draw(prob),
+                       jitter_strength=draw(st.floats(0.0, 1.5)), gray_p=draw(prob))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pool=pools(), h=st.integers(2, 20), w=st.integers(2, 20), c=st.sampled_from([1, 3]),
+       n=st.integers(1, 40), seed_len=st.integers(1, 4), data_seed=st.integers(0, 2**32 - 1))
+def test_batch_equals_per_image_property(pool, h, w, c, n, seed_len, data_seed):
+    rng = np.random.default_rng(data_seed)
+    seeds = rng.integers(0, 2**64, size=(n, seed_len), dtype=np.uint64) >> rng.choice(
+        np.array([0, 32, 63], dtype=np.uint64), size=(n, seed_len))
+    assert_batch_matches_per_image(rng.uniform(size=(n, h, w, c)), seeds, pool)
 
 
 # ----- image writer -------------------------------------------------------------------

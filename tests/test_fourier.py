@@ -14,7 +14,7 @@ from sharpshift.fourier import (
     reconstruct,
 )
 
-from oracles import naive_dft2, naive_idft2
+from oracles import draw_betas_one_by_one, naive_dft2, naive_idft2
 
 
 def random_image(rng, h=4, w=4, c=1):
@@ -240,6 +240,19 @@ def test_batch_matches_scripted_composition():
                 mix_amplitude(amp, partner_amp, betas[k]), phase
             )
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("rng_seed", [0, 7, 2**32 + 5, 2**63 + 11, 2**64 - 1])
+def test_draw_betas_match_one_generator_per_view(rng_seed):
+    config = AugmentConfig(alpha=0.3, rng_seed=rng_seed)
+    for n_views in (1, 2, 64, 300):
+        assert np.array_equal(draw_betas(n_views, config), draw_betas_one_by_one(n_views, config))
+
+
+def test_rng_seed_must_fit_sixty_four_bits():
+    for rng_seed in (-1, 2**64):
+        with pytest.raises(AugmentationError):
+            AugmentConfig(rng_seed=rng_seed)
 
 
 def test_batch_preserves_shape_and_pixel_range():

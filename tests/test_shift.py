@@ -21,16 +21,15 @@ def table_features(items):
     return FEATURES[np.asarray(items, dtype=int)]
 
 
-def identity_aug(item, rng):
-    return item
+def identity_aug(item, rng, n):
+    return [item] * n
 
 
 def make_table_aug(moves, probs):
     """Augmentation over an enumerable set: item -> item + move (mod 6)."""
 
-    def aug(item, rng):
-        move = rng.choice(moves, p=probs)
-        return (int(item) + int(move)) % len(FEATURES)
+    def aug(item, rng, n):
+        return [(int(item) + int(rng.choice(moves, p=probs))) % len(FEATURES) for _ in range(n)]
 
     return aug
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from sharpshift import training
 from sharpshift.config import TrainConfig, load_config, parse_config_file
 from sharpshift.encoder import Encoder, load_checkpoint, params_digest, save_checkpoint
@@ -111,6 +112,8 @@ def test_config_validation():
         TrainConfig(dataset="imagenet")
     with pytest.raises(PipelineError):
         TrainConfig(seed=-1)
+    with pytest.raises(PipelineError):
+        TrainConfig(seed=2**64)  # the view seeds are 64-bit words
 
 
 # ----- training loop -------------------------------------------------------------
@@ -314,15 +317,15 @@ def test_augment_fn_modes(tmp_path):
     rng = np.random.default_rng(0)
 
     identity = make_augment_fn("identity", cfg)
-    assert np.array_equal(identity(images[0], rng), images[0])
+    assert np.array_equal(identity(images[0], rng, 1)[0], images[0])
 
     base = make_augment_fn("base", cfg)
-    out = base(images[0], rng)
+    out = base(images[0], rng, 1)[0]
     assert out.shape == images[0].shape
 
     fft = make_augment_fn("fft", cfg, encoder=encoder, params=params,
                           pool_images=images)
-    out = fft(images[0], rng)
+    out = fft(images[0], rng, 1)[0]
     assert out.shape == images[0].shape
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
@@ -330,6 +333,45 @@ def test_augment_fn_modes(tmp_path):
         make_augment_fn("fft", cfg)  # missing encoder context
     with pytest.raises(PipelineError):
         make_augment_fn("warp", cfg)
+
+
+# The bench's two tiny training workloads: the paper's method (SAM + FFT) on the
+# MLP, and plain SGD on small_conv at 32x32x3.
+TINY_SSA_MLP = dict(sam_enabled=True, fft_enabled=True, n_per_class=6, n_eval_per_class=3,
+                    batch_size=4, epochs=2, image_size=16, encoder_hidden=(32,),
+                    encoder_feature_dim=16, encoder_proj_hidden=0)
+TINY_CONV = dict(image_size=32, channels=3, n_per_class=6, n_eval_per_class=3, batch_size=4,
+                 epochs=2, encoder_architecture="small_conv", encoder_hidden=(8, 16, 32),
+                 encoder_feature_dim=16, encoder_proj_hidden=0)
+
+
+def _run_bytes(config):
+    path = train_ssl(config)
+    with open(path, "rb") as ckpt, open(os.path.join(config.output_dir, METRICS_NAME), "rb") as log:
+        return ckpt.read(), log.read()
+
+
+@pytest.mark.parametrize("overrides", [TINY_SSA_MLP, TINY_CONV], ids=["ssa_mlp", "conv"])
+def test_training_matches_per_image_view_oracle(tmp_path, monkeypatch, overrides):
+    cfg = tiny_config(tmp_path / "batched", **overrides)
+    batched = _run_bytes(cfg)
+    monkeypatch.setattr(training, "_make_views", oracles.make_views_per_image)
+    per_image = _run_bytes(replace(cfg, output_dir=str(tmp_path / "per_image")))
+    assert batched == per_image
+
+
+@pytest.mark.parametrize("overrides", [TINY_SSA_MLP, TINY_CONV], ids=["ssa_mlp", "conv"])
+@pytest.mark.parametrize("mode", ["base", "fft"])
+def test_shift_gap_matches_per_draw_oracle(tmp_path, monkeypatch, overrides, mode):
+    cfg = tiny_config(tmp_path, **overrides)
+    encoder, params, _ = training.load_run(train_ssl(cfg))
+    # fft_alpha 0 draws beta = 0 every time, so no draw takes candidates
+    cases = [(replace(cfg, fft_alpha=alpha), seed) for alpha in (0.2, 0.0) for seed in (0, 2**40 + 3)]
+    reports = [shift_gap_report(c, encoder, params, mode, n_mc=4, seed=seed).to_json()
+               for c, seed in cases]
+    monkeypatch.setattr(training, "make_augment_fn", oracles.per_draw_augment_fn)
+    for (c, seed), report in zip(cases, reports):
+        assert report == shift_gap_report(c, encoder, params, mode, n_mc=4, seed=seed).to_json()
 
 
 def test_shift_gap_report_runs(tmp_path):
