@@ -37,6 +37,7 @@ from .fourier import (
     dft2,
     fft_augment_batch,
     mix_amplitude,
+    mix_batch,
     most_similar_index,
     reconstruct,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "load_config",
     "loss_upper_bound",
     "mix_amplitude",
+    "mix_batch",
     "most_similar_index",
     "pac_penalty",
     "reconstruct",

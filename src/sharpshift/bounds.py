@@ -25,6 +25,9 @@ from .losses import contrastive_rows, cross_entropy_rows
 # with p_pos > 0 and multiset of negatives: a (pairs * M, K) row table with
 # M = C(K+n-1, n-1). This guard bounds M; n <= 6 with K <= 4 is always inside.
 MAX_EXACT_MULTISETS = 100_000
+# The row table is built in chunks of whole (x, x+) pairs holding at most this
+# many rows (one pair per chunk when M alone exceeds it).
+EXACT_CHUNK_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -171,10 +174,15 @@ def _exact_expectation(world, tau, beta_neg, k_negatives):
     p_pos = world.p_pos
     sims = world.features @ world.features.T / tau
     xs, xps = np.nonzero(p_pos > 0.0)
-    # one row per (x, x+) pair and multiset: s_pos = sims[x, x+], s_neg = sims[x, combo]
-    s_neg = sims[xs][:, combos].reshape(-1, k_negatives)
-    losses, _, _ = contrastive_rows(np.repeat(sims[xs, xps], len(combos)), s_neg, beta_neg)
-    return float(p_pos[xs, xps] @ (losses.reshape(len(xs), -1) @ weights))
+    per_pair = np.empty(len(xs))
+    step = max(1, EXACT_CHUNK_ROWS // len(combos))
+    for lo in range(0, len(xs), step):
+        x, xp = xs[lo:lo + step], xps[lo:lo + step]
+        # one row per (x, x+) pair and multiset: s_pos = sims[x, x+], s_neg = sims[x, combo]
+        s_neg = sims[x][:, combos].reshape(-1, k_negatives)
+        losses, _, _ = contrastive_rows(np.repeat(sims[x, xp], len(combos)), s_neg, beta_neg)
+        per_pair[lo:lo + step] = losses.reshape(len(x), -1) @ weights
+    return float(p_pos[xs, xps] @ per_pair)
 
 
 def _mc_expectation(world, tau, beta_neg, k_negatives, mc_samples, seed):

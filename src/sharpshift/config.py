@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .data import AugmentPool
 from .encoder import EncoderConfig
@@ -15,57 +15,62 @@ from .sam import SamConfig
 OUTPUT_ROOT_ENV = "SHARPSHIFT_OUTPUT_ROOT"
 
 
+def _key(key, default):
+    """A config field read and written under the dotted ``key``."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class TrainConfig:
     """Everything a training run needs, one field per dotted config key."""
 
-    dataset: str = "synthetic"
-    data_dir: str = ""
-    n_per_class: int = 100
-    n_eval_per_class: int = 50
-    num_classes: int = 2
-    image_size: int = 16
-    channels: int = 1
-    data_limit: int = 0
+    dataset: str = _key("dataset.name", "synthetic")
+    data_dir: str = _key("dataset.dir", "")
+    n_per_class: int = _key("dataset.n_per_class", 100)
+    n_eval_per_class: int = _key("dataset.n_eval_per_class", 50)
+    num_classes: int = _key("dataset.classes", 2)
+    image_size: int = _key("dataset.image_size", 16)
+    channels: int = _key("dataset.channels", 1)
+    data_limit: int = _key("dataset.limit", 0)
 
-    batch_size: int = 16
-    epochs: int = 50
-    tau: float = 0.5
-    lr: float = 0.5
-    seed: int = 0
-    output_dir: str = "run"
-    checkpoint_every: int = 0
+    batch_size: int = _key("train.batch_size", 16)
+    epochs: int = _key("train.epochs", 50)
+    tau: float = _key("train.tau", 0.5)
+    lr: float = _key("optimizer.lr", 0.5)
+    seed: int = _key("train.seed", 0)
+    output_dir: str = _key("train.output_dir", "run")
+    checkpoint_every: int = _key("train.checkpoint_every", 0)
 
-    sam_enabled: bool = False
-    sam_rho: float = 0.05
-    sam_adaptive: bool = False
-    sam_grad_eps: float = 1e-12
-    weight_decay: float = 0.0
-    momentum: float = 0.0
+    sam_enabled: bool = _key("sam.enabled", False)
+    sam_rho: float = _key("sam.rho", 0.05)
+    sam_adaptive: bool = _key("sam.adaptive", False)
+    sam_grad_eps: float = _key("sam.grad_eps", 1e-12)
+    weight_decay: float = _key("optimizer.weight_decay", 0.0)
+    momentum: float = _key("optimizer.momentum", 0.0)
 
-    fft_enabled: bool = False
-    fft_alpha: float = 0.2
-    fft_warmup_epochs: int = 0
+    fft_enabled: bool = _key("fft.enabled", False)
+    fft_alpha: float = _key("fft.alpha", 0.2)
+    fft_warmup_epochs: int = _key("fft.warmup_epochs", 0)
 
-    encoder_architecture: str = "mlp"
-    encoder_hidden: tuple[int, ...] = (32,)
-    encoder_feature_dim: int = 16
-    encoder_proj_hidden: int = 0  # 0 means "backbone width"
+    encoder_architecture: str = _key("encoder.architecture", "mlp")
+    encoder_hidden: tuple[int, ...] = _key("encoder.hidden", (32,))
+    encoder_feature_dim: int = _key("encoder.feature_dim", 16)
+    encoder_proj_hidden: int = _key("encoder.proj_hidden", 0)  # 0 means "backbone width"
 
-    probe_epochs: int = 200
-    probe_lr: float = 2.0
-    probe_tap_point: str = "backbone"
-    probe_tau: float = 1.0
-    probe_seed: int = 0
+    probe_epochs: int = _key("probe.epochs", 200)
+    probe_lr: float = _key("probe.lr", 2.0)
+    probe_tap_point: str = _key("probe.tap_point", "backbone")
+    probe_tau: float = _key("probe.tau", 1.0)
+    probe_seed: int = _key("probe.seed", 0)
 
-    aug_crop_min: float = 0.2
-    aug_crop_max: float = 1.0
-    aug_flip_p: float = 0.5
-    aug_jitter_p: float = 0.8
-    aug_jitter_strength: float = 0.4
-    aug_gray_p: float = 0.2
+    aug_crop_min: float = _key("augment.crop_scale_min", 0.2)
+    aug_crop_max: float = _key("augment.crop_scale_max", 1.0)
+    aug_flip_p: float = _key("augment.flip_p", 0.5)
+    aug_jitter_p: float = _key("augment.jitter_p", 0.8)
+    aug_jitter_strength: float = _key("augment.jitter_strength", 0.4)
+    aug_gray_p: float = _key("augment.gray_p", 0.2)
 
-    metrics_timing: bool = False
+    metrics_timing: bool = _key("metrics.timing", False)
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -74,6 +79,14 @@ class TrainConfig:
             raise PipelineError(f"epochs must be >= 0, got {self.epochs}")
         if not 0 <= self.seed < 2**64:
             raise PipelineError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.image_size < 1:
+            raise PipelineError(f"image_size must be >= 1, got {self.image_size}")
+        if self.data_limit < 0:
+            raise PipelineError(f"dataset limit must be >= 0 (0 means all), got {self.data_limit}")
+        if self.checkpoint_every < 0:
+            raise PipelineError(
+                f"checkpoint_every must be >= 0 (0 means never), got {self.checkpoint_every}"
+            )
         if self.dataset not in ("synthetic", "cifar10"):
             raise PipelineError(f"unknown dataset {self.dataset!r}")
 
@@ -123,24 +136,17 @@ class TrainConfig:
     # ----- flat-key serialization -------------------------------------------
 
     def to_flat(self):
-        out = {}
-        for f in fields(self):
-            key = KEYMAP[f.name]
-            out[key] = _render(getattr(self, f.name))
-        return out
+        return {f.metadata["key"]: _render(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_flat(cls, mapping):
-        kwargs = {}
-        unknown = set(mapping) - set(KEYMAP.values())
+        names = {f.metadata["key"]: f.name for f in fields(cls)}
+        unknown = set(mapping) - set(names)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
-        by_key = {KEYMAP[f.name]: f for f in fields(cls)}
         defaults = cls()
-        for key, raw in mapping.items():
-            f = by_key[key]
-            kwargs[f.name] = _parse(key, raw, getattr(defaults, f.name))
-        return cls(**kwargs)
+        return cls(**{names[key]: _parse(key, raw, getattr(defaults, names[key]))
+                      for key, raw in mapping.items()})
 
     def config_hash(self):
         """Digest of the fields that define the run scientifically.
@@ -150,7 +156,7 @@ class TrainConfig:
         are the same experiment and may resume each other's checkpoints.
         """
         flat = self.to_flat()
-        skip = {KEYMAP["output_dir"], KEYMAP["checkpoint_every"], KEYMAP["metrics_timing"]}
+        skip = {"train.output_dir", "train.checkpoint_every", "metrics.timing"}
         canon = "\n".join(f"{k}={flat[k]}" for k in sorted(flat) if k not in skip)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -159,50 +165,6 @@ class TrainConfig:
         if root and not os.path.isabs(self.output_dir):
             return os.path.join(root, self.output_dir)
         return self.output_dir
-
-
-KEYMAP = {
-    "dataset": "dataset.name",
-    "data_dir": "dataset.dir",
-    "n_per_class": "dataset.n_per_class",
-    "n_eval_per_class": "dataset.n_eval_per_class",
-    "num_classes": "dataset.classes",
-    "image_size": "dataset.image_size",
-    "channels": "dataset.channels",
-    "data_limit": "dataset.limit",
-    "batch_size": "train.batch_size",
-    "epochs": "train.epochs",
-    "tau": "train.tau",
-    "lr": "optimizer.lr",
-    "seed": "train.seed",
-    "output_dir": "train.output_dir",
-    "checkpoint_every": "train.checkpoint_every",
-    "sam_enabled": "sam.enabled",
-    "sam_rho": "sam.rho",
-    "sam_adaptive": "sam.adaptive",
-    "sam_grad_eps": "sam.grad_eps",
-    "weight_decay": "optimizer.weight_decay",
-    "momentum": "optimizer.momentum",
-    "fft_enabled": "fft.enabled",
-    "fft_alpha": "fft.alpha",
-    "fft_warmup_epochs": "fft.warmup_epochs",
-    "encoder_architecture": "encoder.architecture",
-    "encoder_hidden": "encoder.hidden",
-    "encoder_feature_dim": "encoder.feature_dim",
-    "encoder_proj_hidden": "encoder.proj_hidden",
-    "probe_epochs": "probe.epochs",
-    "probe_lr": "probe.lr",
-    "probe_tap_point": "probe.tap_point",
-    "probe_tau": "probe.tau",
-    "probe_seed": "probe.seed",
-    "aug_crop_min": "augment.crop_scale_min",
-    "aug_crop_max": "augment.crop_scale_max",
-    "aug_flip_p": "augment.flip_p",
-    "aug_jitter_p": "augment.jitter_p",
-    "aug_jitter_strength": "augment.jitter_strength",
-    "aug_gray_p": "augment.gray_p",
-    "metrics_timing": "metrics.timing",
-}
 
 
 def _render(value):

@@ -133,6 +133,8 @@ class AugmentPool:
         for p in (self.flip_p, self.jitter_p, self.gray_p):
             if not 0.0 <= p <= 1.0:
                 raise AugmentationError(f"probability {p} out of [0, 1]")
+        if not self.jitter_strength >= 0.0:
+            raise AugmentationError(f"jitter_strength must be >= 0, got {self.jitter_strength}")
 
 
 #: Pool with every op disabled; base_augment becomes the identity.

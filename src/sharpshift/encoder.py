@@ -57,6 +57,10 @@ class EncoderConfig:
             raise ModelError("feature_dim must be >= 1")
         if self.architecture == "small_conv" and len(self.hidden) == 0:
             raise ModelError("small_conv needs at least one conv block")
+        if any(width < 1 for width in self.hidden):
+            raise ModelError(f"hidden widths must be >= 1, got {tuple(self.hidden)}")
+        if self.proj_hidden is not None and self.proj_hidden < 1:
+            raise ModelError(f"proj_hidden must be >= 1 or None, got {self.proj_hidden}")
         object.__setattr__(self, "hidden", tuple(int(x) for x in self.hidden))
         object.__setattr__(self, "input_shape", tuple(int(x) for x in self.input_shape))
 

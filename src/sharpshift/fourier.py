@@ -130,6 +130,36 @@ def draw_betas(n_views, config):
     return Streams(entropy).uniform(0.0, config.alpha)
 
 
+def mix_batch(views, partner_views, betas):
+    """Amplitude-mix every view toward its partner at its beta, all channels at once.
+
+    Row k equals, bit for bit, the per-channel composition
+    ``reconstruct(mix_amplitude(A, A', betas[k]), P)`` with
+    ``A, P = amplitude_phase(dft2(...))`` of a channel of ``views[k]`` and
+    ``A'`` the amplitude of the same channel of ``partner_views[k]``; the
+    transforms run once over all rows. Rows with beta == 0 come back untouched.
+    """
+    views = np.asarray(views, dtype=float)
+    partner_views = np.asarray(partner_views, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    if views.ndim != 4 or partner_views.shape != views.shape or betas.shape != views.shape[:1]:
+        raise AugmentationError(
+            f"need (n, H, W, C) views and partners with n betas: {views.shape}, "
+            f"{partner_views.shape}, {betas.shape}"
+        )
+    if not np.all((betas >= 0.0) & (betas <= 1.0)):
+        raise AugmentationError(f"betas must lie in [0, 1], got {betas}")
+    out = views.copy()
+    rows = np.flatnonzero(betas)
+    if rows.size:
+        amplitude, phase = amplitude_phase(np.fft.fft2(views[rows], axes=(1, 2)))
+        partner_amplitude, _ = amplitude_phase(np.fft.fft2(partner_views[rows], axes=(1, 2)))
+        beta = betas[rows, None, None, None]
+        mixed = (1.0 - beta) * amplitude + beta * partner_amplitude
+        out[rows] = np.clip(np.fft.ifft2(mixed * np.exp(1j * phase), axes=(1, 2)).real, 0.0, 1.0)
+    return out
+
+
 def fft_augment_batch(views, features, config):
     """Replace every view by its amplitude-mixed counterpart.
 
@@ -137,10 +167,10 @@ def fft_augment_batch(views, features, config):
     holds one unit feature vector per view, computed by the current encoder on
     these exact views. For each view k a coefficient beta ~ Uniform(0, alpha)
     is drawn (one draw shared by all channels of the view, which keeps color
-    coherence), the most feature-similar other view is located, amplitudes are
-    mixed per channel at beta, and the channel is rebuilt from the mixed
-    amplitude and the view's own phase. Views with beta == 0 are passed
-    through bit-identically, so alpha = 0 makes the whole op the identity.
+    coherence), the most feature-similar other view is located, and
+    ``mix_batch`` mixes the amplitudes at beta while each view keeps its own
+    phase. Views with beta == 0 are passed through bit-identically, so
+    alpha = 0 makes the whole op the identity.
     """
     views = np.asarray(views, dtype=float)
     features = np.asarray(features, dtype=float)
@@ -150,17 +180,6 @@ def fft_augment_batch(views, features, config):
         raise AugmentationError(
             f"need one feature vector per view: {features.shape} vs {views.shape[0]} views"
         )
-    n, _, _, channels = views.shape
-    betas = draw_betas(n, config)
-    out = views.copy()
-    for k in range(n):
-        beta = betas[k]
-        if beta == 0.0:
-            continue
-        partner = most_similar_index(features, k)
-        for c in range(channels):
-            amp_self, phase = amplitude_phase(dft2(views[k, :, :, c]))
-            amp_partner, _ = amplitude_phase(dft2(views[partner, :, :, c]))
-            mixed = mix_amplitude(amp_self, amp_partner, beta)
-            out[k, :, :, c] = reconstruct(mixed, phase)
-    return out
+    betas = draw_betas(len(views), config)
+    partners = [most_similar_index(features, k) if beta else k for k, beta in enumerate(betas)]
+    return mix_batch(views, views[partners], betas)

@@ -31,15 +31,8 @@ from .evaluation import (
     top_k_accuracy,
     train_linear_probe,
 )
-from .fourier import (
-    AugmentConfig,
-    amplitude_phase,
-    dft2,
-    fft_augment_batch,
-    mix_amplitude,
-    most_similar_index,
-    reconstruct,
-)
+from .fourier import AugmentConfig, fft_augment_batch, mix_batch, most_similar_index
+from .fourier import dft2, reconstruct  # noqa: F401  (benchmarks/tracer.py wraps these names)
 from .losses import LossConfig, info_nce_batch_grad
 from .sam import sam_step, sgd_step
 from .shift import ShiftGapConfig, estimate_shift_gap
@@ -171,14 +164,18 @@ def train_ssl(config: TrainConfig, resume=None):
         raise PipelineError(
             f"dataset has {len(images)} images, batch_size {config.batch_size} is too large"
         )
+    # every sub-config is built and checked before the output directory is touched
+    encoder = Encoder(config.encoder_config())
+    pool = config.augment_pool()
+    sam_cfg = config.sam_config()
+    feature_loss = _feature_loss(config.tau)
+    fft_cfg = AugmentConfig(alpha=config.fft_alpha) if config.fft_enabled else None
     out_dir = config.resolved_output_dir()
-    os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     final_path = os.path.join(out_dir, CHECKPOINT_NAME)
     config_hash = config.config_hash()
 
-    encoder = Encoder(config.encoder_config())
-    start_epoch = 0
+    start_epoch, kept_records = 0, []
     if resume is not None:
         ckpt = load_checkpoint(resume)
         if ckpt.train_config_hash != config_hash:
@@ -196,17 +193,15 @@ def train_ssl(config: TrainConfig, resume=None):
                 raise PipelineError(f"refusing to resume: {resume} has no velocity") from exc
         # rewind the stream to the checkpoint, so that no epoch is logged twice
         records = _read_metrics(metrics_path) if os.path.exists(metrics_path) else []
-        metrics_fh = open(metrics_path, "w", encoding="utf-8")
-        for record in itertools.takewhile(lambda r: r.get("epoch", -1) <= ckpt.epoch, records):
-            metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
+        kept_records = itertools.takewhile(lambda r: r.get("epoch", -1) <= ckpt.epoch, records)
     else:
         params = encoder.init_params(derived_seed(config.seed, TAG_INIT))
         velocity = np.zeros_like(params) if config.momentum > 0.0 else None
-        metrics_fh = open(metrics_path, "w", encoding="utf-8")
+    os.makedirs(out_dir, exist_ok=True)
+    metrics_fh = open(metrics_path, "w", encoding="utf-8")
+    for record in kept_records:
+        metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    pool = config.augment_pool()
-    sam_cfg = config.sam_config()
-    feature_loss = _feature_loss(config.tau)
     last_checkpoint = None
     step = 0
 
@@ -221,13 +216,10 @@ def train_ssl(config: TrainConfig, resume=None):
                 if len(indices) < 2:
                     continue  # in-batch negatives need at least two anchors
                 views = _make_views(images, indices, epoch, config, pool)
-                if config.fft_enabled and epoch >= config.fft_warmup_epochs:
+                if fft_cfg is not None and epoch >= config.fft_warmup_epochs:
                     feats = encoder.forward(params, views)
-                    fft_cfg = AugmentConfig(
-                        alpha=config.fft_alpha,
-                        rng_seed=derived_seed(config.seed, TAG_FFT, epoch, b_start),
-                    )
-                    views = fft_augment_batch(views, feats, fft_cfg)
+                    fft_seed = derived_seed(config.seed, TAG_FFT, epoch, b_start)
+                    views = fft_augment_batch(views, feats, replace(fft_cfg, rng_seed=fft_seed))
                 recorder = _RecordingLoss(encoder, views, feature_loss)
                 try:
                     if config.sam_enabled:
@@ -326,21 +318,17 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
                 sources.append(pool_images[chosen])
         views = data_mod.base_augment_batch(np.concatenate(sources), np.concatenate(seeds),
                                             aug_pool)
-        out = np.empty((n,) + image.shape)
+        # row of each draw's own view and of its partner (itself when beta is 0)
+        rows, partners = np.empty(n, dtype=int), np.empty(n, dtype=int)
         start = 0
         for k, beta in enumerate(betas):
-            if beta == 0.0:
-                out[k] = views[start]
-                start += 1
-                continue
-            stack = views[start:start + 1 + count]
-            start += 1 + count
-            partner = most_similar_index(encoder.forward(params, stack), 0)
-            for c in range(image.shape[2]):
-                amp, phase = amplitude_phase(dft2(stack[0, :, :, c]))
-                partner_amp, _ = amplitude_phase(dft2(stack[partner, :, :, c]))
-                out[k, :, :, c] = reconstruct(mix_amplitude(amp, partner_amp, beta), phase)
-        return out
+            rows[k] = partners[k] = start
+            if beta != 0.0:
+                stack = views[start:start + 1 + count]
+                partners[k] += most_similar_index(encoder.forward(params, stack), 0)
+                start += count
+            start += 1
+        return mix_batch(views[rows], views[partners], betas)
 
     return fft_fn
 

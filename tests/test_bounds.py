@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sharpshift import bounds
 from sharpshift.bounds import (
     DiscreteWorld,
     PacPenaltyInputs,
@@ -171,7 +172,7 @@ def _zero_mass_world(rng):
     return DiscreteWorld(world.priors, conditionals, world.features)
 
 
-def test_multiset_enumeration_matches_ordered_product_oracle():
+def test_multiset_enumeration_matches_ordered_product_oracle(monkeypatch):
     rng = np.random.default_rng(4)
     cases = []
     for _ in range(5):
@@ -185,13 +186,16 @@ def test_multiset_enumeration_matches_ordered_product_oracle():
     cases.append((_zero_mass_world(rng), 0.7, 2.5, 3))
     cases.append((_zero_mass_world(rng), 0.4, 1.0, 1))
     assert np.any(cases[-1][0].p_data == 0.0)
-    for world, tau, beta, k in cases:
-        ours = exact_info_nce_expectation(world, tau, beta, k)
-        oracle = enumerate_info_nce(
-            world.priors, world.conditionals, world.features, tau, beta, k
-        )
-        assert ours.exact
-        assert ours.value == pytest.approx(oracle, rel=1e-12)
+    # one chunk, then chunks of a few (x, x+) pairs or of one pair each
+    for chunk_rows in (bounds.EXACT_CHUNK_ROWS, 40, 1):
+        monkeypatch.setattr(bounds, "EXACT_CHUNK_ROWS", chunk_rows)
+        for world, tau, beta, k in cases:
+            ours = exact_info_nce_expectation(world, tau, beta, k)
+            oracle = enumerate_info_nce(
+                world.priors, world.conditionals, world.features, tau, beta, k
+            )
+            assert ours.exact
+            assert ours.value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_enumeration_agrees_with_monte_carlo():

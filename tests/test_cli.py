@@ -165,6 +165,15 @@ def test_unparsable_override_fails_cleanly(override, capsys):
     assert err.startswith("error: ") and key in err and raw in err
 
 
+# each is rejected by the config that owns the value, before training starts
+BAD_TRAIN_OVERRIDES = [
+    ["train.tau=0"], ["optimizer.lr=-1"], ["augment.crop_scale_min=0"], ["dataset.channels=2"],
+    ["fft.enabled=true", "fft.alpha=2"], ["dataset.image_size=0"], ["encoder.hidden=0"],
+    ["encoder.hidden=-3"], ["encoder.proj_hidden=-2"], ["train.checkpoint_every=-1"],
+    ["dataset.limit=-5"], ["augment.jitter_strength=-1"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "{tmp}/missing", "--set", "train.output_dir={tmp}/failed"],
     ["train", "--config", "{tmp}/missing.cfg", "--set", "train.output_dir={tmp}/failed"],
@@ -176,9 +185,15 @@ def test_unparsable_override_fails_cleanly(override, capsys):
     ["bound-lab", "--suite", "k-trend", "--n-worlds", "-1"],
     ["bound-lab", "--suite", "k-trend", "--seed", "-1"],
     ["shift-gap", "{run}", "--checkpoint", "{ckpt}", "--seed", "-1"],
+    *(["train", "--set", "train.output_dir={tmp}/failed", *(f"--set={o}" for o in overrides)]
+      for overrides in BAD_TRAIN_OVERRIDES),
+    # the same overrides aimed at the trained run must leave its files alone
+    *(["train", "{run}", *(f"--set={o}" for o in overrides)]
+      for overrides in BAD_TRAIN_OVERRIDES[:5]),
 ])
 def test_malformed_cli_input_fails_cleanly(argv, trained, capsys):
     ckpt, tmp_path = trained
+    metrics = (tmp_path / "run" / METRICS_NAME).read_bytes()
     capsys.readouterr()
     # "{run}" stands for the overrides the checkpoint was trained with
     argv = [part for arg in argv
@@ -186,6 +201,7 @@ def test_malformed_cli_input_fails_cleanly(argv, trained, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "failed").exists()  # a failed command leaves no output behind
+    assert (tmp_path / "run" / METRICS_NAME).read_bytes() == metrics
 
 
 def write_fake_cifar(data_dir, name="data_batch_1.bin", records=12, seed=0):

@@ -10,6 +10,7 @@ from sharpshift.fourier import (
     fft_augment_batch,
     idft2,
     mix_amplitude,
+    mix_batch,
     most_similar_index,
     reconstruct,
 )
@@ -122,6 +123,11 @@ def test_mix_midpoint():
 def test_mix_shape_mismatch_raises():
     with pytest.raises(AugmentationError):
         mix_amplitude(np.zeros((2, 2)), np.zeros((3, 3)), 0.5)
+    views = np.zeros((2, 3, 3, 1))
+    for partner_views, betas in ((np.zeros((2, 3, 4, 1)), [0.5, 0.5]), (views, [0.5]),
+                                 (views, [0.5, 1.5]), (views, [np.nan, 0.5])):
+        with pytest.raises(AugmentationError):
+            mix_batch(views, partner_views, betas)
 
 
 # ----- reconstruct -------------------------------------------------------------
@@ -220,26 +226,42 @@ def test_alpha_zero_is_bit_identity():
     assert np.array_equal(out, views)
 
 
+def scripted_mix(views, partner_views, betas):
+    """The per-channel helpers composed one view and one channel at a time."""
+    expected = np.array(views, dtype=float)
+    for k, beta in enumerate(betas):
+        if beta == 0.0:
+            continue
+        for c in range(views.shape[3]):
+            amp, phase = amplitude_phase(dft2(views[k, :, :, c]))
+            partner_amp, _ = amplitude_phase(dft2(partner_views[k, :, :, c]))
+            expected[k, :, :, c] = reconstruct(mix_amplitude(amp, partner_amp, beta), phase)
+    return expected
+
+
 def test_batch_matches_scripted_composition():
     rng = np.random.default_rng(13)
-    views = rng.uniform(size=(4, 6, 6, 3))
-    feats = unit_rows(rng, 4, 8)
-    config = AugmentConfig(alpha=0.7, rng_seed=99)
-    out = fft_augment_batch(views, feats, config)
+    # (shape, alpha, Fortran order): C in {1, 3}, odd H != W, alpha 0 draws only zeros
+    cases = [((4, 6, 6, 3), 0.7, False), ((5, 7, 5, 1), 0.3, False),
+             ((6, 5, 9, 3), 1.0, True), ((3, 9, 4, 1), 0.0, True)]
+    for shape, alpha, fortran in cases:
+        views = rng.uniform(size=shape)
+        if fortran:
+            views = np.asfortranarray(views)
+        feats = unit_rows(rng, shape[0], 8)
+        config = AugmentConfig(alpha=alpha, rng_seed=99)
+        betas = draw_betas(shape[0], config)
+        partners = [most_similar_index(feats, k) for k in range(shape[0])]
+        expected = scripted_mix(views, views[partners], betas)
+        assert np.array_equal(fft_augment_batch(views, feats, config), expected)
 
-    betas = draw_betas(4, config)
-    expected = views.copy()
-    for k in range(4):
-        if betas[k] == 0.0:
-            continue
-        partner = most_similar_index(feats, k)
-        for c in range(3):
-            amp, phase = amplitude_phase(dft2(views[k, :, :, c]))
-            partner_amp, _ = amplitude_phase(dft2(views[partner, :, :, c]))
-            expected[k, :, :, c] = reconstruct(
-                mix_amplitude(amp, partner_amp, betas[k]), phase
-            )
-    assert np.array_equal(out, expected)
+    # zero betas come back untouched; views 2 and 4 are their own partners
+    views = np.asfortranarray(rng.uniform(size=(5, 7, 5, 3)))
+    partner_views = views[[2, 0, 2, 4, 4]]
+    betas = np.array([0.3, 0.0, 1.0, 0.5, 0.0])
+    out = mix_batch(views, partner_views, betas)
+    assert np.array_equal(out, scripted_mix(views, partner_views, betas))
+    assert np.array_equal(out[[1, 4]], views[[1, 4]])
 
 
 @pytest.mark.parametrize("rng_seed", [0, 7, 2**32 + 5, 2**63 + 11, 2**64 - 1])

@@ -53,6 +53,10 @@ def test_config_flat_round_trip():
     cfg = TrainConfig(sam_enabled=True, sam_rho=0.1, encoder_hidden=(16, 8), lr=0.25)
     again = TrainConfig.from_flat(cfg.to_flat())
     assert again == cfg
+    # the default run's digest is pinned: checkpoints record it for --resume
+    assert TrainConfig().config_hash() == (
+        "a485e55afbbc46e3229d4fedd1a044ecad8b56b46b260729aa7a28dcea5a92a3"
+    )
 
 
 def test_config_file_and_overrides(tmp_path):
