@@ -11,6 +11,7 @@ evaluated to machine precision and compared against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,11 +22,14 @@ import numpy as np
 from .errors import LabError
 from .losses import contrastive_rows, cross_entropy_rows
 
-# The exact K-negative expectation builds one contrastive row per (x, x+) pair
-# with p_pos > 0 and multiset of negatives: a (pairs * M, K) row table with
-# M = C(K+n-1, n-1). This guard bounds M; n <= 6 with K <= 4 is always inside.
-MAX_EXACT_MULTISETS = 100_000
-# The row table is built in chunks of whole (x, x+) pairs holding at most this
+# The exact K-negative expectation gathers the similarities of every point x to
+# every multiset of K negatives, an (n, M, K) array with M = C(K+n-1, n-1), and
+# reduces it to one effective negative per (x, multiset). This guard bounds the
+# gather's entries n * M * K, which also bounds the cached (M, K) multiset table;
+# n <= 10 with K <= 8 is always inside.
+MAX_EXACT_ENTRIES = 2**22
+# Then one contrastive row per (x, x+) pair with p_pos > 0 and multiset: a
+# (pairs * M, 1) row table, built in chunks of whole pairs holding at most this
 # many rows (one pair per chunk when M alone exceeds it).
 EXACT_CHUNK_ROWS = 2**16
 
@@ -50,12 +54,14 @@ class DiscreteWorld:
                 f"inconsistent world: priors {priors.shape}, "
                 f"conditionals {conditionals.shape}, features {features.shape}"
             )
-        if np.any(priors <= 0.0) or abs(priors.sum() - 1.0) > 1e-12:
+        # written so that a NaN anywhere fails the check
+        if not (np.all(priors > 0.0) and abs(priors.sum() - 1.0) <= 1e-12):
             raise LabError("priors must be positive and sum to 1")
-        if np.any(conditionals < 0.0) or np.max(np.abs(conditionals.sum(axis=1) - 1.0)) > 1e-12:
+        if not (np.all(conditionals >= 0.0)
+                and np.max(np.abs(conditionals.sum(axis=1) - 1.0)) <= 1e-12):
             raise LabError("each conditional must be a probability vector")
         norms = np.linalg.norm(features, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-10:
             raise LabError("every feature must be unit-norm within 1e-10")
         for arr in (priors, conditionals, features):
             arr.setflags(write=False)
@@ -131,36 +137,43 @@ class ExpectationResult(NamedTuple):
     exact: bool
 
 
+@functools.lru_cache(maxsize=16)
 def _negative_multisets(n_points, k_negatives):
     """Sorted index tuples of K iid negatives (M, K), with log(K! / prod_i c_i!).
 
     Enumerating multisets instead of ordered tuples turns n^K terms into
-    M = C(K+n-1, n-1) weighted ones; c_i counts point i in the multiset.
+    M = C(K+n-1, n-1) weighted ones; c_i counts point i in the multiset. The
+    table depends on (n, K) only, so it is cached and returned read-only.
     """
     combos = np.array(list(itertools.combinations_with_replacement(range(n_points), k_negatives)))
     counts = (combos[:, :, None] == np.arange(n_points)).sum(axis=1)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k_negatives + 1)))))
-    return combos, log_fact[k_negatives] - log_fact[counts].sum(axis=1)
+    log_coef = log_fact[k_negatives] - log_fact[counts].sum(axis=1)
+    for arr in (combos, log_coef):
+        arr.setflags(write=False)
+    return combos, log_coef
 
 
 def exact_info_nce_expectation(world, tau, beta_neg, k_negatives, mc_samples=None, seed=0):
     """Expectation of the K-negative contrastive loss over the world.
 
-    Exact when the negative-multiset table fits the guard, otherwise a Monte
-    Carlo estimate with its standard error (``mc_samples`` must be given).
+    Exact when the similarity gather fits the guard, otherwise a Monte Carlo
+    estimate with its standard error (``mc_samples`` must be given).
     """
     if k_negatives < 1:
         raise LabError(f"k_negatives must be >= 1, got {k_negatives}")
-    if beta_neg < 0.0:
-        raise LabError(f"beta_neg must be >= 0, got {beta_neg}")
+    if not 0.0 < tau < math.inf:
+        raise LabError(f"tau must be finite and positive, got {tau}")
+    if not 0.0 <= beta_neg < math.inf:
+        raise LabError(f"beta_neg must be finite and >= 0, got {beta_neg}")
     n = world.n_points
-    n_multisets = math.comb(k_negatives + n - 1, n - 1)
-    if n_multisets <= MAX_EXACT_MULTISETS:
+    entries = n * math.comb(k_negatives + n - 1, n - 1) * k_negatives
+    if entries <= MAX_EXACT_ENTRIES:
         return ExpectationResult(_exact_expectation(world, tau, beta_neg, k_negatives), 0.0, True)
     if mc_samples is None:
         raise LabError(
-            f"{n_multisets} negative multisets exceed the exact guard "
-            f"({MAX_EXACT_MULTISETS}); pass mc_samples for a Monte Carlo estimate"
+            f"the exact gather of {entries} similarities exceeds the guard "
+            f"({MAX_EXACT_ENTRIES}); pass mc_samples for a Monte Carlo estimate"
         )
     return _mc_expectation(world, tau, beta_neg, k_negatives, mc_samples, seed)
 
@@ -168,19 +181,27 @@ def exact_info_nce_expectation(world, tau, beta_neg, k_negatives, mc_samples=Non
 def _exact_expectation(world, tau, beta_neg, k_negatives):
     p_data = world.p_data
     combos, log_coef = _negative_multisets(world.n_points, k_negatives)
-    keep = np.all(p_data[combos] > 0.0, axis=1)  # a p = 0 point is never drawn
+    p_neg = p_data[combos]
+    keep = np.all(p_neg > 0.0, axis=1)  # a p = 0 point is never drawn
     combos = combos[keep]
-    weights = np.exp(log_coef[keep] + np.log(p_data[combos]).sum(axis=1))
-    p_pos = world.p_pos
+    weights = np.exp(log_coef[keep] + np.log(p_neg[keep]).sum(axis=1))
     sims = world.features @ world.features.T / tau
+    # (beta/K) sum_k exp(s_k) = beta exp(s_eff): the negatives enter the loss only
+    # through one effective similarity per (x, multiset), independent of x+. Each
+    # multiset is shifted by its own maximum, so its sum never underflows to 0.
+    s_neg = sims[:, combos]
+    top = s_neg.max(axis=2)
+    s_eff = top + np.log(np.exp(s_neg - top[:, :, None]).sum(axis=2) / k_negatives)
+    p_pos = world.p_pos
     xs, xps = np.nonzero(p_pos > 0.0)
     per_pair = np.empty(len(xs))
     step = max(1, EXACT_CHUNK_ROWS // len(combos))
     for lo in range(0, len(xs), step):
         x, xp = xs[lo:lo + step], xps[lo:lo + step]
-        # one row per (x, x+) pair and multiset: s_pos = sims[x, x+], s_neg = sims[x, combo]
-        s_neg = sims[x][:, combos].reshape(-1, k_negatives)
-        losses, _, _ = contrastive_rows(np.repeat(sims[x, xp], len(combos)), s_neg, beta_neg)
+        # one row per (x, x+) pair and multiset: s_pos = sims[x, x+], one negative s_eff[x, m]
+        losses, _, _ = contrastive_rows(
+            np.repeat(sims[x, xp], len(combos)), s_eff[x].reshape(-1, 1), beta_neg
+        )
         per_pair[lo:lo + step] = losses.reshape(len(x), -1) @ weights
     return float(p_pos[xs, xps] @ per_pair)
 
@@ -247,14 +268,14 @@ class PacPenaltyInputs:
             raise LabError(f"n_params must be >= 1, got {self.n_params}")
         if not 0.0 < self.delta < 1.0:
             raise LabError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.rho <= 0.0:
-            raise LabError(f"rho must be positive, got {self.rho}")
-        if self.tau <= 0.0:
-            raise LabError(f"tau must be positive, got {self.tau}")
-        if self.beta_neg < 0.0:
-            raise LabError(f"beta_neg must be >= 0, got {self.beta_neg}")
-        if self.theta_norm < 0.0:
-            raise LabError(f"theta_norm must be >= 0, got {self.theta_norm}")
+        if not 0.0 < self.rho < math.inf:
+            raise LabError(f"rho must be finite and positive, got {self.rho}")
+        if not 0.0 < self.tau < math.inf:
+            raise LabError(f"tau must be finite and positive, got {self.tau}")
+        if not 0.0 <= self.beta_neg < math.inf:
+            raise LabError(f"beta_neg must be finite and >= 0, got {self.beta_neg}")
+        if not 0.0 <= self.theta_norm < math.inf:
+            raise LabError(f"theta_norm must be finite and >= 0, got {self.theta_norm}")
 
 
 def pac_penalty(inputs):

@@ -77,8 +77,9 @@ class TrainConfig:
             raise PipelineError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.epochs < 0:
             raise PipelineError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0 <= self.seed < 2**64:
-            raise PipelineError(f"seed must lie in [0, 2**64), got {self.seed}")
+        for key, seed in (("train.seed", self.seed), ("probe.seed", self.probe_seed)):
+            if not 0 <= seed < 2**64:
+                raise PipelineError(f"{key} must lie in [0, 2**64), got {seed}")
         if self.image_size < 1:
             raise PipelineError(f"image_size must be >= 1, got {self.image_size}")
         if self.data_limit < 0:

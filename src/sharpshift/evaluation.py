@@ -7,6 +7,7 @@ pixel by epsilon in the direction of the input-gradient sign and re-scoring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,14 @@ class ProbeConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise EvaluationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0.0:
-            raise EvaluationError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise EvaluationError(f"lr must be finite and positive, got {self.lr}")
         if self.tap_point not in ("backbone", "projection"):
             raise EvaluationError(f"unknown tap point {self.tap_point!r}")
-        if self.tau <= 0.0:
-            raise EvaluationError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise EvaluationError(f"tau must be finite and positive, got {self.tau}")
+        if not 0 <= self.seed < 2**64:
+            raise EvaluationError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class AttackConfig:
     pixel_max: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < float("inf"):
+        if not 0.0 <= self.epsilon < math.inf:
             raise EvaluationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.pixel_min >= self.pixel_max:
             raise EvaluationError("pixel_min must be below pixel_max")

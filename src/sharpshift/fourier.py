@@ -130,30 +130,35 @@ def draw_betas(n_views, config):
     return Streams(entropy).uniform(0.0, config.alpha)
 
 
-def mix_batch(views, partner_views, betas):
-    """Amplitude-mix every view toward its partner at its beta, all channels at once.
+def mix_batch(views, partners, betas):
+    """Amplitude-mix every view toward another row of ``views`` at its beta, all channels at once.
 
     Row k equals, bit for bit, the per-channel composition
     ``reconstruct(mix_amplitude(A, A', betas[k]), P)`` with
     ``A, P = amplitude_phase(dft2(...))`` of a channel of ``views[k]`` and
-    ``A'`` the amplitude of the same channel of ``partner_views[k]``; the
-    transforms run once over all rows. Rows with beta == 0 come back untouched.
+    ``A'`` the amplitude of the same channel of ``views[partners[k]]``. One
+    forward transform covers the rows with beta != 0 and their partners, each
+    row once; rows with beta == 0 come back untouched.
     """
     views = np.asarray(views, dtype=float)
-    partner_views = np.asarray(partner_views, dtype=float)
+    partners = np.asarray(partners)
     betas = np.asarray(betas, dtype=float)
-    if views.ndim != 4 or partner_views.shape != views.shape or betas.shape != views.shape[:1]:
+    if views.ndim != 4 or partners.shape != views.shape[:1] or betas.shape != views.shape[:1]:
         raise AugmentationError(
-            f"need (n, H, W, C) views and partners with n betas: {views.shape}, "
-            f"{partner_views.shape}, {betas.shape}"
+            f"need (n, H, W, C) views with n partner rows and n betas: {views.shape}, "
+            f"{partners.shape}, {betas.shape}"
         )
+    if partners.dtype.kind not in "iu" or not np.all((partners >= 0) & (partners < len(views))):
+        raise AugmentationError(f"partners must be row indices of views, got {partners}")
     if not np.all((betas >= 0.0) & (betas <= 1.0)):
         raise AugmentationError(f"betas must lie in [0, 1], got {betas}")
     out = views.copy()
     rows = np.flatnonzero(betas)
     if rows.size:
-        amplitude, phase = amplitude_phase(np.fft.fft2(views[rows], axes=(1, 2)))
-        partner_amplitude, _ = amplitude_phase(np.fft.fft2(partner_views[rows], axes=(1, 2)))
+        used, slot = np.unique(np.concatenate((rows, partners[rows])), return_inverse=True)
+        spectrum = np.fft.fft2(views[used], axes=(1, 2))
+        amplitude, phase = amplitude_phase(spectrum[slot[:rows.size]])
+        partner_amplitude = np.abs(spectrum[slot[rows.size:]])
         beta = betas[rows, None, None, None]
         mixed = (1.0 - beta) * amplitude + beta * partner_amplitude
         out[rows] = np.clip(np.fft.ifft2(mixed * np.exp(1j * phase), axes=(1, 2)).real, 0.0, 1.0)
@@ -181,5 +186,6 @@ def fft_augment_batch(views, features, config):
             f"need one feature vector per view: {features.shape} vs {views.shape[0]} views"
         )
     betas = draw_betas(len(views), config)
-    partners = [most_similar_index(features, k) if beta else k for k, beta in enumerate(betas)]
-    return mix_batch(views, views[partners], betas)
+    partners = np.array([most_similar_index(features, k) if beta else k
+                         for k, beta in enumerate(betas)], dtype=int)
+    return mix_batch(views, partners, betas)

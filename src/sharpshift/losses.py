@@ -14,6 +14,7 @@ row-batched kernel returning values with their gradients (``contrastive_rows``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,10 @@ class LossConfig:
     k_negatives: int | None = None
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ContractViolationError(f"tau must be positive, got {self.tau}")
-        if self.beta_neg is not None and self.beta_neg < 0.0:
-            raise ContractViolationError(f"beta_neg must be >= 0, got {self.beta_neg}")
+        if not 0.0 < self.tau < math.inf:
+            raise ContractViolationError(f"tau must be finite and positive, got {self.tau}")
+        if self.beta_neg is not None and not 0.0 <= self.beta_neg < math.inf:
+            raise ContractViolationError(f"beta_neg must be finite and >= 0, got {self.beta_neg}")
         if self.k_negatives is not None and self.k_negatives < 1:
             raise ContractViolationError(f"k_negatives must be >= 1, got {self.k_negatives}")
 
@@ -186,8 +187,8 @@ def temperature_cross_entropy(logits, label, tau):
 
 def temperature_cross_entropy_grad(logits, label, tau):
     """Loss and gradient w.r.t. the logits."""
-    if tau <= 0.0:
-        raise ContractViolationError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ContractViolationError(f"tau must be finite and positive, got {tau}")
     logits = np.asarray(logits, dtype=float)
     if not 0 <= label < len(logits):
         raise ContractViolationError(f"label {label} out of range for {len(logits)} classes")

@@ -10,6 +10,7 @@ step, no hidden state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,16 @@ class SamConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.rho < 0.0:
-            raise OptimizerError(f"rho must be >= 0, got {self.rho}")
-        if self.eta <= 0.0:
-            raise OptimizerError(f"eta must be positive, got {self.eta}")
-        if self.grad_eps <= 0.0:
-            raise OptimizerError(f"grad_eps must be positive, got {self.grad_eps}")
-        if self.weight_decay < 0.0:
-            raise OptimizerError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.rho < math.inf:
+            raise OptimizerError(f"rho must be finite and >= 0, got {self.rho}")
+        if not 0.0 < self.eta < math.inf:
+            raise OptimizerError(f"eta must be finite and positive, got {self.eta}")
+        if not 0.0 < self.grad_eps < math.inf:
+            raise OptimizerError(f"grad_eps must be finite and positive, got {self.grad_eps}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise OptimizerError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise OptimizerError(f"momentum must lie in [0, 1), got {self.momentum}")
 

@@ -11,6 +11,7 @@ measures how far augmentation-based positives are from same-class sampling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class ShiftGapConfig:
             raise MetricError(f"exponent must be 0.5 or 1, got {self.exponent}")
         if self.tau_factor not in _TAU_FACTORS:
             raise MetricError(f"tau_factor must be one of {_TAU_FACTORS}")
-        if self.tau <= 0.0:
-            raise MetricError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise MetricError(f"tau must be finite and positive, got {self.tau}")
         if self.seed < 0:
             raise MetricError(f"seed must be >= 0, got {self.seed}")
 

@@ -303,6 +303,7 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
     if encoder is None or params is None or pool_images is None:
         raise PipelineError("fft augmentation mode needs encoder, params and pool_images")
     count = min(n_candidates, len(pool_images))
+    alpha = AugmentConfig(alpha=config.fft_alpha).alpha  # checked before any draw
 
     def fft_fn(image, rng, n):
         # draw in the order of n one-at-a-time draws: the view's seed, its beta, and
@@ -310,7 +311,7 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
         sources, seeds, betas = [], [], []
         for _ in range(n):
             seeds.append(rng.integers(0, 2**62, size=(1, 2)))
-            betas.append(float(rng.uniform(0.0, config.fft_alpha)))
+            betas.append(float(rng.uniform(0.0, alpha)))
             sources.append(image[None])
             if betas[-1] != 0.0:
                 chosen = rng.choice(len(pool_images), size=count, replace=False)
@@ -318,17 +319,19 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
                 sources.append(pool_images[chosen])
         views = data_mod.base_augment_batch(np.concatenate(sources), np.concatenate(seeds),
                                             aug_pool)
-        # row of each draw's own view and of its partner (itself when beta is 0)
-        rows, partners = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        # each draw's own row is mixed toward its partner row; candidate rows have beta 0
+        rows = np.empty(n, dtype=int)
+        partners, mix_betas = np.arange(len(views)), np.zeros(len(views))
         start = 0
         for k, beta in enumerate(betas):
-            rows[k] = partners[k] = start
+            rows[k] = start
             if beta != 0.0:
                 stack = views[start:start + 1 + count]
-                partners[k] += most_similar_index(encoder.forward(params, stack), 0)
+                partners[start] += most_similar_index(encoder.forward(params, stack), 0)
+                mix_betas[start] = beta
                 start += count
             start += 1
-        return mix_batch(views[rows], views[partners], betas)
+        return mix_batch(views, partners, mix_betas)[rows]
 
     return fft_fn
 

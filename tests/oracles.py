@@ -8,6 +8,7 @@ that the package's batched paths must reproduce bit for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -121,7 +122,11 @@ def enumerate_surrogate_loss(priors, conditionals, features, tau):
 
 
 def enumerate_info_nce(priors, conditionals, features, tau, beta, k):
-    """Exact K-negative expectation over ordered negative tuples (O(n^K))."""
+    """Exact K-negative expectation over ordered negative tuples (O(n^K)).
+
+    Each tuple's loss is the textbook formula with every exponent shifted by the
+    tuple's largest similarity, so it stays finite at any temperature.
+    """
     m, n = np.asarray(conditionals).shape
     p_data = [sum(priors[c] * conditionals[c][x] for c in range(m)) for x in range(n)]
     p_pos = [
@@ -134,13 +139,13 @@ def enumerate_info_nce(priors, conditionals, features, tau, beta, k):
         for xp in range(n):
             if p_pos[x][xp] == 0.0:
                 continue
+            s_pos = float(np.asarray(features[x]) @ features[xp]) / tau
             for negs in itertools.product(range(n), repeat=k):
                 weight = p_pos[x][xp] * np.prod([p_data[i] for i in negs])
-                loss = scalar_contrastive_loss(
-                    np.asarray(features[x]), np.asarray(features[xp]),
-                    [np.asarray(features[i]) for i in negs], tau, beta,
-                )
-                total += weight * loss
+                s_neg = [float(np.asarray(features[x]) @ features[i]) / tau for i in negs]
+                top = max(s_pos, *s_neg)
+                denom = math.exp(s_pos - top) + beta / k * sum(math.exp(s - top) for s in s_neg)
+                total += weight * (top + math.log(denom) - s_pos)
     return total
 
 

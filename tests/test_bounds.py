@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharpshift import bounds
 from sharpshift.bounds import (
@@ -66,6 +70,14 @@ def test_world_validation():
         DiscreteWorld(np.array([0.5, 0.5]), np.array([[0.9, 0.2], [0.5, 0.5]]), np.eye(2))
     with pytest.raises(LabError):
         DiscreteWorld(np.array([0.5, 0.5]), np.full((2, 2), 0.5), 2.0 * np.eye(2))
+    # NaN fails every check it reaches
+    with pytest.raises(LabError):
+        DiscreteWorld(np.array([np.nan, 0.5]), np.full((2, 2), 0.5), np.eye(2))
+    with pytest.raises(LabError):
+        DiscreteWorld(np.array([0.5, 0.5]), np.array([[np.nan, 0.5], [0.5, 0.5]]), np.eye(2))
+    with pytest.raises(LabError):
+        DiscreteWorld(np.array([0.5, 0.5]), np.full((2, 2), 0.5), np.array([[np.nan, 0.0],
+                                                                            [0.0, 1.0]]))
 
 
 def test_world_is_immutable():
@@ -163,9 +175,8 @@ def test_constant_world_expectation_is_log_one_plus_beta():
         assert res.value == pytest.approx(np.log1p(beta), abs=1e-12)
 
 
-def _zero_mass_world(rng):
+def _zero_mass_world(world):
     # the last point has probability 0 under every class, so p_data is 0 there
-    world = make_random_world(rng, n_points=4, n_classes=2, dim=3)
     conditionals = world.conditionals.copy()
     conditionals[:, -1] = 0.0
     conditionals /= conditionals.sum(axis=1, keepdims=True)
@@ -183,8 +194,9 @@ def test_multiset_enumeration_matches_ordered_product_oracle(monkeypatch):
         world = make_random_world(rng, n_points=n, n_classes=3, dim=3)
         cases.append((world, rng.uniform(0.3, 1.5), rng.uniform(0.5, 8.0), k))
     cases.append((make_random_world(rng, n_points=4, n_classes=2, dim=3), 0.5, 0.0, 3))
-    cases.append((_zero_mass_world(rng), 0.7, 2.5, 3))
-    cases.append((_zero_mass_world(rng), 0.4, 1.0, 1))
+    for tau, beta, k in ((0.7, 2.5, 3), (0.4, 1.0, 1)):
+        world = make_random_world(rng, n_points=4, n_classes=2, dim=3)
+        cases.append((_zero_mass_world(world), tau, beta, k))
     assert np.any(cases[-1][0].p_data == 0.0)
     # one chunk, then chunks of a few (x, x+) pairs or of one pair each
     for chunk_rows in (bounds.EXACT_CHUNK_ROWS, 40, 1):
@@ -196,6 +208,54 @@ def test_multiset_enumeration_matches_ordered_product_oracle(monkeypatch):
             )
             assert ours.exact
             assert ours.value == pytest.approx(oracle, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 5), k=st.integers(1, 4), n_classes=st.integers(1, 3),
+       tau=st.floats(0.2, 2.0), beta=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+       zero_mass=st.booleans(), world_seed=st.integers(0, 2**32 - 1))
+def test_exact_expectation_matches_enumeration_property(n, k, n_classes, tau, beta, zero_mass,
+                                                        world_seed):
+    world = make_random_world(np.random.default_rng(world_seed), n, n_classes, dim=3)
+    if zero_mass:
+        world = _zero_mass_world(world)
+    ours = exact_info_nce_expectation(world, tau, beta, k)
+    oracle = enumerate_info_nce(world.priors, world.conditionals, world.features, tau, beta, k)
+    assert ours.exact
+    assert ours.value == pytest.approx(oracle, rel=1e-12)
+
+
+def four_point_antipodal_world():
+    # each class sits on one antipodal pair, so a positive or a whole multiset of
+    # negatives can be at similarity -1/tau from the anchor
+    return DiscreteWorld(
+        priors=np.array([0.45, 0.55]),
+        conditionals=np.array([[0.6, 0.4, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7]]),
+        features=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+    )
+
+
+@pytest.mark.parametrize("tau", [0.002, 0.001])
+def test_small_tau_stays_exact(tau):
+    world = four_point_antipodal_world()
+    for beta, k in ((1.0, 1), (2.0, 2), (0.5, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = exact_info_nce_expectation(world, tau, beta, k)
+        oracle = enumerate_info_nce(world.priors, world.conditionals, world.features, tau,
+                                    beta, k)
+        assert ours.exact and np.isfinite(ours.value)
+        assert ours.value == pytest.approx(oracle, rel=1e-12)
+
+
+def test_multiset_table_is_cached_and_read_only():
+    combos, log_coef = bounds._negative_multisets(4, 3)
+    again = bounds._negative_multisets(4, 3)
+    assert again[0] is combos and again[1] is log_coef
+    assert combos.shape == (20, 3)
+    for arr in (combos, log_coef):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_enumeration_agrees_with_monte_carlo():
@@ -240,12 +300,23 @@ def test_guard_requires_mc_fallback():
     assert not res.exact and res.stderr > 0.0
 
 
+def test_guard_bounds_the_gather_not_only_the_multiset_count():
+    # n = 2 with K = 20,000 has only 20,001 multisets but an (n, M, K) gather of 8e8
+    world = antipodal_world()
+    with pytest.raises(LabError, match="exceeds the guard"):
+        exact_info_nce_expectation(world, 0.5, 1.0, 20_000)
+    res = exact_info_nce_expectation(world, 0.5, 1.0, 20_000, mc_samples=50, seed=1)
+    assert not res.exact and np.isfinite(res.value)
+
+
 def test_invalid_parameters_rejected():
     world = constant_world()
     with pytest.raises(LabError):
         exact_info_nce_expectation(world, 1.0, 1.0, 0)
-    with pytest.raises(LabError):
-        exact_info_nce_expectation(world, 1.0, -1.0, 2)
+    for tau, beta in ((1.0, -1.0), (1.0, np.nan), (1.0, np.inf), (-1.0, 1.0), (0.0, 1.0),
+                      (np.nan, 1.0), (np.inf, 1.0)):
+        with pytest.raises(LabError):
+            exact_info_nce_expectation(world, tau, beta, 2)
 
 
 # ----- mean-classifier inequality ---------------------------------------------------
@@ -341,3 +412,8 @@ def test_input_validation():
         PacPenaltyInputs(10, 10, 0.1, 0.0, 0.5, 1.0, 1.0)
     with pytest.raises(LabError):
         PacPenaltyInputs(10, 10, 0.1, 0.1, 0.5, -1.0, 1.0)
+    for field in range(3, 7):
+        args = [10, 10, 0.1, 0.1, 0.5, 1.0, 1.0]
+        args[field] = np.nan
+        with pytest.raises(LabError):
+            PacPenaltyInputs(*args)

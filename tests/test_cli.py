@@ -173,6 +173,10 @@ BAD_TRAIN_OVERRIDES = [
     ["dataset.limit=-5"], ["augment.jitter_strength=-1"],
 ]
 
+NON_FINITE_TRAIN_OVERRIDES = [
+    "train.tau=nan", "optimizer.lr=inf", "sam.rho=nan", "optimizer.weight_decay=nan",
+]
+
 
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "{tmp}/missing", "--set", "train.output_dir={tmp}/failed"],
@@ -190,6 +194,16 @@ BAD_TRAIN_OVERRIDES = [
     # the same overrides aimed at the trained run must leave its files alone
     *(["train", "{run}", *(f"--set={o}" for o in overrides)]
       for overrides in BAD_TRAIN_OVERRIDES[:5]),
+    # NaN and inf slip past a `value <= 0` check; each must fail it
+    *(["train", "{run}", f"--set={o}"] for o in NON_FINITE_TRAIN_OVERRIDES),
+    *(["train", "--set", "train.output_dir={tmp}/failed", f"--set={o}"]
+      for o in NON_FINITE_TRAIN_OVERRIDES),
+    ["linear-eval", "{run}", "--checkpoint", "{ckpt}", "--set", "probe.lr=nan"],
+    ["linear-eval", "{run}", "--checkpoint", "{ckpt}", "--set", "probe.tau=nan"],
+    ["linear-eval", "{run}", "--checkpoint", "{ckpt}", "--seed", "-1"],
+    ["robust-eval", "{run}", "--checkpoint", "{ckpt}", "--seed", "-1"],
+    ["shift-gap", "{run}", "--checkpoint", "{ckpt}", "--aug", "fft", "--set", "fft.alpha=nan"],
+    ["shift-gap", "{run}", "--checkpoint", "{ckpt}", "--aug", "fft", "--set", "fft.alpha=-0.5"],
 ])
 def test_malformed_cli_input_fails_cleanly(argv, trained, capsys):
     ckpt, tmp_path = trained

@@ -234,3 +234,7 @@ def test_config_validation():
         ProbeConfig(epochs=0)
     with pytest.raises(EvaluationError):
         ProbeConfig(tap_point="middle")
+    for bad in ({"lr": np.nan}, {"lr": np.inf}, {"tau": np.nan}, {"tau": np.inf},
+                {"seed": -1}, {"seed": 2**64}):
+        with pytest.raises(EvaluationError):
+            ProbeConfig(**bad)

@@ -124,10 +124,11 @@ def test_mix_shape_mismatch_raises():
     with pytest.raises(AugmentationError):
         mix_amplitude(np.zeros((2, 2)), np.zeros((3, 3)), 0.5)
     views = np.zeros((2, 3, 3, 1))
-    for partner_views, betas in ((np.zeros((2, 3, 4, 1)), [0.5, 0.5]), (views, [0.5]),
-                                 (views, [0.5, 1.5]), (views, [np.nan, 0.5])):
+    for partners, betas in (([1], [0.5, 0.5]), ([1, 0], [0.5]), ([1, 2], [0.5, 0.5]),
+                            ([1, -1], [0.5, 0.5]), ([1.0, 0.0], [0.5, 0.5]),
+                            ([1, 0], [0.5, 1.5]), ([1, 0], [np.nan, 0.5])):
         with pytest.raises(AugmentationError):
-            mix_batch(views, partner_views, betas)
+            mix_batch(views, partners, betas)
 
 
 # ----- reconstruct -------------------------------------------------------------
@@ -255,12 +256,13 @@ def test_batch_matches_scripted_composition():
         expected = scripted_mix(views, views[partners], betas)
         assert np.array_equal(fft_augment_batch(views, feats, config), expected)
 
-    # zero betas come back untouched; views 2 and 4 are their own partners
+    # zero betas come back untouched; views 2 and 4 are their own partners, and
+    # view 1 (beta 0) is view 3's partner
     views = np.asfortranarray(rng.uniform(size=(5, 7, 5, 3)))
-    partner_views = views[[2, 0, 2, 4, 4]]
+    partners = np.array([2, 0, 2, 1, 4])
     betas = np.array([0.3, 0.0, 1.0, 0.5, 0.0])
-    out = mix_batch(views, partner_views, betas)
-    assert np.array_equal(out, scripted_mix(views, partner_views, betas))
+    out = mix_batch(views, partners, betas)
+    assert np.array_equal(out, scripted_mix(views, views[partners], betas))
     assert np.array_equal(out[[1, 4]], views[[1, 4]])
 
 

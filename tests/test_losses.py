@@ -307,3 +307,8 @@ def test_config_validation():
         LossConfig(tau=0.0)
     with pytest.raises(ContractViolationError):
         LossConfig(beta_neg=-1.0)
+    for bad in ({"tau": np.nan}, {"tau": np.inf}, {"beta_neg": np.nan}, {"beta_neg": np.inf}):
+        with pytest.raises(ContractViolationError):
+            LossConfig(**bad)
+    with pytest.raises(ContractViolationError):
+        temperature_cross_entropy(np.zeros(3), 0, np.nan)

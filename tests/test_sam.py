@@ -203,3 +203,7 @@ def test_config_validation():
         SamConfig(grad_eps=0.0)
     with pytest.raises(OptimizerError):
         SamConfig(momentum=1.0)
+    for field in ("rho", "eta", "grad_eps", "weight_decay"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(OptimizerError):
+                SamConfig(**{field: value})

@@ -194,3 +194,6 @@ def test_config_validation():
         ShiftGapConfig(exponent=0.7)
     with pytest.raises(MetricError):
         ShiftGapConfig(tau_factor="sqrt")
+    for tau in (0.0, np.nan, np.inf):
+        with pytest.raises(MetricError):
+            ShiftGapConfig(tau=tau)
