@@ -104,12 +104,19 @@ def make_random_world(rng, n_points=4, n_classes=2, dim=3):
     return DiscreteWorld(priors=priors, conditionals=conditionals, features=features)
 
 
+def _check_tau(tau):
+    """The one temperature check every bound-lab entry point goes through."""
+    if not 0.0 < tau < math.inf:
+        raise LabError(f"tau must be finite and positive, got {tau}")
+
+
 def sup_loss_mean_classifier(world, tau):
     """Supervised loss of the mean classifier, by full enumeration.
 
     The classifier row for class c is the class-conditional mean feature; the
     loss is sum_c pi_c sum_x p_c(x) * tauCE(W f(x), c).
     """
+    _check_tau(tau)
     m, n = world.conditionals.shape
     logits = world.features @ world.mean_features.T  # (n, M)
     losses, _ = cross_entropy_rows(np.tile(logits, (m, 1)), np.repeat(np.arange(m), n), tau)
@@ -122,6 +129,7 @@ def surrogate_unsup_loss(world, tau):
     E_{(x,x+)~p_pos}[-f(x).f(x+)/tau] + E_x[log E_{x-}[exp(f(x).f(x-)/tau)]],
     both expectations evaluated exactly.
     """
+    _check_tau(tau)
     w_bar = world.mean_features
     align = -np.sum(world.priors * np.sum(w_bar * w_bar, axis=1)) / tau
     p_data = world.p_data
@@ -162,8 +170,7 @@ def exact_info_nce_expectation(world, tau, beta_neg, k_negatives, mc_samples=Non
     """
     if k_negatives < 1:
         raise LabError(f"k_negatives must be >= 1, got {k_negatives}")
-    if not 0.0 < tau < math.inf:
-        raise LabError(f"tau must be finite and positive, got {tau}")
+    _check_tau(tau)
     if not 0.0 <= beta_neg < math.inf:
         raise LabError(f"beta_neg must be finite and >= 0, got {beta_neg}")
     n = world.n_points
@@ -270,8 +277,7 @@ class PacPenaltyInputs:
             raise LabError(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 < self.rho < math.inf:
             raise LabError(f"rho must be finite and positive, got {self.rho}")
-        if not 0.0 < self.tau < math.inf:
-            raise LabError(f"tau must be finite and positive, got {self.tau}")
+        _check_tau(self.tau)
         if not 0.0 <= self.beta_neg < math.inf:
             raise LabError(f"beta_neg must be finite and >= 0, got {self.beta_neg}")
         if not 0.0 <= self.theta_norm < math.inf:

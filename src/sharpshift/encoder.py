@@ -7,14 +7,16 @@ feature has unit Euclidean norm (that is what licenses the loss bound used
 elsewhere). All parameters live in one flat float64 vector described by a
 layout table, which is what the sharpness-aware optimizer perturbs.
 
-Backpropagation is written out by hand per layer; the tests check the
-analytic path against a central-difference oracle.
+The network is one list of layers: one forward loop and one hand-written
+backward loop run over it, and the tests check the analytic path against a
+central-difference oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -87,7 +89,15 @@ class EncoderConfig:
 
 
 class Encoder:
-    """Feature extractor f(theta, x) operating on a flat parameter vector."""
+    """Feature extractor f(theta, x) operating on a flat parameter vector.
+
+    The network is one tuple of ``(op, name)`` layers, built once from the
+    config: an optional input centering, the backbone (linear or conv blocks,
+    each followed by a ReLU, plus a flatten), then the head (linear, ReLU,
+    linear, row normalization). ``name`` keys a layer's ``.W``/``.b`` layout
+    segments. The tap points are indices into that tuple: one forward loop
+    runs the layers up to a tap, one backward loop runs back over them.
+    """
 
     CONV_KERNEL = 3
     CONV_STRIDE = 2
@@ -95,48 +105,41 @@ class Encoder:
 
     def __init__(self, config: EncoderConfig):
         self.config = config
-        self._build_layout()
+        h, w, c = config.input_shape
+        layers = [("center", None)] if config.center_input else []
+        segments = []
 
-    # ----- layout ---------------------------------------------------------
+        def block(op, name, w_shape, relu=True):
+            layers.extend([(op, name), ("relu", None)] if relu else [(op, name)])
+            segments.extend([(f"{name}.W", w_shape), (f"{name}.b", w_shape[-1:])])
 
-    def _build_layout(self):
-        h, w, c = self.config.input_shape
-        entries = []
-        if self.config.architecture == "mlp":
+        if config.architecture == "mlp":
+            layers.append(("flatten", None))
             width = h * w * c
-            for i, out_width in enumerate(self.config.hidden):
-                entries.append((f"bb{i}.W", (width, out_width)))
-                entries.append((f"bb{i}.b", (out_width,)))
+            for i, out_width in enumerate(config.hidden):
+                block("linear", f"bb{i}", (width, out_width))
                 width = out_width
-            backbone_dim = width
         else:
-            ch = c
-            sh, sw = h, w
-            k, s, p = self.CONV_KERNEL, self.CONV_STRIDE, self.CONV_PAD
-            for i, out_ch in enumerate(self.config.hidden):
-                entries.append((f"bb{i}.W", (k, k, ch, out_ch)))
-                entries.append((f"bb{i}.b", (out_ch,)))
-                sh = (sh + 2 * p - k) // s + 1
-                sw = (sw + 2 * p - k) // s + 1
-                if sh < 1 or sw < 1:
-                    raise ModelError("input too small for the conv stack")
-                ch = out_ch
-            backbone_dim = sh * sw * ch
-        proj_hidden = self.config.proj_hidden or backbone_dim
-        entries.append(("proj0.W", (backbone_dim, proj_hidden)))
-        entries.append(("proj0.b", (proj_hidden,)))
-        entries.append(("proj1.W", (proj_hidden, self.config.feature_dim)))
-        entries.append(("proj1.b", (self.config.feature_dim,)))
+            for i, out_ch in enumerate(config.hidden):
+                block("conv", f"bb{i}", (self.CONV_KERNEL, self.CONV_KERNEL, c, out_ch))
+                h, w, c = _conv_out(h), _conv_out(w), out_ch
+            layers.append(("flatten", None))
+            width = h * w * c
+        self.backbone_dim = width
+        self._taps = {"backbone": len(layers)}
+        proj_hidden = config.proj_hidden or width
+        block("linear", "proj0", (width, proj_hidden))
+        block("linear", "proj1", (proj_hidden, config.feature_dim), relu=False)
+        layers.append(("normalize", None))
+        self._taps["projection"] = len(layers)
+        self._layers = tuple(layers)
 
-        layout = []
-        offset = 0
-        for name, shape in entries:
-            size = int(np.prod(shape))
-            layout.append((name, tuple(shape), offset))
-            offset += size
+        layout, offset = [], 0
+        for name, shape in segments:
+            layout.append((name, shape, offset))
+            offset += math.prod(shape)
         self.layout = tuple(layout)
         self.n_params = offset
-        self.backbone_dim = backbone_dim
 
     @property
     def feature_dim(self):
@@ -152,9 +155,9 @@ class Encoder:
         rng = np.random.default_rng([int(seed)])
         flat = np.zeros(self.n_params)
         for name, shape, offset in self.layout:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             if name.endswith(".W"):
-                fan_in = int(np.prod(shape[:-1]))
+                fan_in = math.prod(shape[:-1])
                 std = np.sqrt(1.0 / fan_in) if name == "proj1.W" else np.sqrt(2.0 / fan_in)
             else:
                 std = 0.01
@@ -169,7 +172,7 @@ class Encoder:
                 f"parameter vector has shape {flat.shape}, expected ({self.n_params},)"
             )
         return {
-            name: flat[offset:offset + int(np.prod(shape))].reshape(shape)
+            name: flat[offset:offset + math.prod(shape)].reshape(shape)
             for name, shape, offset in self.layout
         }
 
@@ -185,110 +188,74 @@ class Encoder:
 
     # ----- forward / backward --------------------------------------------
 
-    def _check_images(self, images):
-        images = np.asarray(images, dtype=float)
-        if images.ndim == 3:
-            images = images[None]
-        if images.ndim != 4 or images.shape[1:] != self.config.input_shape:
-            raise ModelError(
-                f"images must be (n,) + {self.config.input_shape}, got {images.shape}"
-            )
-        return images
-
-    def _backbone_forward(self, p, images):
-        if self.config.center_input:
-            # fixed input normalization: [0, 1] pixels -> [-1, 1]
-            images = (images - 0.5) * 2.0
+    def _forward(self, params, images, tap):
+        """Run the layers up to ``tap``: (output, named params, one cache per layer run)."""
+        if not isinstance(tap, str) or tap not in self._taps:
+            raise ModelError(f"unknown tap point {tap!r}")
+        p = self.split_params(params)
+        x = np.asarray(images, dtype=float)
+        if x.ndim == 3:
+            x = x[None]
+        if x.ndim != 4 or x.shape[1:] != self.config.input_shape:
+            raise ModelError(f"images must be (n,) + {self.config.input_shape}, got {x.shape}")
         caches = []
-        if self.config.architecture == "mlp":
-            x = images.reshape(images.shape[0], -1)
-            caches.append(("reshape", images.shape))
-            for i in range(len(self.config.hidden)):
-                w, b = p[f"bb{i}.W"], p[f"bb{i}.b"]
-                z = x @ w + b
-                caches.append(("linear_relu", x, z > 0.0, f"bb{i}"))
-                x = np.maximum(z, 0.0)
-            return x, caches
-        x = images
-        for i in range(len(self.config.hidden)):
-            w, b = p[f"bb{i}.W"], p[f"bb{i}.b"]
-            out, conv_cache = _conv_forward(x, w, b, self.CONV_STRIDE, self.CONV_PAD)
-            caches.append(("conv_relu", conv_cache, out > 0.0, f"bb{i}", x.shape))
-            x = np.maximum(out, 0.0)
-        caches.append(("flatten", x.shape))
-        return x.reshape(x.shape[0], -1), caches
+        for op, name in self._layers[:self._taps[tap]]:
+            cache = None
+            if op == "center":
+                x = (x - 0.5) * 2.0  # fixed input normalization: [0, 1] pixels -> [-1, 1]
+            elif op == "flatten":
+                cache, x = x.shape, x.reshape(x.shape[0], -1)
+            elif op == "linear":
+                cache, x = x, x @ p[f"{name}.W"] + p[f"{name}.b"]
+            elif op == "conv":
+                w, cols = p[f"{name}.W"], _im2col(x)
+                cache, x = (cols, x.shape), cols @ w.reshape(-1, w.shape[-1]) + p[f"{name}.b"]
+            elif op == "relu":
+                cache, x = x > 0.0, np.maximum(x, 0.0)
+            else:  # normalize
+                norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), _NORM_EPS)
+                x = x / norms
+                cache = (x, norms)
+            caches.append(cache)
+        return x, p, caches
 
-    def _backbone_backward(self, p, g, caches, grads, want_input):
-        # input_scale undoes the fixed input normalization for pixel gradients
-        input_scale = 2.0 if self.config.center_input else 1.0
-        for cache in reversed(caches):
-            kind = cache[0]
-            if kind == "reshape":
-                return input_scale * g.reshape(cache[1]) if want_input else None
-            if kind == "flatten":
-                g = g.reshape(cache[1])
-            elif kind == "linear_relu":
-                _, x, mask, name = cache
-                gz = g * mask
+    def _backward(self, p, g, caches, grads=None):
+        """Run back over the cached layers; returns the gradient at the input images.
+
+        Parameter gradients are added into ``grads`` (named views) when it is given.
+        """
+        for (op, name), cache in zip(reversed(self._layers[:len(caches)]), reversed(caches)):
+            if op == "center":
+                g = 2.0 * g  # undoes the fixed input normalization for pixel gradients
+            elif op == "flatten":
+                g = g.reshape(cache)
+            elif op == "linear":
                 if grads is not None:
-                    grads[f"{name}.W"] += x.T @ gz
-                    grads[f"{name}.b"] += gz.sum(axis=0)
-                g = gz @ p[f"{name}.W"].T
-            else:  # conv_relu
-                _, conv_cache, mask, name, x_shape = cache
-                gz = g * mask
-                dx, dw, db = _conv_backward(
-                    gz, conv_cache, p[f"{name}.W"], self.CONV_STRIDE, self.CONV_PAD,
-                    x_shape, want_input=True,
-                )
+                    grads[f"{name}.W"] += cache.T @ g
+                    grads[f"{name}.b"] += g.sum(axis=0)
+                g = g @ p[f"{name}.W"].T
+            elif op == "conv":
+                w = p[f"{name}.W"]
+                cols, x_shape = cache
                 if grads is not None:
-                    grads[f"{name}.W"] += dw
-                    grads[f"{name}.b"] += db
-                g = dx
-        return input_scale * g if want_input else None
-
-    def _head_forward(self, p, h):
-        z0 = h @ p["proj0.W"] + p["proj0.b"]
-        a0 = np.maximum(z0, 0.0)
-        z1 = a0 @ p["proj1.W"] + p["proj1.b"]
-        norms = np.maximum(np.linalg.norm(z1, axis=1, keepdims=True), _NORM_EPS)
-        out = z1 / norms
-        cache = (h, z0 > 0.0, a0, out, norms)
-        return out, cache
-
-    def _head_backward(self, p, g, cache, grads):
-        h, mask0, a0, out, norms = cache
-        # normalize: d z1 = (g - out * <g, out>) / ||z1||
-        gz1 = (g - out * np.sum(g * out, axis=1, keepdims=True)) / norms
-        if grads is not None:
-            grads["proj1.W"] += a0.T @ gz1
-            grads["proj1.b"] += gz1.sum(axis=0)
-        ga0 = gz1 @ p["proj1.W"].T
-        gz0 = ga0 * mask0
-        if grads is not None:
-            grads["proj0.W"] += h.T @ gz0
-            grads["proj0.b"] += gz0.sum(axis=0)
-        return gz0 @ p["proj0.W"].T
+                    grads[f"{name}.W"] += np.tensordot(
+                        cols, g, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
+                    grads[f"{name}.b"] += g.sum(axis=(0, 1, 2))
+                g = _col2im(g @ w.reshape(-1, w.shape[-1]).T, x_shape)
+            elif op == "relu":
+                g = g * cache
+            else:  # normalize: d z = (g - out * <g, out>) / ||z||
+                out, norms = cache
+                g = (g - out * np.sum(g * out, axis=1, keepdims=True)) / norms
+        return g
 
     def forward(self, params, images):
         """Unit-norm feature vectors, one row per image."""
-        p = self.split_params(params)
-        images = self._check_images(images)
-        h, _ = self._backbone_forward(p, images)
-        z, _ = self._head_forward(p, h)
-        return z
+        return self._forward(params, images, "projection")[0]
 
     def features(self, params, images, tap="projection"):
         """Features at a tap point: "backbone" (pre-head) or "projection"."""
-        p = self.split_params(params)
-        images = self._check_images(images)
-        h, _ = self._backbone_forward(p, images)
-        if tap == "backbone":
-            return h
-        if tap == "projection":
-            z, _ = self._head_forward(p, h)
-            return z
-        raise ModelError(f"unknown tap point {tap!r}")
+        return self._forward(params, images, tap)[0]
 
     def loss_and_grad(self, params, images, feature_loss):
         """Scalar loss and its flat parameter gradient.
@@ -297,17 +264,13 @@ class Encoder:
         the encoder backpropagates the feature gradient through the head and
         backbone by hand.
         """
-        p = self.split_params(params)
-        images = self._check_images(images)
-        h, bb_caches = self._backbone_forward(p, images)
-        z, head_cache = self._head_forward(p, h)
+        z, p, caches = self._forward(params, images, "projection")
         loss, gz = feature_loss(z)
         if not np.isfinite(loss):
             raise ModelError(f"non-finite loss {loss!r}")
-        grads = {name: np.zeros(shape) for name, shape, _ in self.layout}
-        gh = self._head_backward(p, np.asarray(gz, dtype=float), head_cache, grads)
-        self._backbone_backward(p, gh, bb_caches, grads, want_input=False)
-        return float(loss), self.flatten_params(grads)
+        grad = np.zeros(self.n_params)
+        self._backward(p, np.asarray(gz, dtype=float), caches, self.split_params(grad))
+        return float(loss), grad
 
     def input_gradient(self, params, images, upstream, tap="backbone"):
         """Gradient of sum(tap_features * upstream-ish) w.r.t. the input images.
@@ -315,59 +278,50 @@ class Encoder:
         ``upstream`` is the gradient flowing into the tap-point features; the
         return value has the shape of ``images``. Used for input-space attacks.
         """
-        p = self.split_params(params)
-        images = self._check_images(images)
-        h, bb_caches = self._backbone_forward(p, images)
-        if tap == "projection":
-            _, head_cache = self._head_forward(p, h)
-            g = self._head_backward(p, np.asarray(upstream, dtype=float), head_cache, None)
-        elif tap == "backbone":
-            g = np.asarray(upstream, dtype=float)
-        else:
-            raise ModelError(f"unknown tap point {tap!r}")
-        return self._backbone_backward(p, g, bb_caches, None, want_input=True)
+        _, p, caches = self._forward(params, images, tap)
+        return self._backward(p, np.asarray(upstream, dtype=float), caches)
 
 
 # ----- conv primitives -----------------------------------------------------
 
 
-def _conv_forward(x, w, b, stride, pad):
-    n, h, wd, _ = x.shape
-    kh, kw, c_in, c_out = w.shape
+def _conv_out(size):
+    """Conv output size along one axis; at least 1 for any size >= 1."""
+    return (size + 2 * Encoder.CONV_PAD - Encoder.CONV_KERNEL) // Encoder.CONV_STRIDE + 1
+
+
+def _windows(x_shape):
+    """Conv output size, and one (padded-input window, patch columns) index pair per kernel tap."""
+    k, s = Encoder.CONV_KERNEL, Encoder.CONV_STRIDE
+    _, h, w, c = x_shape
+    out_h, out_w = _conv_out(h), _conv_out(w)
+    pairs = [
+        ((slice(None), slice(i, i + s * out_h, s), slice(j, j + s * out_w, s)),
+         (Ellipsis, slice((i * k + j) * c, (i * k + j + 1) * c)))
+        for i in range(k) for j in range(k)
+    ]
+    return out_h, out_w, pairs
+
+
+def _im2col(x):
+    """(n, h, w, c) images -> (n, out_h, out_w, k*k*c) patches of the zero-padded input."""
+    pad = Encoder.CONV_PAD
+    out_h, out_w, pairs = _windows(x.shape)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (wd + 2 * pad - kw) // stride + 1
-    cols = np.empty((n, out_h, out_w, kh * kw * c_in))
-    slot = 0
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., slot * c_in:(slot + 1) * c_in] = xp[
-                :, i:i + stride * out_h:stride, j:j + stride * out_w:stride, :
-            ]
-            slot += 1
-    out = cols @ w.reshape(-1, c_out) + b
-    return out, (cols, xp.shape)
+    cols = np.empty((x.shape[0], out_h, out_w, Encoder.CONV_KERNEL ** 2 * x.shape[3]))
+    for window, columns in pairs:
+        cols[columns] = xp[window]
+    return cols
 
 
-def _conv_backward(g, cache, w, stride, pad, x_shape, want_input):
-    cols, xp_shape = cache
-    kh, kw, c_in, c_out = w.shape
-    _, out_h, out_w, _ = g.shape
-    dw = np.tensordot(cols, g, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
-    db = g.sum(axis=(0, 1, 2))
-    dx = None
-    if want_input:
-        dcols = g @ w.reshape(-1, c_out).T
-        dxp = np.zeros(xp_shape)
-        slot = 0
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride, :] += dcols[
-                    ..., slot * c_in:(slot + 1) * c_in
-                ]
-                slot += 1
-        dx = dxp[:, pad:pad + x_shape[1], pad:pad + x_shape[2], :]
-    return dx, dw, db
+def _col2im(dcols, x_shape):
+    """Adjoint of _im2col: add patch gradients back onto the (unpadded) input."""
+    pad = Encoder.CONV_PAD
+    n, h, w, c = x_shape
+    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    for window, columns in _windows(x_shape)[2]:
+        dxp[window] += dcols[columns]
+    return dxp[:, pad:pad + h, pad:pad + w, :]
 
 
 # ----- checkpoints ----------------------------------------------------------

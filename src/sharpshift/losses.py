@@ -70,8 +70,10 @@ def contrastive_rows(s_pos, s_neg, beta):
 
     ``s_pos`` (m,) and ``s_neg`` (m, K) give the loss (m,), the positive weights
     w (m,) and the negative weights u (m, K), so that dloss/ds_pos = w - 1 and
-    dloss/ds_neg = u.
+    dloss/ds_neg = u. With beta = 0 the negatives drop out: loss 0, w = 1, u = 0.
     """
+    if beta == 0.0:  # else a negative far above s_pos would underflow the denominator
+        return np.zeros(s_pos.shape), np.ones(s_pos.shape), np.zeros(s_neg.shape)
     k_count = s_neg.shape[1]
     shift = np.maximum(s_pos, s_neg.max(axis=1))
     e_pos = np.exp(s_pos - shift)

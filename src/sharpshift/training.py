@@ -34,7 +34,7 @@ from .evaluation import (
 from .fourier import AugmentConfig, fft_augment_batch, mix_batch, most_similar_index
 from .fourier import dft2, reconstruct  # noqa: F401  (benchmarks/tracer.py wraps these names)
 from .losses import LossConfig, info_nce_batch_grad
-from .sam import sam_step, sgd_step
+from .sam import DEFAULT_ADAPTIVE_RHO, DEFAULT_RHO, sam_step, sgd_step
 from .shift import ShiftGapConfig, estimate_shift_gap
 
 # SeedSequence stream tags; every consumer of randomness gets its own branch.
@@ -397,15 +397,15 @@ def standard_variants(base: TrainConfig):
     return [
         ("baseline", replace(base, sam_enabled=False, fft_enabled=False,
                              output_dir=os.path.join(base.output_dir, "baseline"))),
-        ("sam", replace(base, sam_enabled=True, sam_rho=0.05, sam_adaptive=False,
+        ("sam", replace(base, sam_enabled=True, sam_rho=DEFAULT_RHO, sam_adaptive=False,
                         fft_enabled=False,
                         output_dir=os.path.join(base.output_dir, "sam"))),
-        ("asam", replace(base, sam_enabled=True, sam_rho=2.0, sam_adaptive=True,
+        ("asam", replace(base, sam_enabled=True, sam_rho=DEFAULT_ADAPTIVE_RHO, sam_adaptive=True,
                          fft_enabled=False,
                          output_dir=os.path.join(base.output_dir, "asam"))),
         ("fft", replace(base, sam_enabled=False, fft_enabled=True,
                         output_dir=os.path.join(base.output_dir, "fft"))),
-        ("sam_fft", replace(base, sam_enabled=True, sam_rho=0.05, sam_adaptive=False,
+        ("sam_fft", replace(base, sam_enabled=True, sam_rho=DEFAULT_RHO, sam_adaptive=False,
                             fft_enabled=True,
                             output_dir=os.path.join(base.output_dir, "sam_fft"))),
     ]

@@ -165,6 +165,20 @@ def finite_diff_gradient(loss_closure, params, step=1e-5):
     return grad
 
 
+def naive_conv(x, w, b, stride, pad):
+    """Strided, zero-padded cross-correlation of (n, h, w, c) images, pixel by pixel."""
+    k = w.shape[0]
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    out_h = (x.shape[1] + 2 * pad - k) // stride + 1
+    out_w = (x.shape[2] + 2 * pad - k) // stride + 1
+    out = np.empty((x.shape[0], out_h, out_w, w.shape[3]))
+    for r in range(out_h):
+        for c in range(out_w):
+            patch = xp[:, r * stride:r * stride + k, c * stride:c * stride + k, :]
+            out[:, r, c] = np.tensordot(patch, w, axes=([1, 2, 3], [0, 1, 2])) + b
+    return out
+
+
 def pac_penalty_direct(n, t, delta, rho, tau, beta, theta_norm):
     """One-line independent evaluation of the concrete penalty."""
     sigma = rho / (np.sqrt(t) + np.sqrt(np.log(n)))

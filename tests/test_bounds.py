@@ -248,6 +248,16 @@ def test_small_tau_stays_exact(tau):
         assert ours.value == pytest.approx(oracle, rel=1e-12)
 
 
+def test_small_tau_beta_zero_is_exactly_zero():
+    # with beta = 0 every row's loss is -log(e^s+ / e^s+) = 0, however far the negatives
+    world = four_point_antipodal_world()
+    for k in (1, 2, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = exact_info_nce_expectation(world, 0.002, 0.0, k)
+        assert res.exact and res.value == 0.0
+
+
 def test_multiset_table_is_cached_and_read_only():
     combos, log_coef = bounds._negative_multisets(4, 3)
     again = bounds._negative_multisets(4, 3)
@@ -317,6 +327,14 @@ def test_invalid_parameters_rejected():
                       (np.nan, 1.0), (np.inf, 1.0)):
         with pytest.raises(LabError):
             exact_info_nce_expectation(world, tau, beta, 2)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", [surrogate_unsup_loss, sup_loss_mean_classifier,
+                                   verify_mean_classifier_step])
+def test_every_lab_entry_point_checks_tau(entry, tau):
+    with pytest.raises(LabError, match="tau must be finite and positive"):
+        entry(four_point_antipodal_world(), tau)
 
 
 # ----- mean-classifier inequality ---------------------------------------------------

@@ -13,7 +13,7 @@ from sharpshift.encoder import (
 from sharpshift.errors import ModelError
 from sharpshift.losses import LossConfig, info_nce_batch_grad
 
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, naive_conv
 
 TINY_MLP = EncoderConfig(
     architecture="mlp", input_shape=(4, 4, 1), hidden=(6,), feature_dim=4, proj_hidden=6
@@ -23,13 +23,23 @@ TINY_CONV = EncoderConfig(
     proj_hidden=6,
 )
 
+# two conv blocks on an odd-sized, uncentered input; an MLP whose backbone is the flat image
+TINY_CONV2 = EncoderConfig(
+    architecture="small_conv", input_shape=(7, 7, 3), hidden=(3, 4), feature_dim=4,
+    proj_hidden=5, center_input=False,
+)
+TINY_LINEAR = EncoderConfig(
+    architecture="mlp", input_shape=(4, 4, 1), hidden=(), feature_dim=4, proj_hidden=6
+)
+
 
 def feature_loss(tau=0.5):
     cfg = LossConfig(tau=tau)
     return lambda feats: info_nce_batch_grad(feats, cfg)
 
 
-@pytest.fixture(params=[TINY_MLP, TINY_CONV], ids=["mlp", "small_conv"])
+@pytest.fixture(params=[TINY_MLP, TINY_CONV, TINY_CONV2, TINY_LINEAR],
+                ids=["mlp", "small_conv", "small_conv2", "mlp_no_hidden"])
 def tiny(request):
     enc = Encoder(request.param)
     rng = np.random.default_rng(0)
@@ -80,6 +90,28 @@ def test_backbone_tap_differs_from_projection(tiny):
     z = enc.features(params, images, tap="projection")
     assert h.shape == (4, enc.backbone_dim)
     assert z.shape == (4, enc.feature_dim)
+
+
+def test_conv_backbone_matches_naive_convolution():
+    # pins the meaning of a conv layout segment: W[i, j] weighs the input at offset (i, j)
+    enc = Encoder(TINY_CONV2)
+    params = enc.init_params(4)
+    named = enc.split_params(params)
+    images = np.random.default_rng(5).uniform(size=(3,) + TINY_CONV2.input_shape)
+    ref = images
+    for i in range(len(TINY_CONV2.hidden)):
+        ref = np.maximum(naive_conv(ref, named[f"bb{i}.W"], named[f"bb{i}.b"],
+                                    Encoder.CONV_STRIDE, Encoder.CONV_PAD), 0.0)
+    h = enc.features(params, images, tap="backbone")
+    assert np.max(np.abs(h - ref.reshape(3, -1))) < 1e-12
+
+
+def test_one_pixel_input_survives_every_conv_block():
+    # kernel 3, stride 2, pad 1 maps n >= 1 pixels to ceil(n / 2) >= 1: no input is too small
+    enc = Encoder(EncoderConfig(architecture="small_conv", input_shape=(1, 1, 1),
+                                hidden=(2, 2, 2), feature_dim=2))
+    assert enc.backbone_dim == 2
+    assert enc.forward(enc.init_params(0), np.full((1, 1, 1), 0.7)).shape == (1, 2)
 
 
 # ----- parameter layout ----------------------------------------------------------
@@ -167,14 +199,16 @@ def test_finite_diff_constant_closure():
     assert np.all(grad == 0.0)
 
 
-def test_input_gradient_matches_finite_differences(tiny):
+@pytest.mark.parametrize("tap", ["backbone", "projection"])
+def test_input_gradient_matches_finite_differences(tiny, tap):
     enc, params, images = tiny
     rng = np.random.default_rng(2)
-    upstream = rng.standard_normal((4, enc.backbone_dim))
-    analytic = enc.input_gradient(params, images, upstream, tap="backbone")
+    width = enc.backbone_dim if tap == "backbone" else enc.feature_dim
+    upstream = rng.standard_normal((4, width))
+    analytic = enc.input_gradient(params, images, upstream, tap=tap)
 
     def value(x):
-        return float(np.sum(enc.features(params, x, tap="backbone") * upstream))
+        return float(np.sum(enc.features(params, x, tap=tap) * upstream))
 
     fd = np.zeros_like(images)
     flat_view = images.reshape(-1)
@@ -185,6 +219,14 @@ def test_input_gradient_matches_finite_differences(tiny):
         down.reshape(-1)[i] -= 1e-6
         fd_view[i] = (value(up) - value(down)) / 2e-6
     assert np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
+
+
+def test_unknown_tap_raises(tiny):
+    enc, params, images = tiny
+    with pytest.raises(ModelError, match="unknown tap point"):
+        enc.features(params, images, tap="head")
+    with pytest.raises(ModelError, match="unknown tap point"):
+        enc.input_gradient(params, images, np.zeros((4, enc.feature_dim)), tap="head")
 
 
 def test_feature_continuity_under_small_perturbation(tiny):
@@ -281,6 +323,29 @@ def test_corrupt_checkpoint_header_fails_cleanly(tmp_path, drop):
     path.write_bytes(magic + struct.pack("<Q", len(corrupt)) + corrupt + payload)
     with pytest.raises(ModelError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("config", [TINY_MLP, TINY_CONV], ids=["mlp", "small_conv"])
+def test_every_header_bit_flip_loads_or_fails_cleanly(tmp_path, config):
+    # exhaustive over the magic, the length field and the json header; the payload is
+    # raw float64, where every flip is a valid (different) parameter vector
+    enc = Encoder(config)
+    params = enc.init_params(0)
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(path, enc, params, "h", epoch=3)
+    blob = path.read_bytes()
+    header_end = len(blob) - 8 * enc.n_params
+    for i in range(header_end):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[i] ^= 1 << bit
+            path.write_bytes(flipped)
+            try:
+                ckpt = load_checkpoint(path)
+            except ModelError:
+                continue
+            assert ckpt.layout == enc.layout
+            assert np.array_equal(ckpt.params, params)
 
 
 def test_not_a_checkpoint_fails(tmp_path):

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sharpshift.errors import ContractViolationError
 from sharpshift.losses import (
     LossConfig,
+    contrastive_rows,
     info_nce,
     info_nce_batch,
     info_nce_batch_grad,
@@ -111,6 +114,20 @@ def test_monotone_decreasing_in_positive_similarity():
         loss = info_nce(a, rigged, negs, cfg)
         assert loss < previous
         previous = loss
+
+
+def test_beta_zero_drops_the_negatives_exactly():
+    # a negative 1000 above the positive used to underflow the denominator to 0 (-inf)
+    rng = np.random.default_rng(4)
+    cases = [(np.array([-500.0]), np.array([[500.0]])),
+             (rng.normal(0.0, 300.0, size=6), rng.normal(0.0, 300.0, size=(6, 3)))]
+    for s_pos, s_neg in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, w, u = contrastive_rows(s_pos, s_neg, 0.0)
+        assert np.array_equal(loss, np.zeros(len(s_pos)))
+        assert np.array_equal(w, np.ones(len(s_pos)))
+        assert np.array_equal(u, np.zeros(s_neg.shape))
 
 
 def test_beta_equals_k_recovers_standard_form():

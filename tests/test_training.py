@@ -9,7 +9,7 @@ import oracles
 from sharpshift import training
 from sharpshift.config import TrainConfig, load_config, parse_config_file
 from sharpshift.encoder import Encoder, load_checkpoint, params_digest, save_checkpoint
-from sharpshift.errors import PipelineError
+from sharpshift.errors import PipelineError, SharpshiftError
 from sharpshift.training import (
     CHECKPOINT_NAME,
     METRICS_NAME,
@@ -89,6 +89,24 @@ def test_malformed_line_rejected(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(PipelineError):
         parse_config_file(str(path))
+
+
+def test_every_config_file_bit_flip_loads_or_fails_cleanly(tmp_path):
+    # a file that sets every key; each single-bit flip must give a config whose
+    # sub-configs all build, or exit through a SharpshiftError
+    text = "".join(f"{k} = {v}\n" for k, v in TrainConfig().to_flat().items()).encode()
+    assert text.count(b"\n") == 40
+    path = tmp_path / "run.cfg"
+    for i in range(len(text)):
+        for bit in range(8):
+            flipped = bytearray(text)
+            flipped[i] ^= 1 << bit
+            path.write_bytes(flipped)
+            try:
+                cfg = load_config(str(path))
+                cfg.encoder_config(), cfg.sam_config(), cfg.probe_config(), cfg.augment_pool()
+            except SharpshiftError:
+                pass
 
 
 def test_config_hash_sensitivity():
