@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LabError
+from .errors import LabError, check_range
 from .losses import contrastive_rows, cross_entropy_rows
 
 # The exact K-negative expectation gathers the similarities of every point x to
@@ -104,19 +104,13 @@ def make_random_world(rng, n_points=4, n_classes=2, dim=3):
     return DiscreteWorld(priors=priors, conditionals=conditionals, features=features)
 
 
-def _check_tau(tau):
-    """The one temperature check every bound-lab entry point goes through."""
-    if not 0.0 < tau < math.inf:
-        raise LabError(f"tau must be finite and positive, got {tau}")
-
-
 def sup_loss_mean_classifier(world, tau):
     """Supervised loss of the mean classifier, by full enumeration.
 
     The classifier row for class c is the class-conditional mean feature; the
     loss is sum_c pi_c sum_x p_c(x) * tauCE(W f(x), c).
     """
-    _check_tau(tau)
+    check_range(LabError, "tau", tau, 0, lo_open=True)
     m, n = world.conditionals.shape
     logits = world.features @ world.mean_features.T  # (n, M)
     losses, _ = cross_entropy_rows(np.tile(logits, (m, 1)), np.repeat(np.arange(m), n), tau)
@@ -129,7 +123,7 @@ def surrogate_unsup_loss(world, tau):
     E_{(x,x+)~p_pos}[-f(x).f(x+)/tau] + E_x[log E_{x-}[exp(f(x).f(x-)/tau)]],
     both expectations evaluated exactly.
     """
-    _check_tau(tau)
+    check_range(LabError, "tau", tau, 0, lo_open=True)
     w_bar = world.mean_features
     align = -np.sum(world.priors * np.sum(w_bar * w_bar, axis=1)) / tau
     p_data = world.p_data
@@ -168,11 +162,9 @@ def exact_info_nce_expectation(world, tau, beta_neg, k_negatives, mc_samples=Non
     Exact when the similarity gather fits the guard, otherwise a Monte Carlo
     estimate with its standard error (``mc_samples`` must be given).
     """
-    if k_negatives < 1:
-        raise LabError(f"k_negatives must be >= 1, got {k_negatives}")
-    _check_tau(tau)
-    if not 0.0 <= beta_neg < math.inf:
-        raise LabError(f"beta_neg must be finite and >= 0, got {beta_neg}")
+    check_range(LabError, "k_negatives", k_negatives, 1)
+    check_range(LabError, "tau", tau, 0, lo_open=True)
+    check_range(LabError, "beta_neg", beta_neg, 0)
     n = world.n_points
     entries = n * math.comb(k_negatives + n - 1, n - 1) * k_negatives
     if entries <= MAX_EXACT_ENTRIES:
@@ -269,19 +261,13 @@ class PacPenaltyInputs:
     theta_norm: float
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise LabError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.n_params < 1:
-            raise LabError(f"n_params must be >= 1, got {self.n_params}")
-        if not 0.0 < self.delta < 1.0:
-            raise LabError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.rho < math.inf:
-            raise LabError(f"rho must be finite and positive, got {self.rho}")
-        _check_tau(self.tau)
-        if not 0.0 <= self.beta_neg < math.inf:
-            raise LabError(f"beta_neg must be finite and >= 0, got {self.beta_neg}")
-        if not 0.0 <= self.theta_norm < math.inf:
-            raise LabError(f"theta_norm must be finite and >= 0, got {self.theta_norm}")
+        check_range(LabError, "n_samples", self.n_samples, 1)
+        check_range(LabError, "n_params", self.n_params, 1)
+        check_range(LabError, "delta", self.delta, 0, 1, lo_open=True)
+        check_range(LabError, "rho", self.rho, 0, lo_open=True)
+        check_range(LabError, "tau", self.tau, 0, lo_open=True)
+        check_range(LabError, "beta_neg", self.beta_neg, 0)
+        check_range(LabError, "theta_norm", self.theta_norm, 0)
 
 
 def pac_penalty(inputs):
@@ -346,9 +332,7 @@ def lab_suite(suite, n_worlds, seed):
             "pac-penalty": _pac_penalty_row}
     if suite not in rows:
         raise LabError(f"unknown bound-lab suite {suite!r}; choose from {sorted(rows)}")
-    if n_worlds < 1:
-        raise LabError(f"n_worlds must be >= 1, got {n_worlds}")
-    if seed < 0:
-        raise LabError(f"seed must be >= 0, got {seed}")
+    check_range(LabError, "n_worlds", n_worlds, 1)
+    check_range(LabError, "seed", seed, 0)
     rng = np.random.default_rng([int(seed)])
     return (rows[suite](rng, i) for i in range(n_worlds))

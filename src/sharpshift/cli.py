@@ -12,7 +12,7 @@ import numpy as np
 from . import bounds, data, training
 from .config import load_config
 from .encoder import Encoder
-from .errors import AugmentationError, EvaluationError, SharpshiftError
+from .errors import AugmentationError, EvaluationError, SharpshiftError, check_range
 from .fourier import AugmentConfig, draw_betas, fft_augment_batch
 
 
@@ -120,9 +120,8 @@ def _cmd_bound_lab(args):
 def _cmd_augment_preview(args):
     config = _config_from(args)
     images, _ = training.load_train_data(config)
-    count = min(args.n, len(images))
-    if count < 2:
-        raise AugmentationError(f"amplitude mixing pairs views, so --n must be >= 2, got {count}")
+    count = check_range(AugmentationError, "--n (amplitude mixing pairs views)",
+                        min(args.n, len(images)), 2)
     fft_cfg = AugmentConfig(alpha=args.alpha, rng_seed=args.seed)
     seeds = np.stack([np.full(count, args.seed), np.arange(count)], axis=1)
     batch = data.base_augment_batch(images[:count], seeds, config.augment_pool())

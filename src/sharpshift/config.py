@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields
 
 from .data import AugmentPool
 from .encoder import EncoderConfig
-from .errors import PipelineError
+from .errors import SIZE_CAP, PipelineError, check_range
 from .evaluation import ProbeConfig
 from .sam import SamConfig
 
@@ -73,23 +74,25 @@ class TrainConfig:
     metrics_timing: bool = _key("metrics.timing", False)
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise PipelineError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.epochs < 0:
-            raise PipelineError(f"epochs must be >= 0, got {self.epochs}")
-        for key, seed in (("train.seed", self.seed), ("probe.seed", self.probe_seed)):
-            if not 0 <= seed < 2**64:
-                raise PipelineError(f"{key} must lie in [0, 2**64), got {seed}")
-        if self.image_size < 1:
-            raise PipelineError(f"image_size must be >= 1, got {self.image_size}")
-        if self.data_limit < 0:
-            raise PipelineError(f"dataset limit must be >= 0 (0 means all), got {self.data_limit}")
-        if self.checkpoint_every < 0:
-            raise PipelineError(
-                f"checkpoint_every must be >= 0 (0 means never), got {self.checkpoint_every}"
-            )
+        """Check the whole config before any data is made or any file is touched."""
+        check_range(PipelineError, "train.batch_size", self.batch_size, 2)
+        check_range(PipelineError, "train.epochs", self.epochs, 0, SIZE_CAP, hi_open=False)
+        check_range(PipelineError, "train.seed", self.seed, 0, 2**64)
+        check_range(PipelineError, "dataset.image_size", self.image_size, 1)
+        check_range(PipelineError, "dataset.limit", self.data_limit, 0)
+        check_range(PipelineError, "train.checkpoint_every", self.checkpoint_every, 0)
         if self.dataset not in ("synthetic", "cifar10"):
             raise PipelineError(f"unknown dataset {self.dataset!r}")
+        if not self.output_dir:
+            raise PipelineError("train.output_dir must not be empty")
+        # the larger synthetic split is one array; a negative size is gen_synthetic's to reject
+        sizes = (max(self.n_per_class, self.n_eval_per_class), self.num_classes,
+                 self.image_size, self.image_size, self.channels)
+        check_range(PipelineError, "synthetic split values (n_per_class x classes x image_size^2 x "
+                    "channels)", math.prod(max(n, 0) for n in sizes), 0, SIZE_CAP, hi_open=False)
+        # each value is checked by the sub-config that owns it
+        for build in (self.encoder_config, self.sam_config, self.probe_config, self.augment_pool):
+            build()
 
     # ----- derived sub-configs ---------------------------------------------
 
@@ -199,7 +202,7 @@ def _parse(key, raw, template):
         if isinstance(template, int):
             return int(raw)
         if isinstance(template, float):
-            return float(raw)
+            return float(raw) + 0.0  # -0 reads as 0, in the value and in the config hash
     except ValueError as exc:
         raise PipelineError(f"cannot parse {key}={raw!r}: {exc}") from exc
     return str(raw)

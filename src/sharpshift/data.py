@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AugmentationError, IngestionError
+from .errors import AugmentationError, IngestionError, check_range
 from .streams import Streams
 
 RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes (R, G, B planes)
@@ -72,8 +72,8 @@ def gen_synthetic(n_per_class, num_classes, image_size=16, channels=1, seed=0,
     (default: ``seed``) controls the class patterns alone, so train and
     held-out splits drawn with different sample seeds share the same classes.
     """
-    if n_per_class < 1 or num_classes < 2:
-        raise IngestionError("need n_per_class >= 1 and num_classes >= 2")
+    check_range(IngestionError, "n_per_class", n_per_class, 1)
+    check_range(IngestionError, "num_classes", num_classes, 2)
     if pattern_seed is None:
         pattern_seed = seed
     pattern_rng = np.random.default_rng([int(pattern_seed), 0])
@@ -128,13 +128,11 @@ class AugmentPool:
 
     def __post_init__(self):
         lo, hi = self.crop_scale
-        if not 0.0 < lo <= hi <= 1.0:
-            raise AugmentationError(f"bad crop scale range {self.crop_scale}")
-        for p in (self.flip_p, self.jitter_p, self.gray_p):
-            if not 0.0 <= p <= 1.0:
-                raise AugmentationError(f"probability {p} out of [0, 1]")
-        if not self.jitter_strength >= 0.0:
-            raise AugmentationError(f"jitter_strength must be >= 0, got {self.jitter_strength}")
+        check_range(AugmentationError, "crop_scale min", lo, 0, 1, lo_open=True, hi_open=False)
+        check_range(AugmentationError, "crop_scale max", hi, lo, 1, hi_open=False)
+        for name in ("flip_p", "jitter_p", "gray_p"):
+            check_range(AugmentationError, name, getattr(self, name), 0, 1, hi_open=False)
+        check_range(AugmentationError, "jitter_strength", self.jitter_strength, 0)
 
 
 #: Pool with every op disabled; base_augment becomes the identity.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import SIZE_CAP, ModelError, check_range
 
 _NORM_EPS = 1e-12
 _CHECKPOINT_MAGIC = b"SHARPSHIFT-CKPT-1\n"
@@ -53,16 +53,17 @@ class EncoderConfig:
         if len(self.input_shape) != 3:
             raise ModelError(f"input_shape must be (H, W, C), got {self.input_shape}")
         h, w, c = self.input_shape
-        if h < 1 or w < 1 or c not in (1, 3):
-            raise ModelError(f"bad input shape {self.input_shape}")
-        if self.feature_dim < 1:
-            raise ModelError("feature_dim must be >= 1")
+        check_range(ModelError, "input height", h, 1)
+        check_range(ModelError, "input width", w, 1)
+        if c not in (1, 3):
+            raise ModelError(f"input channels must be 1 or 3, got {c}")
+        check_range(ModelError, "feature_dim", self.feature_dim, 1)
         if self.architecture == "small_conv" and len(self.hidden) == 0:
             raise ModelError("small_conv needs at least one conv block")
-        if any(width < 1 for width in self.hidden):
-            raise ModelError(f"hidden widths must be >= 1, got {tuple(self.hidden)}")
-        if self.proj_hidden is not None and self.proj_hidden < 1:
-            raise ModelError(f"proj_hidden must be >= 1 or None, got {self.proj_hidden}")
+        for width in self.hidden:
+            check_range(ModelError, "hidden width", width, 1)
+        if self.proj_hidden is not None:
+            check_range(ModelError, "proj_hidden", self.proj_hidden, 1)
         object.__setattr__(self, "hidden", tuple(int(x) for x in self.hidden))
         object.__setattr__(self, "input_shape", tuple(int(x) for x in self.input_shape))
 
@@ -139,7 +140,9 @@ class Encoder:
             layout.append((name, shape, offset))
             offset += math.prod(shape)
         self.layout = tuple(layout)
-        self.n_params = offset
+        # checked before anything is allocated at this size
+        self.n_params = check_range(ModelError, "parameter count", offset, 1, SIZE_CAP,
+                                    hi_open=False)
 
     @property
     def feature_dim(self):

@@ -1,4 +1,24 @@
-"""Error taxonomy shared by all subsystems."""
+"""Error taxonomy shared by all subsystems, and the one range check they all use."""
+
+import math
+
+#: Largest count the program allocates or loops over: the values of one array
+#: (a synthetic split's images, an encoder's parameters) and the epochs of a run
+#: or a probe. 2**28 float64 values take 2 GiB.
+SIZE_CAP = 2**28
+
+
+def check_range(error, name, value, lo, hi=math.inf, lo_open=False, hi_open=True):
+    """``value`` if it lies between ``lo`` and ``hi``, else ``error`` naming ``name``.
+
+    Each end is closed unless ``lo_open``/``hi_open`` says otherwise. NaN and
+    +-inf never pass, and -0.0 comes back as 0.0.
+    """
+    inside = (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)
+    if not inside or abs(value) == math.inf:
+        bounds = f"{'[('[lo_open]}{lo}, {hi}{'])'[hi_open]}"
+        raise error(f"{name} must lie in {bounds}, got {value}")
+    return value + 0  # -0.0 + 0 is 0.0, and an int stays an int
 
 
 class SharpshiftError(Exception):

@@ -7,12 +7,11 @@ pixel by epsilon in the direction of the input-gradient sign and re-scoring.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import SIZE_CAP, EvaluationError, check_range
 from .losses import cross_entropy_rows
 
 FGSM_DEFAULT_EPSILON = 8.0 / 255.0
@@ -27,16 +26,12 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise EvaluationError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.lr < math.inf:
-            raise EvaluationError(f"lr must be finite and positive, got {self.lr}")
+        check_range(EvaluationError, "epochs", self.epochs, 1, SIZE_CAP, hi_open=False)
+        check_range(EvaluationError, "lr", self.lr, 0, lo_open=True)
         if self.tap_point not in ("backbone", "projection"):
             raise EvaluationError(f"unknown tap point {self.tap_point!r}")
-        if not 0.0 < self.tau < math.inf:
-            raise EvaluationError(f"tau must be finite and positive, got {self.tau}")
-        if not 0 <= self.seed < 2**64:
-            raise EvaluationError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_range(EvaluationError, "tau", self.tau, 0, lo_open=True)
+        check_range(EvaluationError, "seed", self.seed, 0, 2**64)
 
 
 @dataclass(frozen=True)
@@ -46,8 +41,7 @@ class AttackConfig:
     pixel_max: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < math.inf:
-            raise EvaluationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        check_range(EvaluationError, "epsilon", self.epsilon, 0)
         if self.pixel_min >= self.pixel_max:
             raise EvaluationError("pixel_min must be below pixel_max")
 
@@ -96,8 +90,7 @@ def top_k_accuracy(logits, labels, k):
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     labels = np.atleast_1d(np.asarray(labels, dtype=int))
     n, m = logits.shape
-    if not 1 <= k <= m:
-        raise EvaluationError(f"k must lie in [1, {m}], got {k}")
+    check_range(EvaluationError, "k", k, 1, m, hi_open=False)
     if labels.shape != (n,):
         raise EvaluationError(f"{n} logit rows vs labels shape {labels.shape}")
     order = np.argsort(-logits, axis=1, kind="stable")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AugmentationError
+from .errors import AugmentationError, check_range
 from .streams import Streams
 
 
@@ -31,10 +31,10 @@ class AugmentConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise AugmentationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0 <= self.rng_seed < 2**64:
-            raise AugmentationError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
+        # stored normalised: Uniform(0, -0.0) is an error in NumPy
+        object.__setattr__(self, "alpha", check_range(AugmentationError, "alpha", self.alpha,
+                                                      0, 1, hi_open=False))
+        check_range(AugmentationError, "rng_seed", self.rng_seed, 0, 2**64)
 
 
 def dft2(channel):
@@ -78,8 +78,7 @@ def mix_amplitude(a_self, a_partner, beta):
         raise AugmentationError(
             f"amplitude shape mismatch: {a_self.shape} vs {a_partner.shape}"
         )
-    if not 0.0 <= beta <= 1.0:
-        raise AugmentationError(f"beta must lie in [0, 1], got {beta}")
+    check_range(AugmentationError, "beta", beta, 0, 1, hi_open=False)
     return (1.0 - beta) * a_self + beta * a_partner
 
 
@@ -111,8 +110,7 @@ def most_similar_index(features, k):
     n = features.shape[0]
     if n < 2:
         raise AugmentationError(f"need at least 2 feature vectors, got {n}")
-    if not 0 <= k < n:
-        raise AugmentationError(f"index {k} out of range for {n} features")
+    check_range(AugmentationError, "index", k, 0, n)
     sims = features @ features[k]
     sims[k] = -np.inf
     return int(np.argmax(sims))

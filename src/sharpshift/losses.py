@@ -14,36 +14,30 @@ row-batched kernel returning values with their gradients (``contrastive_rows``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, check_range
 
 UNIT_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Temperature, negative weight and negative count.
+    """Temperature and negative weight.
 
     ``beta_neg = None`` means "use beta = K", the recovering setting used for
     training; an explicit value is only needed for bound experiments.
-    ``k_negatives = None`` lets the op infer K from its inputs.
     """
 
     tau: float = 0.5
     beta_neg: float | None = None
-    k_negatives: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tau < math.inf:
-            raise ContractViolationError(f"tau must be finite and positive, got {self.tau}")
-        if self.beta_neg is not None and not 0.0 <= self.beta_neg < math.inf:
-            raise ContractViolationError(f"beta_neg must be finite and >= 0, got {self.beta_neg}")
-        if self.k_negatives is not None and self.k_negatives < 1:
-            raise ContractViolationError(f"k_negatives must be >= 1, got {self.k_negatives}")
+        check_range(ContractViolationError, "tau", self.tau, 0, lo_open=True)
+        if self.beta_neg is not None:
+            check_range(ContractViolationError, "beta_neg", self.beta_neg, 0)
 
 
 def paired_index(k):
@@ -104,10 +98,6 @@ def info_nce_grad(anchor, positive, negatives, config, validate=True):
     k_count = negatives.shape[0]
     if k_count < 1:
         raise ContractViolationError("need at least one negative")
-    if config.k_negatives is not None and k_count != config.k_negatives:
-        raise ContractViolationError(
-            f"expected {config.k_negatives} negatives, got {k_count}"
-        )
     if validate:
         _check_unit(anchor, "anchor")
         _check_unit(positive, "positive")
@@ -189,10 +179,8 @@ def temperature_cross_entropy(logits, label, tau):
 
 def temperature_cross_entropy_grad(logits, label, tau):
     """Loss and gradient w.r.t. the logits."""
-    if not 0.0 < tau < math.inf:
-        raise ContractViolationError(f"tau must be finite and positive, got {tau}")
+    check_range(ContractViolationError, "tau", tau, 0, lo_open=True)
     logits = np.asarray(logits, dtype=float)
-    if not 0 <= label < len(logits):
-        raise ContractViolationError(f"label {label} out of range for {len(logits)} classes")
+    check_range(ContractViolationError, "label", label, 0, len(logits))
     loss, grad = cross_entropy_rows(logits[None], np.array([label]), tau)
     return float(loss[0]), grad[0]

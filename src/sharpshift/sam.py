@@ -10,12 +10,11 @@ step, no hidden state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OptimizerError
+from .errors import OptimizerError, check_range
 
 # Perturbation radii used by the ablation variants.
 DEFAULT_RHO = 0.05
@@ -40,18 +39,11 @@ class SamConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.rho < math.inf:
-            raise OptimizerError(f"rho must be finite and >= 0, got {self.rho}")
-        if not 0.0 < self.eta < math.inf:
-            raise OptimizerError(f"eta must be finite and positive, got {self.eta}")
-        if not 0.0 < self.grad_eps < math.inf:
-            raise OptimizerError(f"grad_eps must be finite and positive, got {self.grad_eps}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise OptimizerError(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
-            )
-        if not 0.0 <= self.momentum < 1.0:
-            raise OptimizerError(f"momentum must lie in [0, 1), got {self.momentum}")
+        check_range(OptimizerError, "rho", self.rho, 0)
+        check_range(OptimizerError, "eta", self.eta, 0, lo_open=True)
+        check_range(OptimizerError, "grad_eps", self.grad_eps, 0, lo_open=True)
+        check_range(OptimizerError, "weight_decay", self.weight_decay, 0)
+        check_range(OptimizerError, "momentum", self.momentum, 0, 1)
 
 
 def ascent_perturbation(grad, params, config):

@@ -11,12 +11,11 @@ measures how far augmentation-based positives are from same-class sampling.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import MetricError, check_range
 
 _TAU_FACTORS = ("none", "inverse_tau", "tau")
 
@@ -37,16 +36,13 @@ class ShiftGapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_mc_aug < 1:
-            raise MetricError(f"n_mc_aug must be >= 1, got {self.n_mc_aug}")
+        check_range(MetricError, "n_mc_aug", self.n_mc_aug, 1)
         if self.exponent not in (0.5, 1.0):
             raise MetricError(f"exponent must be 0.5 or 1, got {self.exponent}")
         if self.tau_factor not in _TAU_FACTORS:
             raise MetricError(f"tau_factor must be one of {_TAU_FACTORS}")
-        if not 0.0 < self.tau < math.inf:
-            raise MetricError(f"tau must be finite and positive, got {self.tau}")
-        if self.seed < 0:
-            raise MetricError(f"seed must be >= 0, got {self.seed}")
+        check_range(MetricError, "tau", self.tau, 0, lo_open=True)
+        check_range(MetricError, "seed", self.seed, 0)
 
 
 @dataclass

@@ -333,7 +333,7 @@ def test_invalid_parameters_rejected():
 @pytest.mark.parametrize("entry", [surrogate_unsup_loss, sup_loss_mean_classifier,
                                    verify_mean_classifier_step])
 def test_every_lab_entry_point_checks_tau(entry, tau):
-    with pytest.raises(LabError, match="tau must be finite and positive"):
+    with pytest.raises(LabError, match=r"tau must lie in \(0, inf\)"):
         entry(four_point_antipodal_world(), tau)
 
 

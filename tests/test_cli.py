@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import re
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharpshift.bounds import lab_suite
 from sharpshift.cli import main
-from sharpshift.config import load_config
+from sharpshift.config import TrainConfig, load_config
 from sharpshift.training import METRICS_NAME, load_eval_data, load_train_data
 
 
@@ -170,7 +178,8 @@ BAD_TRAIN_OVERRIDES = [
     ["train.tau=0"], ["optimizer.lr=-1"], ["augment.crop_scale_min=0"], ["dataset.channels=2"],
     ["fft.enabled=true", "fft.alpha=2"], ["dataset.image_size=0"], ["encoder.hidden=0"],
     ["encoder.hidden=-3"], ["encoder.proj_hidden=-2"], ["train.checkpoint_every=-1"],
-    ["dataset.limit=-5"], ["augment.jitter_strength=-1"],
+    ["dataset.limit=-5"], ["augment.jitter_strength=-1"], ["dataset.channels=0"],
+    ["dataset.channels=-1"], ["train.output_dir="],
 ]
 
 NON_FINITE_TRAIN_OVERRIDES = [
@@ -204,6 +213,9 @@ NON_FINITE_TRAIN_OVERRIDES = [
     ["robust-eval", "{run}", "--checkpoint", "{ckpt}", "--seed", "-1"],
     ["shift-gap", "{run}", "--checkpoint", "{ckpt}", "--aug", "fft", "--set", "fft.alpha=nan"],
     ["shift-gap", "{run}", "--checkpoint", "{ckpt}", "--aug", "fft", "--set", "fft.alpha=-0.5"],
+    # a held-out split too large to allocate is refused before any data is made
+    *([command, "{run}", "--checkpoint", "{ckpt}", "--set", f"dataset.n_eval_per_class={2**64}"]
+      for command in ("linear-eval", "robust-eval", "shift-gap")),
 ])
 def test_malformed_cli_input_fails_cleanly(argv, trained, capsys):
     ckpt, tmp_path = trained
@@ -216,6 +228,64 @@ def test_malformed_cli_input_fails_cleanly(argv, trained, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "failed").exists()  # a failed command leaves no output behind
     assert (tmp_path / "run" / METRICS_NAME).read_bytes() == metrics
+
+
+def test_fft_shift_gap_reads_negative_zero_alpha_as_zero(trained, capsys):
+    ckpt, tmp_path = trained
+    reports = []
+    for alpha in ("0", "-0"):
+        argv = ["shift-gap", *run_args(tmp_path), "--checkpoint", ckpt, "--aug", "fft",
+                "--n-mc", "2", "--set", f"fft.alpha={alpha}"]
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+TRAIN_KEYS = [f.metadata["key"] for f in fields(TrainConfig)]
+PATH_KEYS = ("train.output_dir", "dataset.dir")
+ADVERSARIAL_VALUES = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", str(2**64), "", "abc", "1,2"]
+TINY_RUN = [
+    "train.epochs=1", "dataset.n_per_class=4", "dataset.n_eval_per_class=2",
+    "dataset.image_size=4", "train.batch_size=4", "encoder.hidden=4", "encoder.feature_dim=2",
+    "encoder.proj_hidden=4", "probe.epochs=2",
+]
+
+
+def _exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error: ")), (argv, err.getvalue())
+    return code
+
+
+@pytest.mark.parametrize("key", TRAIN_KEYS)
+@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@given(data=st.data())
+def test_adversarial_config_values_fail_cleanly(tmp_path_factory, key, data):
+    """Each adversarial value of ``key``, alone or with a drawn second override.
+
+    A run that trains is then evaluated; no command may end in a traceback.
+    """
+    second = st.none() | st.tuples(st.sampled_from(TRAIN_KEYS), st.sampled_from(ADVERSARIAL_VALUES))
+    for value in ADVERSARIAL_VALUES:
+        overrides = [(key, value)] + [pair for pair in [data.draw(second)] if pair]
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            items = [*TINY_RUN, f"train.output_dir={tmp}/run"]
+            # a path value stays under the test's own directory
+            items += [f"{k}={tmp}/{v}" if k in PATH_KEYS and v else f"{k}={v}" for k, v in overrides]
+            argv = [f"--set={item}" for item in items]
+            if _exits_cleanly(["train", *argv]) == 0:
+                ckpt = os.path.join(load_config(None, items).output_dir, "checkpoint.ckpt")
+                for command in (["linear-eval"], ["robust-eval"],
+                                ["shift-gap", "--aug", "fft", "--n-mc", "1"]):
+                    _exits_cleanly([*command, *argv, "--checkpoint", ckpt])
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r"^\| `([a-z_.]+)` \|", section, flags=re.M)) == sorted(TRAIN_KEYS)
 
 
 def write_fake_cifar(data_dir, name="data_batch_1.bin", records=12, seed=0):

@@ -216,6 +216,11 @@ def test_default_alpha_operating_point():
     assert AugmentConfig().alpha == 0.2
 
 
+def test_negative_zero_alpha_is_stored_as_zero():
+    # Uniform(0, -0.0) is an error in NumPy, so the config keeps +0.0
+    assert not np.signbit(AugmentConfig(alpha=-0.0).alpha)
+
+
 # ----- batch augmentation --------------------------------------------------------
 
 

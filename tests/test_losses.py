@@ -147,12 +147,6 @@ def test_non_unit_inputs_rejected():
         info_nce(2.0 * a, a, [a], LossConfig())
 
 
-def test_negative_count_checked_against_config():
-    a = np.array([1.0, 0.0])
-    with pytest.raises(ContractViolationError):
-        info_nce(a, a, [a], LossConfig(k_negatives=2))
-
-
 def test_scalar_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     cfg = LossConfig(tau=0.7, beta_neg=2.5)
