@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LabError, check_range
+from .errors import SIZE_CAP, LabError, check_range
 from .losses import contrastive_rows, cross_entropy_rows
 
 # The exact K-negative expectation gathers the similarities of every point x to
@@ -332,7 +332,7 @@ def lab_suite(suite, n_worlds, seed):
             "pac-penalty": _pac_penalty_row}
     if suite not in rows:
         raise LabError(f"unknown bound-lab suite {suite!r}; choose from {sorted(rows)}")
-    check_range(LabError, "n_worlds", n_worlds, 1)
+    check_range(LabError, "n_worlds", n_worlds, 1, SIZE_CAP, hi_open=False)
     check_range(LabError, "seed", seed, 0)
     rng = np.random.default_rng([int(seed)])
     return (rows[suite](rng, i) for i in range(n_worlds))

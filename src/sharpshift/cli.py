@@ -229,7 +229,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run ends in the error below; NumPy's overflow warnings would precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SharpshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

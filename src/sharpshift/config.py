@@ -182,11 +182,8 @@ def _render(value):
 
 
 def _parse(key, raw, template):
-    if isinstance(raw, str):
-        raw = raw.strip()
+    raw = raw.strip()
     if isinstance(template, bool):
-        if isinstance(raw, bool):
-            return raw
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
@@ -194,18 +191,14 @@ def _parse(key, raw, template):
         raise PipelineError(f"cannot parse boolean from {key}={raw!r}")
     try:
         if isinstance(template, tuple):
-            if isinstance(raw, tuple):
-                return tuple(int(v) for v in raw)
-            if raw == "":
-                return ()
-            return tuple(int(v) for v in str(raw).split(","))
+            return tuple(int(v) for v in raw.split(",")) if raw else ()
         if isinstance(template, int):
             return int(raw)
         if isinstance(template, float):
             return float(raw) + 0.0  # -0 reads as 0, in the value and in the config hash
     except ValueError as exc:
         raise PipelineError(f"cannot parse {key}={raw!r}: {exc}") from exc
-    return str(raw)
+    return raw
 
 
 def parse_config_file(path):

@@ -135,63 +135,8 @@ class AugmentPool:
         check_range(AugmentationError, "jitter_strength", self.jitter_strength, 0)
 
 
-#: Pool with every op disabled; base_augment becomes the identity.
-IDENTITY_POOL = AugmentPool(crop_scale=(1.0, 1.0), flip_p=0.0, jitter_p=0.0, gray_p=0.0)
-
-# Sub-seed slots, one per op; base_augment(image, seed) applies the ops in
-# this order, each drawing from SeedSequence(list(seed) + [slot]).
+# Sub-seed slots, one per op, in the order the ops apply (see _augment_chunk).
 OP_CROP, OP_FLIP, OP_JITTER, OP_GRAY = 0, 1, 2, 3
-
-
-def op_rng(seed, slot):
-    # object dtype keeps every value exact: a plain array of ints >= 2**63 and
-    # smaller ones would be float64
-    entropy = [int(s) for s in np.atleast_1d(np.asarray(seed, dtype=object))]
-    return np.random.default_rng(entropy + [slot])
-
-
-def random_resized_crop(image, rng, scale):
-    """Random square-fraction crop resized back to the input shape."""
-    h, w = image.shape[:2]
-    area = rng.uniform(scale[0], scale[1])
-    side = np.sqrt(area)
-    crop_h = max(1, int(round(h * side)))
-    crop_w = max(1, int(round(w * side)))
-    top = int(rng.integers(0, h - crop_h + 1))
-    left = int(rng.integers(0, w - crop_w + 1))
-    if crop_h == h and crop_w == w:
-        return image
-    patch = image[top:top + crop_h, left:left + crop_w]
-    return bilinear_resize(patch, h, w)
-
-
-def horizontal_flip(image, rng, p):
-    if rng.uniform() < p:
-        return image[:, ::-1, :].copy()
-    return image
-
-
-def color_jitter(image, rng, p, strength):
-    """Brightness/contrast/saturation jitter; factors ~ U(1-s, 1+s)."""
-    apply = rng.uniform() < p
-    factors = rng.uniform(max(0.0, 1.0 - strength), 1.0 + strength, size=3)
-    if not apply:
-        return image
-    out = image * factors[0]
-    mean = out.mean()
-    out = (out - mean) * factors[1] + mean
-    if image.shape[2] == 3:
-        gray = _luminance(out)[..., None]
-        out = (out - gray) * factors[2] + gray
-    return np.clip(out, 0.0, 1.0)
-
-
-def random_grayscale(image, rng, p):
-    apply = rng.uniform() < p
-    if not apply or image.shape[2] != 3:
-        return image
-    gray = _luminance(image)
-    return np.repeat(gray[..., None], 3, axis=2)
 
 
 def _luminance(image):
@@ -199,21 +144,14 @@ def _luminance(image):
 
 
 def base_augment(image, seed, pool=AugmentPool()):
-    """Composition of crop, flip, color jitter, grayscale with derived seeds.
+    """One view of one (H, W, C) image: ``base_augment_batch`` on a batch of one.
 
-    ``seed`` is an int or a list of ints; op k draws from the substream
-    SeedSequence(list(seed) + [k]) so a scripted replay of the individual ops
-    reproduces the composition exactly. Output shape equals input shape and
-    pixels stay in [0, 1].
+    ``seed`` is an int or a list of ints below 2**64, read exactly.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 3:
         raise AugmentationError(f"image must be (H, W, C), got {image.shape}")
-    out = random_resized_crop(image, op_rng(seed, OP_CROP), pool.crop_scale)
-    out = horizontal_flip(out, op_rng(seed, OP_FLIP), pool.flip_p)
-    out = color_jitter(out, op_rng(seed, OP_JITTER), pool.jitter_p, pool.jitter_strength)
-    out = random_grayscale(out, op_rng(seed, OP_GRAY), pool.gray_p)
-    return out
+    return base_augment_batch(image[None], np.array(seed, dtype=np.uint64).reshape(1, -1), pool)[0]
 
 
 # Pixel values one pass of base_augment_batch works on; larger batches go in
@@ -222,13 +160,12 @@ _BATCH_CHUNK_VALUES = 2**17
 
 
 def base_augment_batch(images, seeds, pool=AugmentPool()):
-    """``np.stack([base_augment(images[i], seeds[i], pool) for i in range(N)])``, vectorised.
+    """One base-augmented view of each image: crop, flip, color jitter, grayscale.
 
     ``images`` is (N, H, W, C) and ``seeds`` holds one seed per image, all of
     equal length: N ints or an (N, L) array of non-negative ints below 2**64.
-    The op substreams are seeded and drawn together by ``Streams``, and each
-    pixel op runs the per-image arithmetic on a whole chunk of views, so the
-    result is bit-identical to the per-image composition.
+    A view depends only on its image and its seed, never on the rest of the
+    batch. Output shape equals input shape and pixels stay in [0, 1].
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 4:
@@ -246,6 +183,18 @@ def base_augment_batch(images, seeds, pool=AugmentPool()):
 
 
 def _augment_chunk(images, seeds, pool):
+    """Op k of view i draws from SeedSequence(list(seeds[i]) + [k]); ops apply in slot order.
+
+    - crop: area a ~ U(crop_scale), crop sides round(H sqrt(a)) and round(W sqrt(a)),
+      top then left uniform; a crop smaller than the image is resized back bilinearly
+    - flip: reverses the columns with probability flip_p
+    - jitter: a coin, then brightness, contrast and saturation factors ~ U(max(0, 1-s), 1+s);
+      applied with probability jitter_p and clipped to [0, 1]
+    - gray: a 3-channel view becomes its luminance with probability gray_p
+
+    All substreams are seeded and drawn together by ``Streams``, and each pixel op
+    does one view's arithmetic on every selected view at once.
+    """
     n, h, w, channels = images.shape
     entropy = np.empty((4 * n, seeds.shape[1] + 1), dtype=seeds.dtype)
     for slot in (OP_CROP, OP_FLIP, OP_JITTER, OP_GRAY):  # op-major rows: slot * n + i
@@ -277,8 +226,8 @@ def _augment_chunk(images, seeds, pool):
                              size=3)
     jittered = np.flatnonzero(first[OP_JITTER] < pool.jitter_p)
     if len(jittered):
-        # base_augment's mean sums in the memory order of the view it is given: C order
-        # after a flip, (W, H, C) order after bilinear_resize, else the input's own order
+        # the mean sums in the order of the per-image reference in tests/oracles.py: C
+        # order after a flip, (W, H, C) order after bilinear_resize, else the input's own
         whc = (is_resized & ~flipped)[jittered]
         own = ~(is_resized | flipped)[jittered] & (not images[0].flags.c_contiguous)
         f = factors[jittered, :, None, None, None]

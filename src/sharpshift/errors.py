@@ -48,7 +48,7 @@ class ModelError(SharpshiftError):
 
 
 class MetricError(SharpshiftError):
-    """Shift-gap estimation failed (e.g. a class has no examples)."""
+    """Shift-gap estimation failed (no data, or a request too large to hold)."""
 
 
 class LabError(SharpshiftError):

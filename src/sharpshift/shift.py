@@ -74,7 +74,7 @@ def _factor(config):
     return 1.0
 
 
-def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config, classes=None):
+def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config):
     """Estimate the shift gap of an augmentation pool under a feature map.
 
     ``feature_fn`` maps a list of items to an (n, d) array of unit features
@@ -90,15 +90,11 @@ def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config, classes=Non
     labels = np.array([label for _, label in labeled_data])
     if len(items) == 0:
         raise MetricError("labeled_data is empty")
-    present = set(int(l) for l in labels)
-    wanted = sorted(present) if classes is None else sorted(int(c) for c in classes)
-    for c in wanted:
-        if c not in present:
-            raise MetricError(f"class {c} has no examples in labeled_data")
+    classes = sorted(set(int(l) for l in labels))
 
     features = np.asarray(feature_fn(items), dtype=float)
     class_means = {
-        c: features[labels == c].mean(axis=0) for c in wanted
+        c: features[labels == c].mean(axis=0) for c in classes
     }
 
     terms = np.empty(len(items))
@@ -114,7 +110,7 @@ def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config, classes=Non
     class_priors = {}
     aggregate = 0.0
     n = len(items)
-    for c in wanted:
+    for c in classes:
         mask = labels == c
         per_class_gap[c] = factor * float(terms[mask].mean())
         class_priors[c] = float(mask.sum()) / n

@@ -22,11 +22,10 @@ import numpy as np
 from . import data as data_mod
 from .config import TrainConfig
 from .encoder import Encoder, load_checkpoint, save_checkpoint
-from .errors import ModelError, OptimizerError, PipelineError
+from .errors import SIZE_CAP, MetricError, ModelError, OptimizerError, PipelineError, check_range
 from .evaluation import (
     AttackConfig,
     ProbeModel,
-    clean_accuracy,
     robust_accuracy,
     top_k_accuracy,
     train_linear_probe,
@@ -276,13 +275,16 @@ def append_metrics(out_dir, payload):
 # ----- augmentation distributions for the shift metric -----------------------
 
 
-def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
-                    n_candidates=8):
+# Base-augmented candidates an fft draw pairs its view with, at most.
+_FFT_CANDIDATES = 8
+
+
+def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
     """Augmentation map ``t(x, rng, n)`` used by the shift-gap estimator: n draws of t(x).
 
     "identity" returns the input; "base" is the stochastic view pool; "fft"
     additionally amplitude-mixes the view toward the most feature-similar of
-    ``n_candidates`` base-augmented images drawn from ``pool_images``, which
+    ``_FFT_CANDIDATES`` base-augmented images drawn from ``pool_images``, which
     emulates the in-batch pairing at measurement time. Each closure makes all
     n draws' base views in one ``base_augment_batch`` call, and ``rng`` is
     consumed as n one-draw calls would consume it.
@@ -302,7 +304,7 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
         raise PipelineError(f"unknown augmentation mode {mode!r}")
     if encoder is None or params is None or pool_images is None:
         raise PipelineError("fft augmentation mode needs encoder, params and pool_images")
-    count = min(n_candidates, len(pool_images))
+    count = min(_FFT_CANDIDATES, len(pool_images))
     alpha = AugmentConfig(alpha=config.fft_alpha).alpha  # checked before any draw
 
     def fft_fn(image, rng, n):
@@ -338,10 +340,21 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
 
 def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, exponent=0.5,
                      tau_factor="none", seed=0, eval_data=None):
-    """Shift gap of a trained encoder under one augmentation mode."""
+    """Shift gap of a trained encoder under one augmentation mode.
+
+    A request whose draws would hold more than ``SIZE_CAP`` pixel values is
+    refused before any draw.
+    """
     if eval_data is None:
         eval_data = load_eval_data(config)
     images, labels = eval_data
+    gap_cfg = ShiftGapConfig(
+        n_mc_aug=n_mc, exponent=exponent, tau_factor=tau_factor, tau=config.tau, seed=seed
+    )
+    views_per_draw = 1 + min(_FFT_CANDIDATES, len(images)) if aug_mode == "fft" else 1
+    check_range(MetricError, "n_mc x views per draw x image values",
+                n_mc * views_per_draw * int(np.prod(np.shape(images)[1:])), 0, SIZE_CAP,
+                hi_open=False)
     augment_fn = make_augment_fn(
         aug_mode, config, encoder=encoder, params=params, pool_images=images
     )
@@ -349,9 +362,6 @@ def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, exponent=0.5,
     def feature_fn(items):
         return encoder.forward(params, np.stack(items))
 
-    gap_cfg = ShiftGapConfig(
-        n_mc_aug=n_mc, exponent=exponent, tau_factor=tau_factor, tau=config.tau, seed=seed
-    )
     pairs = list(zip(images, labels))
     return estimate_shift_gap(feature_fn, pairs, augment_fn, gap_cfg)
 
@@ -385,7 +395,7 @@ def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None,
     results = {f"top{k}": top_k_accuracy(logits, eval_data[1], k) for k in ks}
     if attack is not None:
         results["robust_top1"] = robust_accuracy(model, eval_data, attack)
-        results["clean_top1"] = clean_accuracy(model, eval_data, k=1)
+        results["clean_top1"] = top_k_accuracy(logits, eval_data[1], 1)
     return model, results
 
 

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: direct double sums, ordered-tuple
 enumerations, explicit loops. None of it shares code with the package, except
-the per-draw augmentation oracles at the end, which loop over the per-image
-contract functions (``data.base_augment`` and the per-channel fourier helpers)
-that the package's batched paths must reproduce bit for bit.
+the augmentation oracles at the end. ``base_augment`` there is the per-image
+composition of the four base ops, each drawing from its own ``op_rng``
+substream, and it uses ``data.bilinear_resize`` for the crop. The per-draw
+oracles loop over it and over the per-channel fourier helpers.
+``data.base_augment_batch`` and the package's other batched paths must
+reproduce them bit for bit.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import math
 import numpy as np
 
 from sharpshift import data, fourier, training
+from sharpshift.errors import AugmentationError
 
 
 def naive_dft2(channel):
@@ -201,7 +205,83 @@ def top_k_by_sorting(logits, labels, k):
     return hits / len(labels)
 
 
-# ----- per-draw augmentation (the batched paths must match these bit for bit) -----
+# ----- per-image and per-draw augmentation (the batched paths must match these bit for bit) -----
+
+#: Pool with every op disabled; base_augment becomes the identity.
+IDENTITY_POOL = data.AugmentPool(crop_scale=(1.0, 1.0), flip_p=0.0, jitter_p=0.0, gray_p=0.0)
+
+
+def op_rng(seed, slot):
+    # object dtype keeps every value exact: a plain array of ints >= 2**63 and
+    # smaller ones would be float64
+    entropy = [int(s) for s in np.atleast_1d(np.asarray(seed, dtype=object))]
+    return np.random.default_rng(entropy + [slot])
+
+
+def random_resized_crop(image, rng, scale):
+    """Random square-fraction crop resized back to the input shape."""
+    h, w = image.shape[:2]
+    area = rng.uniform(scale[0], scale[1])
+    side = np.sqrt(area)
+    crop_h = max(1, int(round(h * side)))
+    crop_w = max(1, int(round(w * side)))
+    top = int(rng.integers(0, h - crop_h + 1))
+    left = int(rng.integers(0, w - crop_w + 1))
+    if crop_h == h and crop_w == w:
+        return image
+    patch = image[top:top + crop_h, left:left + crop_w]
+    return data.bilinear_resize(patch, h, w)
+
+
+def horizontal_flip(image, rng, p):
+    if rng.uniform() < p:
+        return image[:, ::-1, :].copy()
+    return image
+
+
+def color_jitter(image, rng, p, strength):
+    """Brightness/contrast/saturation jitter; factors ~ U(1-s, 1+s)."""
+    apply = rng.uniform() < p
+    factors = rng.uniform(max(0.0, 1.0 - strength), 1.0 + strength, size=3)
+    if not apply:
+        return image
+    out = image * factors[0]
+    mean = out.mean()
+    out = (out - mean) * factors[1] + mean
+    if image.shape[2] == 3:
+        gray = _luminance(out)[..., None]
+        out = (out - gray) * factors[2] + gray
+    return np.clip(out, 0.0, 1.0)
+
+
+def random_grayscale(image, rng, p):
+    apply = rng.uniform() < p
+    if not apply or image.shape[2] != 3:
+        return image
+    gray = _luminance(image)
+    return np.repeat(gray[..., None], 3, axis=2)
+
+
+def _luminance(image):
+    return 0.299 * image[..., 0] + 0.587 * image[..., 1] + 0.114 * image[..., 2]
+
+
+def base_augment(image, seed, pool=data.AugmentPool()):
+    """Composition of crop, flip, color jitter, grayscale with derived seeds.
+
+    ``seed`` is an int or a list of ints; op k draws from the substream
+    SeedSequence(list(seed) + [k]) so a scripted replay of the individual ops
+    reproduces the composition exactly. Output shape equals input shape and
+    pixels stay in [0, 1].
+    """
+    image = np.asarray(image, dtype=float)
+    if image.ndim != 3:
+        raise AugmentationError(f"image must be (H, W, C), got {image.shape}")
+    out = random_resized_crop(image, op_rng(seed, data.OP_CROP), pool.crop_scale)
+    out = horizontal_flip(out, op_rng(seed, data.OP_FLIP), pool.flip_p)
+    out = color_jitter(out, op_rng(seed, data.OP_JITTER), pool.jitter_p, pool.jitter_strength)
+    out = random_grayscale(out, op_rng(seed, data.OP_GRAY), pool.gray_p)
+    return out
 
 
 def draw_betas_one_by_one(n_views, config):
@@ -213,12 +293,12 @@ def draw_betas_one_by_one(n_views, config):
 
 
 def make_views_per_image(images, indices, epoch, config, pool):
-    """The training loop's paired views, one ``base_augment`` call per view."""
+    """The training loop's paired views, one per-image ``base_augment`` call per view."""
     views = np.empty((2 * len(indices),) + images.shape[1:])
     for slot, idx in enumerate(indices):
         for v in (0, 1):
             seed = [config.seed, training.TAG_VIEW, epoch, int(idx), v]
-            views[2 * slot + v] = data.base_augment(images[idx], seed, pool)
+            views[2 * slot + v] = base_augment(images[idx], seed, pool)
     return views
 
 
@@ -229,7 +309,7 @@ def per_draw_augment_fn(mode, config, encoder=None, params=None, pool_images=Non
 
     def base_draw(image, rng):
         seed = [int(s) for s in rng.integers(0, 2**62, size=2)]
-        return data.base_augment(image, seed, aug_pool)
+        return base_augment(image, seed, aug_pool)
 
     def fft_draw(image, rng):
         view = base_draw(image, rng)

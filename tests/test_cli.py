@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -280,6 +282,57 @@ def test_adversarial_config_values_fail_cleanly(tmp_path_factory, key, data):
                 for command in (["linear-eval"], ["robust-eval"],
                                 ["shift-gap", "--aug", "fft", "--n-mc", "1"]):
                     _exits_cleanly([*command, *argv, "--checkpoint", ckpt])
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tiny")
+    argv = [f"--set={item}" for item in [*TINY_RUN, f"train.output_dir={tmp}/run"]]
+    assert main(["train", *argv]) == 0
+    return argv, str(tmp / "run" / "checkpoint.ckpt"), tmp
+
+
+# each flag with the commands that take it
+CLI_FLAG_COMMANDS = {
+    "--n-mc": [["shift-gap", "--aug", "base"], ["shift-gap", "--aug", "fft"]],
+    "--n-worlds": [["bound-lab", "--suite", "k-trend"]],
+    "--epsilon": [["robust-eval"]],
+    "--seed": [["linear-eval"], ["robust-eval"], ["shift-gap", "--aug", "fft"],
+               ["bound-lab", "--suite", "k-trend"], ["augment-preview"]],
+    "--k": [["linear-eval"]],
+    "--n": [["augment-preview"]],
+    "--alpha": [["augment-preview"]],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(CLI_FLAG_COMMANDS))
+def test_adversarial_cli_flags_fail_cleanly(tiny_run, flag):
+    """Every adversarial value of ``flag`` on the tiny run: exit 0, exit 1 with
+    ``error: ``, or argparse's rejection (exit 2). Sizes far past ``SIZE_CAP``
+    must be refused, not run."""
+    argv, ckpt, tmp = tiny_run
+    run = [*argv, "--checkpoint", ckpt]
+    context = {"bound-lab": [], "augment-preview": [*run, "--out", f"{tmp}/preview"]}
+    for command in CLI_FLAG_COMMANDS[flag]:
+        for value in ADVERSARIAL_VALUES:
+            # the "=" form hands a value such as "-inf" to the flag's type, not to the parser
+            full = [*command, *context.get(command[0], run), f"{flag}={value}"]
+            try:
+                _exits_cleanly(full)
+            except SystemExit as exc:
+                assert exc.code == 2, full
+
+
+def test_diverging_run_stderr_starts_with_error(tmp_path):
+    """pytest captures warnings raised in its own process, so the command runs in a child."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    items = [*TINY_RUN, f"train.output_dir={tmp_path}/run", "optimizer.lr=1e300"]
+    proc = subprocess.run([sys.executable, "-m", "sharpshift.cli", "train",
+                           *(f"--set={item}" for item in items)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_readme_lists_every_config_key():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpshift.data import (
-    IDENTITY_POOL,
     OP_CROP,
     OP_FLIP,
     OP_GRAY,
@@ -13,16 +12,21 @@ from sharpshift.data import (
     base_augment,
     base_augment_batch,
     bilinear_resize,
-    color_jitter,
     gen_synthetic,
-    horizontal_flip,
     load_cifar10,
-    op_rng,
-    random_grayscale,
-    random_resized_crop,
     write_image,
 )
 from sharpshift.errors import AugmentationError, IngestionError
+
+import oracles
+from oracles import (
+    IDENTITY_POOL,
+    color_jitter,
+    horizontal_flip,
+    op_rng,
+    random_grayscale,
+    random_resized_crop,
+)
 
 RECORD = 3073
 
@@ -170,6 +174,19 @@ def test_composition_matches_scripted_replay():
     assert np.array_equal(out, replay)
 
 
+def test_one_view_matches_per_image_reference():
+    """The one-view call reads every seed word exactly and keeps the image's memory order."""
+    rng = np.random.default_rng(11)
+    planar = rng.uniform(size=(3, 9, 7)).transpose(1, 2, 0)
+    seeds = [[2**63 + 5, 3], [7, 2**64 - 1, 0], [2**63], 12]
+    pools = [AugmentPool(), AugmentPool(crop_scale=(1.0, 1.0), flip_p=0.0, jitter_p=1.0)]
+    for image in (planar, np.ascontiguousarray(planar), planar[:, :, :1]):
+        for seed in seeds:
+            for pool in pools:
+                assert np.array_equal(base_augment(image, seed, pool),
+                                      oracles.base_augment(image, seed, pool))
+
+
 def test_augment_preserves_shape_and_range():
     rng = np.random.default_rng(5)
     for seed in range(20):
@@ -234,7 +251,7 @@ BATCH_POOLS = [
 def assert_batch_matches_per_image(images, seeds, pool):
     batch = base_augment_batch(images, seeds, pool)
     expected = np.stack([
-        base_augment(image, [int(s) for s in np.atleast_1d(seed)], pool)
+        oracles.base_augment(image, [int(s) for s in np.atleast_1d(seed)], pool)
         for image, seed in zip(images, seeds)
     ])
     assert batch.shape == expected.shape

@@ -102,14 +102,6 @@ def test_seed_determinism():
     assert a.per_class_gap == b.per_class_gap
 
 
-def test_missing_class_error_names_the_class():
-    data = [(0, 0), (1, 0)]
-    with pytest.raises(MetricError, match="class 1"):
-        estimate_shift_gap(
-            table_features, data, identity_aug, ShiftGapConfig(), classes=(0, 1)
-        )
-
-
 def test_monte_carlo_matches_exact_enumeration():
     data = [(0, 0), (1, 0), (2, 1), (3, 1), (4, 0), (5, 1)]
     moves, probs = [0, 1, 2], [0.5, 0.25, 0.25]
