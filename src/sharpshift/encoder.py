@@ -275,14 +275,15 @@ class Encoder:
         self._backward(p, np.asarray(gz, dtype=float), caches, self.split_params(grad))
         return float(loss), grad
 
-    def input_gradient(self, params, images, upstream, tap="backbone"):
-        """Gradient of sum(tap_features * upstream-ish) w.r.t. the input images.
+    def input_gradient(self, params, images, feature_loss, tap="backbone"):
+        """Gradient of a feature loss w.r.t. the input images, from one forward pass.
 
-        ``upstream`` is the gradient flowing into the tap-point features; the
-        return value has the shape of ``images``. Used for input-space attacks.
+        ``feature_loss`` maps the tap-point features to ``(loss, dloss/df)`` as
+        in ``loss_and_grad``; only the gradient is used. Used for input-space
+        attacks.
         """
-        _, p, caches = self._forward(params, images, tap)
-        return self._backward(p, np.asarray(upstream, dtype=float), caches)
+        feats, p, caches = self._forward(params, images, tap)
+        return self._backward(p, np.asarray(feature_loss(feats)[1], dtype=float), caches)
 
 
 # ----- conv primitives -----------------------------------------------------

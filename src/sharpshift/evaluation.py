@@ -37,13 +37,9 @@ class ProbeConfig:
 @dataclass(frozen=True)
 class AttackConfig:
     epsilon: float = FGSM_DEFAULT_EPSILON
-    pixel_min: float = 0.0
-    pixel_max: float = 1.0
 
     def __post_init__(self):
         check_range(EvaluationError, "epsilon", self.epsilon, 0)
-        if self.pixel_min >= self.pixel_max:
-            raise EvaluationError("pixel_min must be below pixel_max")
 
 
 def _as_batch(images, labels):
@@ -114,19 +110,20 @@ class ProbeModel:
     def input_gradient(self, images, labels):
         """Per-sample gradient of the tau=1 cross-entropy w.r.t. the pixels."""
         images, labels = _as_batch(images, labels)
-        _, dlogits = cross_entropy_rows(self.logits(images), labels, 1.0)
-        upstream = dlogits @ self.weights
-        return self.encoder.input_gradient(
-            self.params, images, upstream, tap=self.tap_point
-        )
+
+        def probe_loss(feats):
+            loss, dlogits = cross_entropy_rows(feats @ self.weights.T, labels, 1.0)
+            return loss.sum(), dlogits @ self.weights
+
+        return self.encoder.input_gradient(self.params, images, probe_loss, tap=self.tap_point)
 
 
 def fgsm_attack(model, images, labels, config):
-    """Sign-gradient perturbation: clip(x + eps * sign(grad_x CE), lo, hi).
+    """Sign-gradient perturbation: clip(x + eps * sign(grad_x CE), 0, 1).
 
     Accepts a single image or a batch; epsilon = 0 returns the input
-    unchanged. The result always satisfies the infinity-norm budget and the
-    pixel-range bounds.
+    unchanged. The result always satisfies the infinity-norm budget and stays
+    in the [0, 1] pixel range.
     """
     single = np.asarray(images).ndim == 3
     images, labels = _as_batch(images, labels)
@@ -136,9 +133,7 @@ def fgsm_attack(model, images, labels, config):
     grad = model.input_gradient(images, labels)
     if not np.all(np.isfinite(grad)):
         raise EvaluationError("non-finite input gradient during attack")
-    out = np.clip(
-        images + config.epsilon * np.sign(grad), config.pixel_min, config.pixel_max
-    )
+    out = np.clip(images + config.epsilon * np.sign(grad), 0.0, 1.0)
     return out[0] if single else out
 
 

@@ -11,11 +11,12 @@ fixed config yields bit-identical metrics and checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,23 +51,13 @@ def derived_seed(*parts):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-@dataclass
-class MetricsRecord:
-    """One line of the metrics stream."""
-
-    epoch: int
-    loss: float
-    lr: float
-    wall_seconds: float | None = None
-    extras: dict | None = None
-
-    def to_json(self):
-        payload = {"epoch": self.epoch, "loss": self.loss, "lr": self.lr}
-        if self.wall_seconds is not None:
-            payload["wall_seconds"] = self.wall_seconds
-        if self.extras:
-            payload.update(self.extras)
-        return json.dumps(payload, sort_keys=True)
+@contextlib.contextmanager
+def _run_path(path):
+    """Report an OS error on a run file or directory as a PipelineError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise PipelineError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def load_train_data(config: TrainConfig):
@@ -114,31 +105,6 @@ def _cifar_sides(config):
     return (images, labels), held_out
 
 
-def _feature_loss(tau):
-    """Batch contrastive loss closure mapping features -> (loss, grad)."""
-    loss_cfg = LossConfig(tau=tau)
-
-    def closure(feats):
-        return info_nce_batch_grad(feats, loss_cfg)
-
-    return closure
-
-
-class _RecordingLoss:
-    """Wraps encoder.loss_and_grad to count calls and remember loss values."""
-
-    def __init__(self, encoder, views, feature_loss):
-        self.encoder = encoder
-        self.views = views
-        self.feature_loss = feature_loss
-        self.losses = []
-
-    def __call__(self, params):
-        loss, grad = self.encoder.loss_and_grad(params, self.views, self.feature_loss)
-        self.losses.append(loss)
-        return loss, grad
-
-
 def _make_views(images, indices, epoch, config, pool):
     """Views 2i and 2i+1 of a batch are the two base augmentations of anchor i."""
     anchors = np.repeat(np.asarray(indices), 2)
@@ -167,7 +133,8 @@ def train_ssl(config: TrainConfig, resume=None):
     encoder = Encoder(config.encoder_config())
     pool = config.augment_pool()
     sam_cfg = config.sam_config()
-    feature_loss = _feature_loss(config.tau)
+    update = sam_step if config.sam_enabled else sgd_step
+    loss_cfg = LossConfig(tau=config.tau)
     fft_cfg = AugmentConfig(alpha=config.fft_alpha) if config.fft_enabled else None
     out_dir = config.resolved_output_dir()
     metrics_path = os.path.join(out_dir, METRICS_NAME)
@@ -196,15 +163,17 @@ def train_ssl(config: TrainConfig, resume=None):
     else:
         params = encoder.init_params(derived_seed(config.seed, TAG_INIT))
         velocity = np.zeros_like(params) if config.momentum > 0.0 else None
-    os.makedirs(out_dir, exist_ok=True)
-    metrics_fh = open(metrics_path, "w", encoding="utf-8")
-    for record in kept_records:
-        metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
-
+    with _run_path(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     last_checkpoint = None
-    step = 0
+    # a batch with fewer than two anchors is skipped and is not a step
+    step = start_epoch * len(range(0, len(images) - 1, config.batch_size))
 
-    try:
+    with _run_path(metrics_path):
+        metrics_fh = open(metrics_path, "w", encoding="utf-8")
+    with metrics_fh:
+        for record in kept_records:
+            metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
         for epoch in range(start_epoch, config.epochs):
             t0 = time.perf_counter()
             shuffle_rng = np.random.default_rng([config.seed, TAG_SHUFFLE, epoch])
@@ -219,40 +188,33 @@ def train_ssl(config: TrainConfig, resume=None):
                     feats = encoder.forward(params, views)
                     fft_seed = derived_seed(config.seed, TAG_FFT, epoch, b_start)
                     views = fft_augment_batch(views, feats, replace(fft_cfg, rng_seed=fft_seed))
-                recorder = _RecordingLoss(encoder, views, feature_loss)
+                losses = []  # the first is the loss at the current params
+
+                def batch_loss(p):
+                    loss, grad = encoder.loss_and_grad(
+                        p, views, lambda z: info_nce_batch_grad(z, loss_cfg))
+                    losses.append(loss)
+                    return loss, grad
+
                 try:
-                    if config.sam_enabled:
-                        params = sam_step(params, recorder, sam_cfg, step=step,
-                                          velocity=velocity)
-                    else:
-                        params = sgd_step(params, recorder, sam_cfg, step=step,
-                                          velocity=velocity)
+                    params = update(params, batch_loss, sam_cfg, step=step, velocity=velocity)
                 except (ModelError, OptimizerError) as exc:
                     raise PipelineError(
                         f"aborting at epoch {epoch} step {step}: {exc}",
                         last_checkpoint=last_checkpoint,
                     ) from exc
-                batch_loss = recorder.losses[0]
-                if not np.isfinite(batch_loss):
-                    raise PipelineError(
-                        f"non-finite loss at epoch {epoch}", last_checkpoint=last_checkpoint
-                    )
-                epoch_losses.append(batch_loss)
+                epoch_losses.append(losses[0])
                 step += 1
-            record = MetricsRecord(
-                epoch=epoch,
-                loss=float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-                lr=config.lr,
-                wall_seconds=(time.perf_counter() - t0) if config.metrics_timing else None,
-            )
-            metrics_fh.write(record.to_json() + "\n")
+            record = {"epoch": epoch, "lr": config.lr,
+                      "loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan")}
+            if config.metrics_timing:
+                record["wall_seconds"] = time.perf_counter() - t0
+            metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
             metrics_fh.flush()
             if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
                 path = os.path.join(out_dir, f"checkpoint_ep{epoch:04d}.ckpt")
                 _atomic_checkpoint(path, encoder, params, config_hash, epoch, velocity)
                 last_checkpoint = path
-    finally:
-        metrics_fh.close()
 
     _atomic_checkpoint(final_path, encoder, params, config_hash, config.epochs - 1, velocity)
     return final_path
@@ -262,13 +224,15 @@ def _atomic_checkpoint(path, encoder, params, config_hash, epoch, velocity):
     # JSON floats round-trip exactly; without momentum the header is unchanged
     extra = None if velocity is None else {"velocity": velocity.tolist()}
     tmp = path + ".tmp"
-    save_checkpoint(tmp, encoder, params, config_hash, epoch=epoch, extra=extra)
-    os.replace(tmp, path)
+    with _run_path(path):
+        save_checkpoint(tmp, encoder, params, config_hash, epoch=epoch, extra=extra)
+        os.replace(tmp, path)
 
 
 def append_metrics(out_dir, payload):
     """Append an eval record to the run's metrics stream."""
-    with open(os.path.join(out_dir, METRICS_NAME), "a", encoding="utf-8") as fh:
+    path = os.path.join(out_dir, METRICS_NAME)
+    with _run_path(path), open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -448,7 +412,7 @@ def run_experiment_matrix(variants, summary_path=None, ks=(1,), epsilon=8.0 / 25
 
 
 def _read_metrics(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _run_path(path), open(path, "r", encoding="utf-8") as fh:
         try:
             return [json.loads(line) for line in fh if line.strip()]
         except ValueError as exc:
@@ -461,7 +425,7 @@ def _write_summary(path, rows):
         for key in row:
             if key not in columns:
                 columns.append(key)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _run_path(path), open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             fh.write("\t".join(str(row.get(col, "")) for col in columns) + "\n")

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -321,6 +322,43 @@ def test_adversarial_cli_flags_fail_cleanly(tiny_run, flag):
                 _exits_cleanly(full)
             except SystemExit as exc:
                 assert exc.code == 2, full
+
+
+# (what stands in the way, the command, the path its error names), under the test's
+# directory: "name/" is a directory, any other name a file; "{ckpt}" is the tiny run's
+# checkpoint and "{copy}" a copy of it in out/.
+RUN_PATH_CASES = {
+    "output_dir_is_a_file": ("out", ["train"], "out"),
+    "output_dir_under_a_file": ("out", ["train", "--set=train.output_dir={tmp}/out/sub"],
+                                "out/sub"),
+    "metrics_is_a_directory": ("out/metrics.jsonl/", ["train"], "out/metrics.jsonl"),
+    "resume_metrics_is_a_directory": ("out/metrics.jsonl/", ["train", "--resume={ckpt}"],
+                                      "out/metrics.jsonl"),
+    "checkpoint_is_a_directory": ("out/checkpoint.ckpt/", ["train"], "out/checkpoint.ckpt"),
+    "eval_metrics_is_a_directory": ("out/metrics.jsonl/", ["linear-eval", "--checkpoint={copy}"],
+                                    "out/metrics.jsonl"),
+    "summary_under_a_file": ("out", ["matrix", "--variants=baseline"], "out/summary.tsv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_PATH_CASES))
+def test_run_path_os_errors_fail_cleanly(tiny_run, tmp_path, case):
+    in_the_way, command, named = RUN_PATH_CASES[case]
+    argv, ckpt, _ = tiny_run
+    target = tmp_path / in_the_way.rstrip("/")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    if in_the_way.endswith("/"):
+        target.mkdir()
+        shutil.copy(ckpt, tmp_path / "out" / "copy.ckpt")
+    else:
+        target.write_text("")
+    fill = {"tmp": tmp_path, "ckpt": ckpt, "copy": tmp_path / "out" / "copy.ckpt"}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command[0], *argv, f"--set=train.output_dir={tmp_path}/out",
+                     *(arg.format(**fill) for arg in command[1:])])
+    assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
+    assert str(tmp_path / named) in err.getvalue()
 
 
 def test_diverging_run_stderr_starts_with_error(tmp_path):

@@ -205,7 +205,8 @@ def test_input_gradient_matches_finite_differences(tiny, tap):
     rng = np.random.default_rng(2)
     width = enc.backbone_dim if tap == "backbone" else enc.feature_dim
     upstream = rng.standard_normal((4, width))
-    analytic = enc.input_gradient(params, images, upstream, tap=tap)
+    analytic = enc.input_gradient(params, images, lambda f: (np.sum(f * upstream), upstream),
+                                  tap=tap)
 
     def value(x):
         return float(np.sum(enc.features(params, x, tap=tap) * upstream))
@@ -226,7 +227,7 @@ def test_unknown_tap_raises(tiny):
     with pytest.raises(ModelError, match="unknown tap point"):
         enc.features(params, images, tap="head")
     with pytest.raises(ModelError, match="unknown tap point"):
-        enc.input_gradient(params, images, np.zeros((4, enc.feature_dim)), tap="head")
+        enc.input_gradient(params, images, lambda f: (0.0, np.zeros_like(f)), tap="head")
 
 
 def test_feature_continuity_under_small_perturbation(tiny):

@@ -1,9 +1,12 @@
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sharpshift import training
@@ -166,9 +169,9 @@ def test_two_runs_are_bit_identical(tmp_path):
     cfg_b = tiny_config(tmp_path, output_dir=str(tmp_path / "b"), epochs=3)
     path_a = train_ssl(cfg_a)
     path_b = train_ssl(cfg_b)
-    metrics_a = open(os.path.join(cfg_a.output_dir, METRICS_NAME), "rb").read()
-    metrics_b = open(os.path.join(cfg_b.output_dir, METRICS_NAME), "rb").read()
-    assert metrics_a == metrics_b
+    with open(os.path.join(cfg_a.output_dir, METRICS_NAME), "rb") as fa, \
+            open(os.path.join(cfg_b.output_dir, METRICS_NAME), "rb") as fb:
+        assert fa.read() == fb.read()
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         assert fa.read() == fb.read()
 
@@ -183,20 +186,15 @@ def test_wall_seconds_present_when_timing_enabled(tmp_path):
 def test_nan_injection_aborts_with_last_checkpoint(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, epochs=4, checkpoint_every=1)
     calls = {"count": 0}
-    real = training._feature_loss
+    real = training.info_nce_batch_grad
 
-    def poisoned(tau):
-        inner = real(tau)
+    def poisoned(feats, config):
+        calls["count"] += 1
+        if calls["count"] > 8:
+            return float("nan"), np.zeros_like(feats)
+        return real(feats, config)
 
-        def closure(feats):
-            calls["count"] += 1
-            if calls["count"] > 8:
-                return float("nan"), np.zeros_like(feats)
-            return inner(feats)
-
-        return closure
-
-    monkeypatch.setattr(training, "_feature_loss", poisoned)
+    monkeypatch.setattr(training, "info_nce_batch_grad", poisoned)
     with pytest.raises(PipelineError) as err:
         train_ssl(cfg)
     last = err.value.last_checkpoint
@@ -253,6 +251,64 @@ def test_momentum_resume_matches_uninterrupted_run(tmp_path):
     with open(os.path.join(straight.output_dir, METRICS_NAME), "rb") as a, \
             open(os.path.join(resumed.output_dir, METRICS_NAME), "rb") as b:
         assert a.read() == b.read()
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(epochs=st.integers(2, 4), data=st.data(), momentum=st.sampled_from([0.0, 0.9]),
+       sam=st.sampled_from(["off", "plain", "adaptive"]),
+       fft_warmup=st.sampled_from([None, 0, 1, 2]), weight_decay=st.sampled_from([0.0, 0.05]))
+def test_resume_matches_uninterrupted_run(tmp_path_factory, epochs, data, momentum, sam,
+                                          fft_warmup, weight_decay):
+    """Resuming from any epoch's checkpoint gives the uninterrupted run's bytes."""
+    k = data.draw(st.integers(0, epochs - 1), label="resume from checkpoint_ep{k}")
+    tmp = tmp_path_factory.mktemp("resume")
+    straight = TrainConfig(
+        output_dir=str(tmp / "straight"), epochs=epochs, n_per_class=6, image_size=4,
+        batch_size=4, encoder_hidden=(8,), encoder_feature_dim=4, encoder_proj_hidden=8,
+        checkpoint_every=1, momentum=momentum, weight_decay=weight_decay,
+        sam_enabled=sam != "off", sam_adaptive=sam == "adaptive",
+        fft_enabled=fft_warmup is not None, fft_warmup_epochs=fft_warmup or 0,
+    )
+    expected = _run_bytes(straight)
+    # the crashed run left its epoch-k checkpoint and a record of an epoch it never finished
+    resumed = replace(straight, output_dir=str(tmp / "resumed"))
+    os.makedirs(resumed.output_dir)
+    ckpt = f"checkpoint_ep{k:04d}.ckpt"
+    shutil.copy(os.path.join(straight.output_dir, ckpt), resumed.output_dir)
+    kept = expected[1].splitlines(keepends=True)[:k + 1]
+    with open(os.path.join(resumed.output_dir, METRICS_NAME), "wb") as fh:
+        fh.write(b"".join(kept) + b'{"epoch": %d, "loss": 0.0, "lr": 0.0}\n' % (k + 1))
+    final = train_ssl(resumed, resume=os.path.join(resumed.output_dir, ckpt))
+    with open(final, "rb") as ckpt_fh, \
+            open(os.path.join(resumed.output_dir, METRICS_NAME), "rb") as log:
+        assert (ckpt_fh.read(), log.read()) == expected
+
+
+def test_resumed_run_counts_steps_from_its_epoch(tmp_path, monkeypatch):
+    """12 images in batches of 4 make 3 steps an epoch; a NaN in the tenth step reads
+    "step 9" whether the run started at epoch 0 or resumed at epoch 2."""
+    cfg = tiny_config(tmp_path, n_per_class=6, epochs=4, checkpoint_every=1)
+    real = training.info_nce_batch_grad
+
+    def nan_after(n_calls):
+        calls = []
+
+        def poisoned(feats, config):
+            calls.append(1)
+            if len(calls) > n_calls:
+                return float("nan"), np.zeros_like(feats)
+            return real(feats, config)
+
+        return poisoned
+
+    messages = []
+    for n_calls, resume in ((9, None), (3, "checkpoint_ep0001.ckpt")):
+        monkeypatch.setattr(training, "info_nce_batch_grad", nan_after(n_calls))
+        with pytest.raises(PipelineError) as err:
+            train_ssl(cfg, resume=resume and os.path.join(cfg.output_dir, resume))
+        messages.append(str(err.value))
+    assert messages[0].startswith("aborting at epoch 3 step 9:")
+    assert messages[1] == messages[0]
 
 
 def test_resume_with_corrupt_metrics_fails_cleanly(tmp_path):
@@ -394,6 +450,23 @@ def test_shift_gap_matches_per_draw_oracle(tmp_path, monkeypatch, overrides, mod
     monkeypatch.setattr(training, "make_augment_fn", oracles.per_draw_augment_fn)
     for (c, seed), report in zip(cases, reports):
         assert report == shift_gap_report(c, encoder, params, mode, n_mc=4, seed=seed).to_json()
+
+
+def test_robust_eval_runs_the_eval_split_through_the_encoder_three_times(tmp_path, monkeypatch):
+    """Once for the clean logits, once for the attack's gradient, once for the attacked logits."""
+    cfg = tiny_config(tmp_path, epochs=1)
+    encoder, params, _ = training.load_run(train_ssl(cfg))
+    n_eval = len(load_eval_data(cfg)[1])
+    sizes = []
+    real = Encoder._forward
+
+    def counting(self, params, images, tap):
+        sizes.append(len(images))
+        return real(self, params, images, tap)
+
+    monkeypatch.setattr(Encoder, "_forward", counting)
+    training.evaluate_probe(cfg, encoder, params, epsilon=8.0 / 255.0)
+    assert n_eval != len(load_train_data(cfg)[1]) and sizes.count(n_eval) == 3
 
 
 def test_shift_gap_report_runs(tmp_path):
