@@ -12,7 +12,7 @@ import numpy as np
 from . import bounds, data, training
 from .config import load_config
 from .encoder import Encoder
-from .errors import AugmentationError, EvaluationError, SharpshiftError, check_range
+from .errors import AugmentationError, EvaluationError, SharpshiftError, check_range, os_errors
 from .fourier import AugmentConfig, draw_betas, fft_augment_batch
 
 
@@ -61,15 +61,13 @@ def _cmd_linear_eval(args):
     if args.dump_features:
         images, labels = training.load_eval_data(config)
         feats = encoder.features(params, images, tap=config.probe_tap_point)
-        try:
-            with open(args.dump_features, "w", encoding="utf-8") as fh:
-                for row, label in zip(feats, labels):
-                    fh.write(",".join([str(int(label))] + [repr(float(v)) for v in row]) + "\n")
-        except OSError as exc:
-            raise EvaluationError(f"cannot write {args.dump_features}: {exc.strerror}") from exc
+        with (os_errors(EvaluationError, args.dump_features),
+              open(args.dump_features, "w", encoding="utf-8") as fh):
+            for row, label in zip(feats, labels):
+                fh.write(",".join([str(int(label))] + [repr(float(v)) for v in row]) + "\n")
         print(f"features written to {args.dump_features}")
     payload = {"event": "linear_eval", "checkpoint": args.checkpoint, **results}
-    training.append_metrics(os.path.dirname(args.checkpoint) or ".", payload)
+    training.append_metrics(args.checkpoint, payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -88,7 +86,7 @@ def _cmd_robust_eval(args):
         "epsilon": args.epsilon,
         **results,
     }
-    training.append_metrics(os.path.dirname(args.checkpoint) or ".", payload)
+    training.append_metrics(args.checkpoint, payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -102,9 +100,8 @@ def _cmd_shift_gap(args):
         seed=args.seed,
     )
     record = report.to_json()
-    training.append_metrics(os.path.dirname(args.checkpoint) or ".",
-                            {"event": "shift_gap", "aug": args.aug,
-                             **json.loads(record)})
+    training.append_metrics(args.checkpoint,
+                            {"event": "shift_gap", "aug": args.aug, **json.loads(record)})
     print(record)
     return 0
 
@@ -133,14 +130,15 @@ def _cmd_augment_preview(args):
     feats = encoder.forward(params, batch)
     mixed = fft_augment_batch(batch, feats, fft_cfg)
     betas = draw_betas(count, fft_cfg)
-    try:
+    with os_errors(AugmentationError, args.out):
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise AugmentationError(f"cannot write previews to {args.out}: {exc.strerror}") from exc
     for i in range(count):
-        data.write_image(os.path.join(args.out, f"view_{i:03d}_before.ppm"), batch[i])
-        data.write_image(os.path.join(args.out, f"view_{i:03d}_after.ppm"), mixed[i])
-    with open(os.path.join(args.out, "betas.txt"), "w", encoding="utf-8") as fh:
+        for side, views in (("before", batch), ("after", mixed)):
+            path = os.path.join(args.out, f"view_{i:03d}_{side}.ppm")
+            with os_errors(AugmentationError, path):
+                data.write_image(path, views[i])
+    path = os.path.join(args.out, "betas.txt")
+    with os_errors(AugmentationError, path), open(path, "w", encoding="utf-8") as fh:
         for i in range(count):
             fh.write(f"view_{i:03d} beta={betas[i]!r}\n")
     print(f"wrote {count} before/after pairs to {args.out}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 
 from .data import AugmentPool
 from .encoder import EncoderConfig
-from .errors import SIZE_CAP, PipelineError, check_range
+from .errors import SIZE_CAP, PipelineError, check_range, os_errors
 from .evaluation import ProbeConfig
 from .sam import SamConfig
 
@@ -203,11 +203,11 @@ def _parse(key, raw, template):
 
 def parse_config_file(path):
     """Flat key-value text: one ``key = value`` per line, '#' comments."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with os_errors(PipelineError, path), open(path, "r", encoding="utf-8") as fh:
+        try:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PipelineError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise PipelineError(f"{path}: {exc}") from exc
     mapping = {}
     for lineno, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()

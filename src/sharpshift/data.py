@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AugmentationError, IngestionError, check_range
+from .errors import AugmentationError, IngestionError, check_range, os_errors
 from .streams import Streams
 
 RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes (R, G, B planes)
@@ -21,10 +21,8 @@ def load_cifar10(directory):
     Files are read in name order and records keep their file order; see
     ``read_cifar_batch`` for the record layout.
     """
-    try:
+    with os_errors(IngestionError, directory):
         names = os.listdir(directory)
-    except OSError as exc:
-        raise IngestionError(f"cannot list {directory}: {exc.strerror}") from exc
     paths = sorted(
         os.path.join(directory, name)
         for name in names
@@ -43,7 +41,7 @@ def read_cifar_batch(path):
     three 32x32 row-major planes. Pixels are scaled to [0, 1]. Truncated files
     and out-of-range labels fail loudly.
     """
-    with open(path, "rb") as fh:
+    with os_errors(IngestionError, path), open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) % RECORD_BYTES != 0:
         raise IngestionError(

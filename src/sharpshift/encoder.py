@@ -17,12 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SIZE_CAP, ModelError, check_range
+from .errors import SIZE_CAP, ModelError, check_range, os_errors
 
 _NORM_EPS = 1e-12
 _CHECKPOINT_MAGIC = b"SHARPSHIFT-CKPT-1\n"
@@ -342,7 +343,8 @@ class Checkpoint:
 
 
 def save_checkpoint(path, encoder, params, train_config_hash, epoch=0, extra=None):
-    """Write a checkpoint with deterministic bytes (header json + raw float64)."""
+    """Write a checkpoint with deterministic bytes (header json + raw float64), atomically:
+    a failed write leaves neither a partial ``path`` nor its ``<path>.tmp``."""
     params = np.asarray(params, dtype=float)
     if params.shape != (encoder.n_params,):
         raise ModelError(
@@ -356,20 +358,24 @@ def save_checkpoint(path, encoder, params, train_config_hash, epoch=0, extra=Non
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(params.astype("<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    with os_errors(ModelError, path):
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_CHECKPOINT_MAGIC)
+                fh.write(struct.pack("<Q", len(blob)))
+                fh.write(blob)
+                fh.write(params.astype("<f8").tobytes())
+            os.replace(tmp, path)
+        finally:
+            if os.path.isfile(tmp):  # the write or the replace failed
+                os.remove(tmp)
 
 
 def load_checkpoint(path):
     """Read a checkpoint; any truncation, corrupt header or size mismatch is a ModelError."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise ModelError(f"{path}: cannot read checkpoint ({exc})") from exc
+    with os_errors(ModelError, path), open(path, "rb") as fh:
+        blob = fh.read()
     if blob[:len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
         raise ModelError(f"{path}: not a checkpoint file")
     start = len(_CHECKPOINT_MAGIC) + 8

@@ -1,5 +1,6 @@
-"""Error taxonomy shared by all subsystems, and the one range check they all use."""
+"""Error taxonomy shared by all subsystems, the one range check and the one OS-error guard."""
 
+import contextlib
 import math
 
 #: Largest count the program allocates or loops over: the values of one array
@@ -19,6 +20,15 @@ def check_range(error, name, value, lo, hi=math.inf, lo_open=False, hi_open=True
         bounds = f"{'[('[lo_open]}{lo}, {hi}{'])'[hi_open]}"
         raise error(f"{name} must lie in {bounds}, got {value}")
     return value + 0  # -0.0 + 0 is 0.0, and an int stays an int
+
+
+@contextlib.contextmanager
+def os_errors(error, path):
+    """Raise an ``OSError`` from inside the block as ``error``, "<path>: <strerror>"."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from exc
 
 
 class SharpshiftError(Exception):

@@ -11,7 +11,6 @@ fixed config yields bit-identical metrics and checkpoints.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import os
@@ -23,7 +22,8 @@ import numpy as np
 from . import data as data_mod
 from .config import TrainConfig
 from .encoder import Encoder, load_checkpoint, save_checkpoint
-from .errors import SIZE_CAP, MetricError, ModelError, OptimizerError, PipelineError, check_range
+from .errors import (SIZE_CAP, MetricError, ModelError, OptimizerError, PipelineError,
+                     check_range, os_errors)
 from .evaluation import (
     AttackConfig,
     ProbeModel,
@@ -49,15 +49,6 @@ def derived_seed(*parts):
     """Collapse a tag path into one integer seed."""
     seq = np.random.SeedSequence([int(p) for p in parts])
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-@contextlib.contextmanager
-def _run_path(path):
-    """Report an OS error on a run file or directory as a PipelineError naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise PipelineError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def load_train_data(config: TrainConfig):
@@ -163,15 +154,15 @@ def train_ssl(config: TrainConfig, resume=None):
     else:
         params = encoder.init_params(derived_seed(config.seed, TAG_INIT))
         velocity = np.zeros_like(params) if config.momentum > 0.0 else None
-    with _run_path(out_dir):
+    with os_errors(PipelineError, out_dir):
         os.makedirs(out_dir, exist_ok=True)
     last_checkpoint = None
     # a batch with fewer than two anchors is skipped and is not a step
     step = start_epoch * len(range(0, len(images) - 1, config.batch_size))
 
-    with _run_path(metrics_path):
-        metrics_fh = open(metrics_path, "w", encoding="utf-8")
-    with metrics_fh:
+    # the guard covers the whole loop: every write and flush of the stream, and its close
+    with (os_errors(PipelineError, metrics_path),
+          open(metrics_path, "w", encoding="utf-8") as metrics_fh):
         for record in kept_records:
             metrics_fh.write(json.dumps(record, sort_keys=True) + "\n")
         for epoch in range(start_epoch, config.epochs):
@@ -213,26 +204,23 @@ def train_ssl(config: TrainConfig, resume=None):
             metrics_fh.flush()
             if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
                 path = os.path.join(out_dir, f"checkpoint_ep{epoch:04d}.ckpt")
-                _atomic_checkpoint(path, encoder, params, config_hash, epoch, velocity)
+                _write_checkpoint(path, encoder, params, config_hash, epoch, velocity)
                 last_checkpoint = path
 
-    _atomic_checkpoint(final_path, encoder, params, config_hash, config.epochs - 1, velocity)
+    _write_checkpoint(final_path, encoder, params, config_hash, config.epochs - 1, velocity)
     return final_path
 
 
-def _atomic_checkpoint(path, encoder, params, config_hash, epoch, velocity):
+def _write_checkpoint(path, encoder, params, config_hash, epoch, velocity):
     # JSON floats round-trip exactly; without momentum the header is unchanged
     extra = None if velocity is None else {"velocity": velocity.tolist()}
-    tmp = path + ".tmp"
-    with _run_path(path):
-        save_checkpoint(tmp, encoder, params, config_hash, epoch=epoch, extra=extra)
-        os.replace(tmp, path)
+    save_checkpoint(path, encoder, params, config_hash, epoch=epoch, extra=extra)
 
 
-def append_metrics(out_dir, payload):
-    """Append an eval record to the run's metrics stream."""
-    path = os.path.join(out_dir, METRICS_NAME)
-    with _run_path(path), open(path, "a", encoding="utf-8") as fh:
+def append_metrics(checkpoint_path, payload):
+    """Append an eval record to the metrics stream beside a run's checkpoint."""
+    path = os.path.join(os.path.dirname(checkpoint_path), METRICS_NAME)
+    with os_errors(PipelineError, path), open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -412,7 +400,7 @@ def run_experiment_matrix(variants, summary_path=None, ks=(1,), epsilon=8.0 / 25
 
 
 def _read_metrics(path):
-    with _run_path(path), open(path, "r", encoding="utf-8") as fh:
+    with os_errors(PipelineError, path), open(path, "r", encoding="utf-8") as fh:
         try:
             return [json.loads(line) for line in fh if line.strip()]
         except ValueError as exc:
@@ -425,7 +413,7 @@ def _write_summary(path, rows):
         for key in row:
             if key not in columns:
                 columns.append(key)
-    with _run_path(path), open(path, "w", encoding="utf-8") as fh:
+    with os_errors(PipelineError, path), open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(columns) + "\n")
         for row in rows:
             fh.write("\t".join(str(row.get(col, "")) for col in columns) + "\n")

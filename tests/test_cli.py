@@ -324,41 +324,63 @@ def test_adversarial_cli_flags_fail_cleanly(tiny_run, flag):
                 assert exc.code == 2, full
 
 
-# (what stands in the way, the command, the path its error names), under the test's
-# directory: "name/" is a directory, any other name a file; "{ckpt}" is the tiny run's
-# checkpoint and "{copy}" a copy of it in out/.
+# (what the test's directory holds, the command, the path its error names). Of the
+# entries held, "name/" is a directory, "name -> target" a symlink, "*.bin" a CIFAR-style
+# batch, "*.ckpt" a copy of the tiny run's checkpoint and any other name an empty file.
+# "{ckpt}" in the command is the tiny run's checkpoint.
 RUN_PATH_CASES = {
-    "output_dir_is_a_file": ("out", ["train"], "out"),
-    "output_dir_under_a_file": ("out", ["train", "--set=train.output_dir={tmp}/out/sub"],
+    "output_dir_is_a_file": (["out"], ["train"], "out"),
+    "output_dir_under_a_file": (["out"], ["train", "--set=train.output_dir={tmp}/out/sub"],
                                 "out/sub"),
-    "metrics_is_a_directory": ("out/metrics.jsonl/", ["train"], "out/metrics.jsonl"),
-    "resume_metrics_is_a_directory": ("out/metrics.jsonl/", ["train", "--resume={ckpt}"],
+    "metrics_is_a_directory": (["out/metrics.jsonl/"], ["train"], "out/metrics.jsonl"),
+    "resume_metrics_is_a_directory": (["out/metrics.jsonl/"], ["train", "--resume={ckpt}"],
                                       "out/metrics.jsonl"),
-    "checkpoint_is_a_directory": ("out/checkpoint.ckpt/", ["train"], "out/checkpoint.ckpt"),
-    "eval_metrics_is_a_directory": ("out/metrics.jsonl/", ["linear-eval", "--checkpoint={copy}"],
+    "metrics_is_dev_full": (["out/metrics.jsonl -> /dev/full"], ["train"], "out/metrics.jsonl"),
+    "checkpoint_is_a_directory": (["out/checkpoint.ckpt/"], ["train"], "out/checkpoint.ckpt"),
+    "eval_metrics_is_a_directory": (["out/metrics.jsonl/", "out/copy.ckpt"],
+                                    ["linear-eval", "--checkpoint={tmp}/out/copy.ckpt"],
                                     "out/metrics.jsonl"),
-    "summary_under_a_file": ("out", ["matrix", "--variants=baseline"], "out/summary.tsv"),
+    "summary_under_a_file": (["out"], ["matrix", "--variants=baseline"], "out/summary.tsv"),
+    "cifar_batch_is_a_directory": (["cifar/data_batch_1.bin/"], ["train", "--data={tmp}/cifar"],
+                                   "cifar/data_batch_1.bin"),
+    "cifar_test_batch_is_a_directory": (["cifar/data_batch_1.bin", "cifar/test_batch.bin/"],
+                                        ["train", "--data={tmp}/cifar"], "cifar/test_batch.bin"),
+    "preview_image_is_a_directory": (["preview/view_000_before.ppm/"],
+                                     ["augment-preview", "--out={tmp}/preview"],
+                                     "preview/view_000_before.ppm"),
+    "preview_betas_is_a_directory": (["preview/betas.txt/"],
+                                     ["augment-preview", "--out={tmp}/preview"],
+                                     "preview/betas.txt"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RUN_PATH_CASES))
 def test_run_path_os_errors_fail_cleanly(tiny_run, tmp_path, case):
-    in_the_way, command, named = RUN_PATH_CASES[case]
+    held, command, named = RUN_PATH_CASES[case]
     argv, ckpt, _ = tiny_run
-    target = tmp_path / in_the_way.rstrip("/")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    if in_the_way.endswith("/"):
-        target.mkdir()
-        shutil.copy(ckpt, tmp_path / "out" / "copy.ckpt")
-    else:
-        target.write_text("")
-    fill = {"tmp": tmp_path, "ckpt": ckpt, "copy": tmp_path / "out" / "copy.ckpt"}
+    for entry in held:
+        name, _, link = entry.partition(" -> ")
+        target = tmp_path / name.rstrip("/")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if link and not os.path.exists(link):
+            pytest.skip(f"{link} does not exist here")
+        if link:
+            target.symlink_to(link)
+        elif name.endswith("/"):
+            target.mkdir()
+        elif name.endswith(".bin"):
+            write_fake_cifar(target.parent, name=target.name)
+        elif name.endswith(".ckpt"):
+            shutil.copy(ckpt, target)
+        else:
+            target.write_text("")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command[0], *argv, f"--set=train.output_dir={tmp_path}/out",
-                     *(arg.format(**fill) for arg in command[1:])])
+                     *(arg.format(tmp=tmp_path, ckpt=ckpt) for arg in command[1:])])
     assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
     assert str(tmp_path / named) in err.getvalue()
+    assert not list(tmp_path.rglob("*.tmp"))  # a failed checkpoint write leaves no temporary
 
 
 def test_diverging_run_stderr_starts_with_error(tmp_path):

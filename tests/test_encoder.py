@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import re
 import struct
 
 import numpy as np
@@ -267,6 +270,23 @@ def test_checkpoint_bytes_are_deterministic(tmp_path, tiny):
     save_checkpoint(a, enc, params, "h")
     save_checkpoint(b, enc, params, "h")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_the_old_file_and_no_temporary(tmp_path, monkeypatch):
+    enc = Encoder(TINY_MLP)
+    params = enc.init_params(0)
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(path, enc, params, "old")
+    old = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: {os.strerror(errno.EXDEV)}$"):
+        save_checkpoint(path, enc, params + 1.0, "new")
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["enc.ckpt"]
 
 
 def test_checkpoint_layout_mismatch_fails_loudly(tmp_path):
