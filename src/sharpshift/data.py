@@ -191,7 +191,9 @@ def _augment_chunk(images, seeds, pool):
     - gray: a 3-channel view becomes its luminance with probability gray_p
 
     All substreams are seeded and drawn together by ``Streams``, and each pixel op
-    does one view's arithmetic on every selected view at once.
+    does one view's arithmetic on every selected view at once. Crop and flip write each
+    view once: the flip is folded into the resize taps, and a view that is not resized
+    is copied straight from its (possibly reversed) image. ``images`` is never written.
     """
     n, h, w, channels = images.shape
     entropy = np.empty((4 * n, seeds.shape[1] + 1), dtype=seeds.dtype)
@@ -210,15 +212,16 @@ def _augment_chunk(images, seeds, pool):
     crop_w = np.maximum(1, np.rint(w * side).astype(np.int64))
     top = crop.integers(h - crop_h + 1)
     left = crop.integers(w - crop_w + 1)
-    out = images.copy()
+    src = np.ascontiguousarray(images)
+    out = np.empty_like(src)
+    flipped = first[OP_FLIP] < pool.flip_p
     is_resized = (crop_h != h) | (crop_w != w)
     resized = np.flatnonzero(is_resized)
     if len(resized):
-        out[resized] = _resize_crops(out, resized, top[resized], left[resized],
-                                     crop_h[resized], crop_w[resized])
-
-    flipped = first[OP_FLIP] < pool.flip_p
-    out[flipped] = out[flipped, :, ::-1]
+        out[resized] = _resize_crops(src, resized, top[resized], left[resized],
+                                     crop_h[resized], crop_w[resized], flipped[resized])
+    for i in np.flatnonzero(~is_resized):
+        out[i] = src[i, :, ::-1] if flipped[i] else src[i]
 
     factors = jitter.uniform(max(0.0, 1.0 - pool.jitter_strength), 1.0 + pool.jitter_strength,
                              size=3)
@@ -258,23 +261,34 @@ def _bilinear_taps(out_size, in_sizes):
     return lo, hi, np.clip(coord - lo, 0.0, 1.0)
 
 
-def _resize_crops(images, index, top, left, crop_h, crop_w):
-    """``bilinear_resize(images[i, top:top+crop_h, left:left+crop_w], H, W)`` for each i in index.
+def _resize_crops(images, index, top, left, crop_h, crop_w, flipped):
+    """``bilinear_resize(images[i, top:top+crop_h, left:left+crop_w], H, W)`` for each i in index,
+    with its columns reversed where ``flipped``.
 
-    ``images`` must be C-contiguous: the four corner pixels of every output
-    pixel are gathered from it with one flat ``np.take`` over pixels.
+    Each crop row is blended along x once, then each output row blends two of those
+    rows; every output pixel does ``bilinear_resize``'s arithmetic in its order. The
+    flip is folded into the column taps: a flipped row reverses its ``x0``, ``x1`` and
+    ``wx``, so each output pixel is computed as its mirror in the unflipped view.
+    ``images`` must be C-contiguous: the two column taps of every crop pixel are
+    gathered from it with one flat ``np.take`` over pixels.
     """
     _, h, w, channels = images.shape
+    m, rows_per_crop = len(index), int(crop_h.max())
     y0, y1, wy = _bilinear_taps(h, crop_h)
-    x0, x1, wx = _bilinear_taps(w, crop_w)
-    rows = (index[:, None] * h + top[:, None] + np.stack([y0, y1])) * w  # (2, m, H)
+    x0, x1, wx = (np.where(flipped[:, None], tap[:, ::-1], tap)
+                  for tap in _bilinear_taps(w, crop_w))
+    # crop rows 0..rows_per_crop-1, a shorter crop repeating its last row
+    crop_rows = np.minimum(np.arange(rows_per_crop), crop_h[:, None] - 1)
+    rows = (index[:, None] * h + top[:, None] + crop_rows) * w  # (m, rows)
     cols = left[:, None] + np.stack([x0, x1])  # (2, m, W)
-    pixels = rows[:, None, :, :, None] + cols[None, :, :, None, :]  # (2, 2, m, H, W)
-    taps = np.take(images.reshape(-1, channels), pixels, axis=0).reshape(2, 2, -1, h, w * channels)
+    pixels = rows[None, :, :, None] + cols[:, :, None, :]  # (2, m, rows, W)
+    taps = np.take(images.reshape(-1, channels), pixels, axis=0).reshape(
+        2, m, rows_per_crop, w * channels)
     # weights repeated over channels, so that each product runs over whole rows
     wx, wy = np.repeat(wx, channels, axis=1)[:, None, :], wy[:, :, None]
-    upper = taps[0, 0] * (1 - wx) + taps[0, 1] * wx
-    lower = taps[1, 0] * (1 - wx) + taps[1, 1] * wx
+    across = (taps[0] * (1 - wx) + taps[1] * wx).reshape(m * rows_per_crop, w * channels)
+    first = np.arange(m)[:, None] * rows_per_crop
+    upper, lower = np.take(across, first + y0, axis=0), np.take(across, first + y1, axis=0)
     return (upper * (1 - wy) + lower * wy).reshape(-1, h, w, channels)
 
 

@@ -135,6 +135,9 @@ class Encoder:
         layers.append(("normalize", None))
         self._taps["projection"] = len(layers)
         self._layers = tuple(layers)
+        # parameter gradients are complete once the backward loop has passed this layer
+        self._first_weighted = next(i for i, (op, _) in enumerate(layers)
+                                    if op in ("linear", "conv"))
 
         layout, offset = [], 0
         for name, shape in segments:
@@ -226,9 +229,12 @@ class Encoder:
     def _backward(self, p, g, caches, grads=None):
         """Run back over the cached layers; returns the gradient at the input images.
 
-        Parameter gradients are added into ``grads`` (named views) when it is given.
+        With ``grads`` (named views), parameter gradients are added into it instead and
+        the loop stops at the first layer with parameters, returning None: the input
+        gradient below it would be thrown away.
         """
-        for (op, name), cache in zip(reversed(self._layers[:len(caches)]), reversed(caches)):
+        for index in reversed(range(len(caches))):
+            (op, name), cache = self._layers[index], caches[index]
             if op == "center":
                 g = 2.0 * g  # undoes the fixed input normalization for pixel gradients
             elif op == "flatten":
@@ -237,6 +243,8 @@ class Encoder:
                 if grads is not None:
                     grads[f"{name}.W"] += cache.T @ g
                     grads[f"{name}.b"] += g.sum(axis=0)
+                    if index == self._first_weighted:
+                        return None
                 g = g @ p[f"{name}.W"].T
             elif op == "conv":
                 w = p[f"{name}.W"]
@@ -245,6 +253,8 @@ class Encoder:
                     grads[f"{name}.W"] += np.tensordot(
                         cols, g, axes=([0, 1, 2], [0, 1, 2])).reshape(w.shape)
                     grads[f"{name}.b"] += g.sum(axis=(0, 1, 2))
+                    if index == self._first_weighted:
+                        return None
                 g = _col2im(g @ w.reshape(-1, w.shape[-1]).T, x_shape)
             elif op == "relu":
                 g = g * cache
@@ -295,37 +305,35 @@ def _conv_out(size):
     return (size + 2 * Encoder.CONV_PAD - Encoder.CONV_KERNEL) // Encoder.CONV_STRIDE + 1
 
 
-def _windows(x_shape):
-    """Conv output size, and one (padded-input window, patch columns) index pair per kernel tap."""
-    k, s = Encoder.CONV_KERNEL, Encoder.CONV_STRIDE
-    _, h, w, c = x_shape
-    out_h, out_w = _conv_out(h), _conv_out(w)
-    pairs = [
-        ((slice(None), slice(i, i + s * out_h, s), slice(j, j + s * out_w, s)),
-         (Ellipsis, slice((i * k + j) * c, (i * k + j + 1) * c)))
-        for i in range(k) for j in range(k)
-    ]
-    return out_h, out_w, pairs
-
-
 def _im2col(x):
-    """(n, h, w, c) images -> (n, out_h, out_w, k*k*c) patches of the zero-padded input."""
-    pad = Encoder.CONV_PAD
-    out_h, out_w, pairs = _windows(x.shape)
+    """(n, h, w, c) images -> (n, out_h, out_w, k*k*c) patches of the zero-padded input.
+
+    The patches are one strided read-only view of the padded input, (n, out_h, out_w, k, k, c),
+    copied once into C order; a patch row holds its taps in (i, j, channel) order.
+    """
+    k, s, pad = Encoder.CONV_KERNEL, Encoder.CONV_STRIDE, Encoder.CONV_PAD
+    n, h, w, c = x.shape
+    out_h, out_w = _conv_out(h), _conv_out(w)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    cols = np.empty((x.shape[0], out_h, out_w, Encoder.CONV_KERNEL ** 2 * x.shape[3]))
-    for window, columns in pairs:
-        cols[columns] = xp[window]
-    return cols
+    sn, sh, sw, sc = xp.strides
+    patches = np.lib.stride_tricks.as_strided(
+        xp, (n, out_h, out_w, k, k, c), (sn, s * sh, s * sw, sh, sw, sc), writeable=False)
+    return np.ascontiguousarray(patches).reshape(n, out_h, out_w, k * k * c)
 
 
 def _col2im(dcols, x_shape):
-    """Adjoint of _im2col: add patch gradients back onto the (unpadded) input."""
-    pad = Encoder.CONV_PAD
+    """Adjoint of _im2col: add patch gradients back onto the (unpadded) input.
+
+    The taps are added in (i, j) order, one strided add per tap.
+    """
+    k, s, pad = Encoder.CONV_KERNEL, Encoder.CONV_STRIDE, Encoder.CONV_PAD
     n, h, w, c = x_shape
+    out_h, out_w = dcols.shape[1:3]
+    taps = dcols.reshape(n, out_h, out_w, k, k, c)
     dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
-    for window, columns in _windows(x_shape)[2]:
-        dxp[window] += dcols[columns]
+    for i in range(k):
+        for j in range(k):
+            dxp[:, i:i + s * out_h:s, j:j + s * out_w:s] += taps[:, :, :, i, j]
     return dxp[:, pad:pad + h, pad:pad + w, :]
 
 

@@ -343,10 +343,12 @@ def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None,
     model = ProbeModel(
         encoder=encoder, params=params, weights=weights, tap_point=probe_cfg.tap_point
     )
-    logits = model.logits(eval_data[0])
+    clean = []  # with an attack, its forward pass gives the clean logits
+    robust = None if attack is None else robust_accuracy(model, eval_data, attack, clean)
+    logits = clean[0] if clean else model.logits(eval_data[0])
     results = {f"top{k}": top_k_accuracy(logits, eval_data[1], k) for k in ks}
     if attack is not None:
-        results["robust_top1"] = robust_accuracy(model, eval_data, attack)
+        results["robust_top1"] = robust
         results["clean_top1"] = top_k_accuracy(logits, eval_data[1], 1)
     return model, results
 

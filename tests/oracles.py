@@ -183,6 +183,33 @@ def naive_conv(x, w, b, stride, pad):
     return out
 
 
+def im2col_per_tap(x, k, stride, pad):
+    """(n, h, w, c) -> (n, out_h, out_w, k*k*c) patches, one strided window copy per tap (i, j)."""
+    n, h, w, c = x.shape
+    out_h = (h + 2 * pad - k) // stride + 1
+    out_w = (w + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = np.empty((n, out_h, out_w, k * k * c))
+    for i in range(k):
+        for j in range(k):
+            tap = (i * k + j) * c
+            cols[..., tap:tap + c] = xp[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
+    return cols
+
+
+def col2im_per_tap(dcols, x_shape, k, stride, pad):
+    """Adjoint of ``im2col_per_tap``: one strided window add per tap, in tap order (i, j)."""
+    n, h, w, c = x_shape
+    out_h, out_w = dcols.shape[1:3]
+    dxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    for i in range(k):
+        for j in range(k):
+            tap = (i * k + j) * c
+            dxp[:, i:i + stride * out_h:stride, j:j + stride * out_w:stride] += \
+                dcols[..., tap:tap + c]
+    return dxp[:, pad:pad + h, pad:pad + w, :]
+
+
 def pac_penalty_direct(n, t, delta, rho, tau, beta, theta_norm):
     """One-line independent evaluation of the concrete penalty."""
     sigma = rho / (np.sqrt(t) + np.sqrt(np.log(n)))

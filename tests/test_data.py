@@ -287,6 +287,24 @@ def test_batch_takes_int_seeds_and_empty_batches():
         base_augment_batch(images[0], [1], AugmentPool())
 
 
+@pytest.mark.parametrize("pool", BATCH_POOLS)
+def test_batch_never_writes_its_input(pool):
+    """Contiguous, read-only and broadcast inputs keep their bytes and match the oracle."""
+    rng = np.random.default_rng(12)
+    images = rng.uniform(size=(48, 32, 32, 3))  # two chunks
+    seeds = rng.integers(0, 2**62, size=(48, 2))
+    before = images.tobytes()
+    out = base_augment_batch(images, seeds, pool)
+    assert images.tobytes() == before and not np.shares_memory(out, images)
+    assert_batch_matches_per_image(images, seeds, pool)
+    readonly = images.copy()
+    readonly.setflags(write=False)
+    assert np.array_equal(base_augment_batch(readonly, seeds, pool), out)
+    # the shift gap's base draws: one image broadcast to every row
+    assert_batch_matches_per_image(np.broadcast_to(images[5], images.shape), seeds, pool)
+    assert images.tobytes() == before
+
+
 @st.composite
 def pools(draw):
     lo = draw(st.floats(0.01, 1.0))

@@ -4,9 +4,12 @@ import os
 import re
 import struct
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sharpshift import encoder as encoder_mod
 from sharpshift.encoder import (
     Encoder,
     EncoderConfig,
@@ -16,7 +19,7 @@ from sharpshift.encoder import (
 from sharpshift.errors import ModelError
 from sharpshift.losses import LossConfig, info_nce_batch_grad
 
-from oracles import finite_diff_gradient, naive_conv
+from oracles import col2im_per_tap, finite_diff_gradient, im2col_per_tap, naive_conv
 
 TINY_MLP = EncoderConfig(
     architecture="mlp", input_shape=(4, 4, 1), hidden=(6,), feature_dim=4, proj_hidden=6
@@ -117,6 +120,24 @@ def test_one_pixel_input_survives_every_conv_block():
     assert enc.forward(enc.init_params(0), np.full((1, 1, 1), 0.7)).shape == (1, 2)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 5, 7, 3), (3, 16, 16, 8), (4, 32, 32, 3)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_conv_kernels_match_per_tap_oracle(shape):
+    k, s, pad = Encoder.CONV_KERNEL, Encoder.CONV_STRIDE, Encoder.CONV_PAD
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape)
+    cols = encoder_mod._im2col(x)
+    expected = im2col_per_tap(x, k, s, pad)
+    assert cols.shape == expected.shape and np.array_equal(cols, expected)
+    dcols = rng.standard_normal(cols.shape)
+    dx = encoder_mod._col2im(dcols, shape)
+    expected = col2im_per_tap(dcols, shape, k, s, pad)
+    assert dx.shape == shape and np.array_equal(dx, expected)
+    # adjoint: <im2col(x), d> == <x, col2im(d)>, up to rounding of the sums
+    lhs, rhs = np.sum(cols * dcols), np.sum(x * dx)
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(cols * dcols))
+
+
 # ----- parameter layout ----------------------------------------------------------
 
 
@@ -190,6 +211,47 @@ def test_gradient_agreement_over_seeds():
             lambda q: enc.loss_and_grad(q, images, fl)[0], params, 1e-5
         )
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-4
+
+
+@pytest.mark.parametrize("config", [
+    TINY_MLP, replace(TINY_MLP, center_input=False), TINY_LINEAR,
+    TINY_CONV, replace(TINY_CONV, center_input=False), TINY_CONV2,
+], ids=["mlp", "mlp_uncentered", "mlp_no_hidden", "small_conv", "small_conv_uncentered",
+        "small_conv2_uncentered"])
+def test_parameter_gradient_equals_a_full_backward_to_the_pixels(config):
+    """loss_and_grad stops at the first weighted layer; the gradient keeps its bits."""
+    enc = Encoder(config)
+    params = enc.init_params(1)
+    images = np.random.default_rng(2).uniform(size=(4,) + config.input_shape)
+    fl = feature_loss(0.5)
+    _, grad = enc.loss_and_grad(params, images, fl)
+    z, p, caches = enc._forward(params, images, "projection")
+    full = np.zeros(enc.n_params)
+    enc._first_weighted = None  # no layer stops the loop: it runs on to the pixels
+    pixels = enc._backward(p, fl(z)[1], caches, enc.split_params(full))
+    assert pixels.shape == images.shape
+    assert np.array_equal(grad, full)
+
+
+@pytest.mark.parametrize("hidden", [(4,), (3, 4), (2, 3, 2)])
+def test_col2im_runs_only_where_an_input_gradient_is_used(monkeypatch, hidden):
+    config = replace(TINY_CONV, hidden=hidden)
+    enc = Encoder(config)
+    params = enc.init_params(1)
+    images = np.random.default_rng(3).uniform(size=(4,) + config.input_shape)
+    calls = []
+    real = encoder_mod._col2im
+
+    def counting(dcols, x_shape):
+        calls.append(x_shape)
+        return real(dcols, x_shape)
+
+    monkeypatch.setattr(encoder_mod, "_col2im", counting)
+    enc.loss_and_grad(params, images, feature_loss(0.5))
+    assert len(calls) == len(hidden) - 1
+    calls.clear()
+    enc.input_gradient(params, images, lambda f: (0.0, np.ones_like(f)))
+    assert len(calls) == len(hidden)
 
 
 def test_finite_diff_on_scalar_square():

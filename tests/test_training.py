@@ -452,8 +452,9 @@ def test_shift_gap_matches_per_draw_oracle(tmp_path, monkeypatch, overrides, mod
         assert report == shift_gap_report(c, encoder, params, mode, n_mc=4, seed=seed).to_json()
 
 
-def test_robust_eval_runs_the_eval_split_through_the_encoder_three_times(tmp_path, monkeypatch):
-    """Once for the clean logits, once for the attack's gradient, once for the attacked logits."""
+def test_robust_eval_runs_the_eval_split_through_the_encoder_twice(tmp_path, monkeypatch):
+    """Once for the attack's gradient, which also gives the clean logits, once for the attacked
+    logits."""
     cfg = tiny_config(tmp_path, epochs=1)
     encoder, params, _ = training.load_run(train_ssl(cfg))
     n_eval = len(load_eval_data(cfg)[1])
@@ -466,7 +467,20 @@ def test_robust_eval_runs_the_eval_split_through_the_encoder_three_times(tmp_pat
 
     monkeypatch.setattr(Encoder, "_forward", counting)
     training.evaluate_probe(cfg, encoder, params, epsilon=8.0 / 255.0)
-    assert n_eval != len(load_train_data(cfg)[1]) and sizes.count(n_eval) == 3
+    assert n_eval != len(load_train_data(cfg)[1]) and sizes.count(n_eval) == 2
+
+
+def test_robust_eval_reports_the_clean_accuracy_of_a_plain_eval(tmp_path):
+    """The clean logits come from the attack's forward pass, or, at epsilon 0, its re-score."""
+    cfg = tiny_config(tmp_path, epochs=1)
+    encoder, params, _ = training.load_run(train_ssl(cfg))
+    _, clean = training.evaluate_probe(cfg, encoder, params, ks=(1, 2))
+    for epsilon in (0.0, 8.0 / 255.0):
+        _, results = training.evaluate_probe(cfg, encoder, params, ks=(1, 2), epsilon=epsilon)
+        assert {k: results[k] for k in clean} == clean
+        assert results["clean_top1"] == clean["top1"]
+        if epsilon == 0.0:
+            assert results["robust_top1"] == clean["top1"]
 
 
 def test_shift_gap_report_runs(tmp_path):
