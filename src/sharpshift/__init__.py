@@ -41,13 +41,7 @@ from .fourier import (
     most_similar_index,
     reconstruct,
 )
-from .losses import (
-    LossConfig,
-    info_nce,
-    info_nce_batch,
-    loss_upper_bound,
-    temperature_cross_entropy,
-)
+from .losses import LossConfig, loss_upper_bound
 from .sam import SamConfig, ascent_perturbation, sam_step
 from .shift import ShiftGapConfig, ShiftGapReport, estimate_shift_gap
 from .training import run_experiment_matrix, standard_variants, train_ssl
@@ -80,8 +74,6 @@ __all__ = [
     "fft_augment_batch",
     "fgsm_attack",
     "gen_synthetic",
-    "info_nce",
-    "info_nce_batch",
     "load_checkpoint",
     "load_cifar10",
     "load_config",
@@ -98,7 +90,6 @@ __all__ = [
     "standard_variants",
     "sup_loss_mean_classifier",
     "surrogate_unsup_loss",
-    "temperature_cross_entropy",
     "top_k_accuracy",
     "train_linear_probe",
     "train_ssl",

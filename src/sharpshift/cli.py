@@ -13,31 +13,25 @@ from . import bounds, data, training
 from .config import load_config
 from .encoder import Encoder
 from .errors import AugmentationError, EvaluationError, SharpshiftError, check_range, os_errors
+from .evaluation import FGSM_DEFAULT_EPSILON
 from .fourier import AugmentConfig, draw_betas, fft_augment_batch
 
 
-def _add_config_args(parser, with_data=False):
+def _add_config_args(parser):
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="override one config key (repeatable; wins over the file)",
     )
-    if with_data:
-        parser.add_argument(
-            "--data",
-            help='"synthetic" or a directory of CIFAR-10 .bin batches',
-        )
+    parser.add_argument("--data", help='"synthetic" or a directory of CIFAR-10 .bin batches')
 
 
 def _config_from(args):
     overrides = list(args.overrides)
-    data = getattr(args, "data", None)
-    if data:
-        if data == "synthetic":
-            overrides.append("dataset.name=synthetic")
-        else:
-            overrides.append("dataset.name=cifar10")
-            overrides.append(f"dataset.dir={data}")
+    if args.data == "synthetic":
+        overrides.append("dataset.name=synthetic")
+    elif args.data:
+        overrides += ["dataset.name=cifar10", f"dataset.dir={args.data}"]
     return load_config(args.config, overrides)
 
 
@@ -48,7 +42,8 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_linear_eval(args):
+def _cmd_probe(args):
+    """linear-eval and robust-eval: train the probe, report accuracies, log the record."""
     if args.seed is not None:
         args.overrides.append(f"probe.seed={args.seed}")
     try:
@@ -57,7 +52,7 @@ def _cmd_linear_eval(args):
         raise EvaluationError(f"--k must be comma-separated integers, got {args.k!r}") from None
     config = _config_from(args)
     encoder, params, _ = training.load_run(args.checkpoint)
-    model, results = training.evaluate_probe(config, encoder, params, ks=ks)
+    _, results = training.evaluate_probe(config, encoder, params, ks=ks, epsilon=args.epsilon)
     if args.dump_features:
         images, labels = training.load_eval_data(config)
         feats = encoder.features(params, images, tap=config.probe_tap_point)
@@ -66,26 +61,9 @@ def _cmd_linear_eval(args):
             for row, label in zip(feats, labels):
                 fh.write(",".join([str(int(label))] + [repr(float(v)) for v in row]) + "\n")
         print(f"features written to {args.dump_features}")
-    payload = {"event": "linear_eval", "checkpoint": args.checkpoint, **results}
-    training.append_metrics(args.checkpoint, payload)
-    print(json.dumps(payload, sort_keys=True))
-    return 0
-
-
-def _cmd_robust_eval(args):
-    if args.seed is not None:
-        args.overrides.append(f"probe.seed={args.seed}")
-    config = _config_from(args)
-    encoder, params, _ = training.load_run(args.checkpoint)
-    _, results = training.evaluate_probe(
-        config, encoder, params, ks=(1,), epsilon=args.epsilon
-    )
-    payload = {
-        "event": "robust_eval",
-        "checkpoint": args.checkpoint,
-        "epsilon": args.epsilon,
-        **results,
-    }
+    payload = {"event": args.command.replace("-", "_"), "checkpoint": args.checkpoint, **results}
+    if args.epsilon is not None:
+        payload["epsilon"] = args.epsilon
     training.append_metrics(args.checkpoint, payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -170,27 +148,27 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="run self-supervised training")
-    _add_config_args(p, with_data=True)
+    _add_config_args(p)
     p.add_argument("--resume", help="checkpoint to resume from (config hash must match)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("linear-eval", help="linear probe on frozen features")
-    _add_config_args(p, with_data=True)
+    _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--k", default="1", help="comma-separated top-k values")
     p.add_argument("--seed", type=int, default=None, help="probe training seed")
     p.add_argument("--dump-features", help="write feature,label rows to this file")
-    p.set_defaults(func=_cmd_linear_eval)
+    p.set_defaults(func=_cmd_probe, epsilon=None)
 
     p = sub.add_parser("robust-eval", help="single-step adversarial accuracy")
-    _add_config_args(p, with_data=True)
+    _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--epsilon", type=float, default=8.0 / 255.0)
+    p.add_argument("--epsilon", type=float, default=FGSM_DEFAULT_EPSILON)
     p.add_argument("--seed", type=int, default=None, help="probe training seed")
-    p.set_defaults(func=_cmd_robust_eval)
+    p.set_defaults(func=_cmd_probe, k="1", dump_features=None)
 
     p = sub.add_parser("shift-gap", help="positive-pair distribution-shift gap")
-    _add_config_args(p, with_data=True)
+    _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--aug", choices=("base", "fft", "identity"), default="base")
     p.add_argument("--n-mc", type=int, default=8)
@@ -207,7 +185,7 @@ def build_parser():
     p.set_defaults(func=_cmd_bound_lab)
 
     p = sub.add_parser("augment-preview", help="write before/after augmentation images")
-    _add_config_args(p, with_data=True)
+    _add_config_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--alpha", type=float, default=0.2)
@@ -216,7 +194,7 @@ def build_parser():
     p.set_defaults(func=_cmd_augment_preview)
 
     p = sub.add_parser("matrix", help="train and evaluate ablation variants")
-    _add_config_args(p, with_data=True)
+    _add_config_args(p)
     p.add_argument("--variants", default="baseline,sam,asam,fft,sam_fft")
     p.set_defaults(func=_cmd_matrix)
 

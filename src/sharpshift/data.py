@@ -19,7 +19,8 @@ def load_cifar10(directory):
     """Read the training batches: every ``*.bin`` file but ``test_batch.bin``.
 
     Files are read in name order and records keep their file order; see
-    ``read_cifar_batch`` for the record layout.
+    ``read_cifar_batch`` for the record layout. A directory whose batches hold
+    no record fails loudly.
     """
     with os_errors(IngestionError, directory):
         names = os.listdir(directory)
@@ -31,6 +32,8 @@ def load_cifar10(directory):
     if not paths:
         raise IngestionError(f"no .bin batch files in {directory}")
     images, labels = zip(*(read_cifar_batch(path) for path in paths))
+    if not sum(map(len, labels)):
+        raise IngestionError(f"{directory}: the training batches hold no records")
     return np.concatenate(images), np.concatenate(labels)
 
 

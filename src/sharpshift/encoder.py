@@ -201,10 +201,9 @@ class Encoder:
             raise ModelError(f"unknown tap point {tap!r}")
         p = self.split_params(params)
         x = np.asarray(images, dtype=float)
-        if x.ndim == 3:
-            x = x[None]
-        if x.ndim != 4 or x.shape[1:] != self.config.input_shape:
-            raise ModelError(f"images must be (n,) + {self.config.input_shape}, got {x.shape}")
+        if x.ndim != 4 or x.shape[1:] != self.config.input_shape or not len(x):
+            raise ModelError(
+                f"images must be (n,) + {self.config.input_shape} with n >= 1, got {x.shape}")
         caches = []
         for op, name in self._layers[:self._taps[tap]]:
             cache = None

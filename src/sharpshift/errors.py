@@ -83,5 +83,7 @@ class PipelineError(SharpshiftError):
     """Training-loop failure; carries the last good checkpoint if one exists."""
 
     def __init__(self, message, last_checkpoint=None):
+        if last_checkpoint is not None:
+            message = f"{message} (last checkpoint {last_checkpoint})"
         super().__init__(message)
         self.last_checkpoint = last_checkpoint

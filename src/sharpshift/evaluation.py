@@ -45,14 +45,9 @@ class AttackConfig:
 def _as_batch(images, labels):
     images = np.asarray(images, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    if images.ndim == 3:
-        images = images[None]
-    if labels.ndim == 0:
-        labels = labels[None]
-    if images.shape[0] != labels.shape[0]:
-        raise EvaluationError(
-            f"{images.shape[0]} images vs {labels.shape[0]} labels"
-        )
+    if images.ndim != 4 or labels.shape != images.shape[:1]:
+        raise EvaluationError(f"need a batch: images (n, H, W, C) and labels (n,), got "
+                              f"{images.shape} and {labels.shape}")
     return images, labels
 
 
@@ -127,21 +122,19 @@ class ProbeModel:
 def fgsm_attack(model, images, labels, config, logits_out=None):
     """Sign-gradient perturbation: clip(x + eps * sign(grad_x CE), 0, 1).
 
-    Accepts a single image or a batch; epsilon = 0 returns the input
-    unchanged. The result always satisfies the infinity-norm budget and stays
-    in the [0, 1] pixel range. ``logits_out`` is passed to the model's
-    ``input_gradient``; epsilon = 0 runs no gradient pass and leaves it alone.
+    Takes a batch (n, H, W, C) with labels (n,); pass a single image as a batch
+    of one. Epsilon = 0 returns a copy of the input. The result always satisfies the
+    infinity-norm budget and stays in the [0, 1] pixel range. ``logits_out`` is
+    passed to the model's ``input_gradient``; epsilon = 0 runs no gradient pass
+    and leaves it alone.
     """
-    single = np.asarray(images).ndim == 3
     images, labels = _as_batch(images, labels)
     if config.epsilon == 0.0:
-        out = images.copy()
-        return out[0] if single else out
+        return images.copy()
     grad = model.input_gradient(images, labels, logits_out)
     if not np.all(np.isfinite(grad)):
         raise EvaluationError("non-finite input gradient during attack")
-    out = np.clip(images + config.epsilon * np.sign(grad), 0.0, 1.0)
-    return out[0] if single else out
+    return np.clip(images + config.epsilon * np.sign(grad), 0.0, 1.0)
 
 
 def clean_accuracy(model, labeled_data, k=1):

@@ -9,7 +9,8 @@ softmax contrastive form. Features are expected to be already normalized:
 similarities are plain inner products, and with unit vectors the loss is
 bounded by 2/tau + log(1 + beta). Each formula is written once, as a
 row-batched kernel returning values with their gradients (``contrastive_rows``,
-``cross_entropy_rows``); the other entry points, the bound lab and the probe call them.
+``cross_entropy_rows``); the ``_grad`` entry points, the bound lab and the
+probe call them.
 """
 
 from __future__ import annotations
@@ -81,17 +82,13 @@ def _beta(config, k_count):
     return float(config.beta_neg) if config.beta_neg is not None else float(k_count)
 
 
-def info_nce(anchor, positive, negatives, config, validate=True):
-    """Scalar contrastive loss for one (anchor, positive, negatives) tuple.
-
-    ``validate`` gates the unit-norm precondition check; tests that probe the
-    loss off the unit sphere (finite differences) switch it off.
-    """
-    return info_nce_grad(anchor, positive, negatives, config, validate=validate)[0]
-
-
 def info_nce_grad(anchor, positive, negatives, config, validate=True):
-    """Loss plus analytic gradients w.r.t. anchor, positive and each negative."""
+    """Contrastive loss of one (anchor, positive, negatives) tuple and its gradients.
+
+    Returns (loss, d/danchor, d/dpositive, d/dnegatives). ``validate`` gates the
+    unit-norm precondition check; tests that probe the loss off the unit sphere
+    (finite differences) switch it off.
+    """
     anchor = np.asarray(anchor, dtype=float)
     positive = np.asarray(positive, dtype=float)
     negatives = np.atleast_2d(np.asarray(negatives, dtype=float))
@@ -112,21 +109,14 @@ def info_nce_grad(anchor, positive, negatives, config, validate=True):
     return float(loss), g_anchor, g_pos, g_neg
 
 
-def info_nce_batch(views, config, validate=True):
-    """Mean contrastive loss over all 2b anchors of a paired batch.
-
-    Views 2i and 2i+1 are the two augmentations of anchor i. For each anchor
-    the positive is its paired view and the negatives are the other 2(b - 1)
-    views; beta defaults to K = 2(b - 1) unless the config overrides it.
-    """
-    return info_nce_batch_grad(views, config, validate=validate)[0]
-
-
 def info_nce_batch_grad(views, config, validate=True):
-    """Batch loss and its gradient w.r.t. every view (same pairing rules).
+    """Mean contrastive loss over all 2b anchors of a paired batch, and its gradient.
 
-    With W[j, l] = dL_j/ds_jl and s_jl = v_j . v_l / tau, the gradient of the
-    mean loss is (W + W^T) V / (n tau).
+    Returns (loss, d/dviews). Views 2i and 2i+1 are the two augmentations of
+    anchor i. For each anchor the positive is its paired view and the negatives
+    are the other 2(b - 1) views; beta defaults to K = 2(b - 1) unless the config
+    overrides it. With W[j, l] = dL_j/ds_jl and s_jl = v_j . v_l / tau, the
+    gradient of the mean loss is (W + W^T) V / (n tau).
     """
     views = np.asarray(views, dtype=float)
     if views.ndim != 2:
@@ -172,13 +162,8 @@ def cross_entropy_rows(logits, labels, tau):
     return loss, probs
 
 
-def temperature_cross_entropy(logits, label, tau):
-    """-log softmax(logits / tau)[label] for a single row of logits."""
-    return temperature_cross_entropy_grad(logits, label, tau)[0]
-
-
 def temperature_cross_entropy_grad(logits, label, tau):
-    """Loss and gradient w.r.t. the logits."""
+    """-log softmax(logits / tau)[label] for one row of logits, and its gradient."""
     check_range(ContractViolationError, "tau", tau, 0, lo_open=True)
     logits = np.asarray(logits, dtype=float)
     check_range(ContractViolationError, "label", label, 0, len(logits))

@@ -28,7 +28,7 @@ class SamConfig:
     rho = 0 degenerates to plain gradient descent and is allowed only so
     tests can compare against the unperturbed path. ``weight_decay`` and
     ``momentum`` extend the descent step only; momentum needs a velocity
-    buffer supplied by the caller.
+    buffer supplied by the caller, and a step without one fails.
     """
 
     rho: float = DEFAULT_RHO
@@ -105,7 +105,9 @@ def _descend(params, grad, config, velocity):
     direction = grad
     if config.weight_decay > 0.0:
         direction = direction + config.weight_decay * params
-    if config.momentum > 0.0 and velocity is not None:
+    if config.momentum > 0.0:
+        if velocity is None:
+            raise OptimizerError(f"momentum {config.momentum} needs a velocity buffer")
         velocity *= config.momentum
         velocity += direction
         direction = velocity

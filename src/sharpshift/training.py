@@ -22,9 +22,10 @@ import numpy as np
 from . import data as data_mod
 from .config import TrainConfig
 from .encoder import Encoder, load_checkpoint, save_checkpoint
-from .errors import (SIZE_CAP, MetricError, ModelError, OptimizerError, PipelineError,
-                     check_range, os_errors)
+from .errors import (SIZE_CAP, IngestionError, MetricError, ModelError, OptimizerError,
+                     PipelineError, check_range, os_errors)
 from .evaluation import (
+    FGSM_DEFAULT_EPSILON,
     AttackConfig,
     ProbeModel,
     robust_accuracy,
@@ -87,8 +88,12 @@ def _cifar_sides(config):
     test_path = os.path.join(config.data_dir, data_mod.CIFAR_TEST_BATCH)
     if os.path.exists(test_path):
         held_out = data_mod.read_cifar_batch(test_path)
+        if not len(held_out[1]):
+            raise IngestionError(f"{test_path}: no records to evaluate on")
+    elif len(labels) < 2:
+        raise IngestionError(f"{config.data_dir}: one record leaves no held-out side")
     else:
-        split = max(1, int(0.8 * len(labels)))
+        split = int(0.8 * len(labels))
         held_out = images[split:], labels[split:]
         images, labels = images[:split], labels[:split]
     if config.data_limit:
@@ -111,7 +116,8 @@ def train_ssl(config: TrainConfig, resume=None):
 
     A non-finite loss aborts the run with the last written checkpoint left
     intact. With ``resume`` the stored config hash must match the current
-    config, otherwise the run fails loudly instead of silently retraining.
+    config and the stored epoch must lie in the run, otherwise the run fails
+    loudly instead of silently retraining.
     A resumed run restores the momentum velocity and rewinds the metrics
     stream to the checkpoint's epoch, as if it had never been interrupted.
     """
@@ -140,6 +146,9 @@ def train_ssl(config: TrainConfig, resume=None):
                 f"refusing to resume: checkpoint config hash {ckpt.train_config_hash[:12]} "
                 f"does not match current config {config_hash[:12]}"
             )
+        # -1 is the epoch a run with train.epochs = 0 writes
+        check_range(PipelineError, f"refusing to resume: {resume} epoch", ckpt.epoch, -1,
+                    config.epochs - 1, hi_open=False)
         params = ckpt.params.copy()
         start_epoch = ckpt.epoch + 1
         velocity = None
@@ -327,17 +336,14 @@ def load_run(checkpoint_path):
     return Encoder(ckpt.encoder_config), ckpt.params, ckpt
 
 
-def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None,
-                   train_data=None, eval_data=None):
+def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None, eval_data=None):
     """Train the linear probe and report clean (and optionally robust) accuracy."""
-    if train_data is None:
-        train_data = load_train_data(config)
     if eval_data is None:
         eval_data = load_eval_data(config)
     attack = None if epsilon is None else AttackConfig(epsilon=epsilon)  # checked before training
     probe_cfg = config.probe_config()
     weights = train_linear_probe(
-        encoder, params, train_data, probe_cfg, num_classes=config.num_classes
+        encoder, params, load_train_data(config), probe_cfg, num_classes=config.num_classes
         if config.dataset == "synthetic" else None,
     )
     model = ProbeModel(
@@ -375,8 +381,7 @@ def standard_variants(base: TrainConfig):
     ]
 
 
-def run_experiment_matrix(variants, summary_path=None, ks=(1,), epsilon=8.0 / 255.0,
-                          shift_n_mc=4):
+def run_experiment_matrix(variants, summary_path=None, shift_n_mc=4):
     """Train and evaluate each (name, config) variant; failures mark their row."""
     rows = []
     for name, config in variants:
@@ -384,7 +389,7 @@ def run_experiment_matrix(variants, summary_path=None, ks=(1,), epsilon=8.0 / 25
         try:
             ckpt_path = train_ssl(config)
             encoder, params, _ = load_run(ckpt_path)
-            _, results = evaluate_probe(config, encoder, params, ks=ks, epsilon=epsilon)
+            _, results = evaluate_probe(config, encoder, params, epsilon=FGSM_DEFAULT_EPSILON)
             report = shift_gap_report(
                 config, encoder, params, "base", n_mc=shift_n_mc, seed=config.seed
             )

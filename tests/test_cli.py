@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from sharpshift.bounds import lab_suite
 from sharpshift.cli import main
 from sharpshift.config import TrainConfig, load_config
+from sharpshift.encoder import Encoder, load_checkpoint, save_checkpoint
 from sharpshift.training import METRICS_NAME, load_eval_data, load_train_data
 
 
@@ -383,6 +384,20 @@ def test_run_path_os_errors_fail_cleanly(tiny_run, tmp_path, case):
     assert not list(tmp_path.rglob("*.tmp"))  # a failed checkpoint write leaves no temporary
 
 
+@pytest.mark.parametrize("epoch", [-5, -2, 1])
+def test_resume_refuses_checkpoint_epoch_outside_the_run(tiny_run, tmp_path, capsys, epoch):
+    """The tiny run trains one epoch, so only a checkpoint epoch of -1 or 0 can resume."""
+    argv, ckpt, _ = tiny_run
+    stored = load_checkpoint(ckpt)
+    path = tmp_path / "odd.ckpt"
+    save_checkpoint(path, Encoder(stored.encoder_config), stored.params,
+                    stored.train_config_hash, epoch=epoch)
+    code = main(["train", *argv, f"--set=train.output_dir={tmp_path}/out", f"--resume={path}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: refusing to resume: {path} epoch ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_diverging_run_stderr_starts_with_error(tmp_path):
     """pytest captures warnings raised in its own process, so the command runs in a child."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
@@ -459,3 +474,38 @@ def test_output_root_env_resolves_relative_dir(tmp_path, monkeypatch):
     args[1] = "train.output_dir=envrun"
     assert main(["train", *args]) == 0
     assert os.path.exists(tmp_path / "envrun" / "checkpoint.ckpt")
+
+
+@pytest.fixture(scope="module")
+def cifar_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cifar")
+    write_fake_cifar(tmp / "data")
+    argv = [f"--set={item}" for item in [*TINY_RUN, f"train.output_dir={tmp}/run"]]
+    assert main(["train", f"--data={tmp}/data", *argv]) == 0
+    return argv, str(tmp / "run" / "checkpoint.ckpt")
+
+
+# (records per batch file, the path under the data directory that the error names)
+EMPTY_CIFAR_CASES = {
+    "empty_test_batch": ({"data_batch_1.bin": 12, "test_batch.bin": 0}, "test_batch.bin"),
+    "empty_training_batches": ({"data_batch_1.bin": 0, "test_batch.bin": 6}, ""),
+    "one_record_without_test_batch": ({"data_batch_1.bin": 1}, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_CIFAR_CASES))
+def test_empty_cifar_side_fails_cleanly(cifar_run, tmp_path, case):
+    argv, ckpt = cifar_run
+    files, named = EMPTY_CIFAR_CASES[case]
+    data_dir = tmp_path / "cifar"
+    for name, records in files.items():
+        write_fake_cifar(data_dir, name=name, records=records)
+    probes = [[name, f"--checkpoint={ckpt}"]
+              for name in ("linear-eval", "robust-eval", "shift-gap")]
+    for command in [*probes, ["train"]]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*command, *argv, f"--data={data_dir}",
+                         f"--set=train.output_dir={tmp_path}/out"])
+        assert code == 1 and err.getvalue().startswith("error: "), (command, err.getvalue())
+        assert f"{data_dir / named}: " in err.getvalue(), (command, err.getvalue())

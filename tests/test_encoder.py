@@ -86,8 +86,10 @@ def test_identity_linear_encoder_normalizes():
 
 def test_shape_mismatch_raises(tiny):
     enc, params, _ = tiny
-    with pytest.raises(ModelError):
-        enc.forward(params, np.zeros((2, 3, 3, 1)))
+    # a wrong image shape, an empty batch, and one image that is not a batch of one
+    for shape in [(2, 3, 3, 1), (0, 4, 4, 1), (4, 4, 1)]:
+        with pytest.raises(ModelError):
+            enc.forward(params, np.zeros(shape))
 
 
 def test_backbone_tap_differs_from_projection(tiny):
@@ -117,7 +119,7 @@ def test_one_pixel_input_survives_every_conv_block():
     enc = Encoder(EncoderConfig(architecture="small_conv", input_shape=(1, 1, 1),
                                 hidden=(2, 2, 2), feature_dim=2))
     assert enc.backbone_dim == 2
-    assert enc.forward(enc.init_params(0), np.full((1, 1, 1), 0.7)).shape == (1, 2)
+    assert enc.forward(enc.init_params(0), np.full((1, 1, 1, 1), 0.7)).shape == (1, 2)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 5, 7, 3), (3, 16, 16, 8), (4, 32, 32, 3)],

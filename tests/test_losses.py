@@ -7,13 +7,10 @@ from sharpshift.errors import ContractViolationError
 from sharpshift.losses import (
     LossConfig,
     contrastive_rows,
-    info_nce,
-    info_nce_batch,
     info_nce_batch_grad,
     info_nce_grad,
     loss_upper_bound,
     paired_index,
-    temperature_cross_entropy,
     temperature_cross_entropy_grad,
 )
 
@@ -51,14 +48,14 @@ def test_equal_similarity_gives_log_one_plus_beta():
         k = int(rng.integers(1, 9))
         a, v = vectors_with_similarity(rng, 6, s)
         cfg = LossConfig(tau=tau, beta_neg=beta)
-        loss = info_nce(a, v, np.tile(v, (k, 1)), cfg)
+        loss = info_nce_grad(a, v, np.tile(v, (k, 1)), cfg)[0]
         assert abs(loss - np.log1p(beta)) < 1e-10
 
 
 def test_known_closed_form_value():
     # beta = K = 1, a.p = 1, a.n = -1, tau = 1  ->  log(1 + e^-2)
     a = np.array([1.0, 0.0])
-    loss = info_nce(a, a, [-a], LossConfig(tau=1.0))
+    loss = info_nce_grad(a, a, [-a], LossConfig(tau=1.0))[0]
     assert loss == pytest.approx(0.1269280110429726, abs=1e-12)
 
 
@@ -69,7 +66,7 @@ def test_matches_textbook_formula():
         p = unit(rng.standard_normal(5))
         negs = unit_rows(rng, 4, 5)
         tau, beta = rng.uniform(0.2, 2.0), rng.uniform(0.1, 4.0)
-        ours = info_nce(a, p, negs, LossConfig(tau=tau, beta_neg=beta))
+        ours = info_nce_grad(a, p, negs, LossConfig(tau=tau, beta_neg=beta))[0]
         ref = scalar_contrastive_loss(a, p, list(negs), tau, beta)
         assert abs(ours - ref) < 1e-12
 
@@ -83,7 +80,7 @@ def test_upper_bound_on_random_instances():
         negs = unit_rows(rng, k, 4)
         tau = rng.uniform(0.1, 2.0)
         beta = rng.uniform(0.0, 4.0)
-        loss = info_nce(a, p, negs, LossConfig(tau=tau, beta_neg=beta))
+        loss = info_nce_grad(a, p, negs, LossConfig(tau=tau, beta_neg=beta))[0]
         assert 0.0 <= loss <= loss_upper_bound(tau, beta) + 1e-12
 
 
@@ -96,9 +93,9 @@ def test_shift_invariance_of_similarities():
     p = rng.standard_normal(d)
     negs = rng.standard_normal((3, d))
     cfg = LossConfig(tau=0.7, beta_neg=2.0)
-    base = info_nce(a, p, negs, cfg, validate=False)
+    base = info_nce_grad(a, p, negs, cfg, validate=False)[0]
     shift = 0.9 * a  # adds 0.9 to every dot product with the unit anchor
-    shifted = info_nce(a, p + shift, negs + shift, cfg, validate=False)
+    shifted = info_nce_grad(a, p + shift, negs + shift, cfg, validate=False)[0]
     assert abs(base - shifted) < 1e-10
 
 
@@ -111,7 +108,7 @@ def test_monotone_decreasing_in_positive_similarity():
     for s in (-0.5, 0.0, 0.5, 0.9):
         _, p = vectors_with_similarity(rng, 5, s)
         rigged = s * a + np.sqrt(1 - s * s) * unit(p - (p @ a) * a)
-        loss = info_nce(a, rigged, negs, cfg)
+        loss = info_nce_grad(a, rigged, negs, cfg)[0]
         assert loss < previous
         previous = loss
 
@@ -135,7 +132,7 @@ def test_beta_equals_k_recovers_standard_form():
     a, p = unit(rng.standard_normal(6)), unit(rng.standard_normal(6))
     negs = unit_rows(rng, 4, 6)
     tau = 0.6
-    ours = info_nce(a, p, negs, LossConfig(tau=tau, beta_neg=4.0))
+    ours = info_nce_grad(a, p, negs, LossConfig(tau=tau, beta_neg=4.0))[0]
     num = np.exp(a @ p / tau)
     standard = -np.log(num / (num + sum(np.exp(a @ n / tau) for n in negs)))
     assert abs(ours - standard) < 1e-12
@@ -144,7 +141,7 @@ def test_beta_equals_k_recovers_standard_form():
 def test_non_unit_inputs_rejected():
     a = np.array([1.0, 0.0])
     with pytest.raises(ContractViolationError):
-        info_nce(2.0 * a, a, [a], LossConfig())
+        info_nce_grad(2.0 * a, a, [a], LossConfig())
 
 
 def test_scalar_gradients_match_finite_differences():
@@ -164,13 +161,13 @@ def test_scalar_gradients_match_finite_differences():
             grad[i] = (apply(up) - apply(down)) / 2e-5
         return grad
 
-    fa = fd(a, lambda v: info_nce(v, p, negs, cfg, validate=False))
-    fp = fd(p, lambda v: info_nce(a, v, negs, cfg, validate=False))
+    fa = fd(a, lambda v: info_nce_grad(v, p, negs, cfg, validate=False)[0])
+    fp = fd(p, lambda v: info_nce_grad(a, v, negs, cfg, validate=False)[0])
     assert np.linalg.norm(ga - fa) / np.linalg.norm(fa) < 1e-4
     assert np.linalg.norm(gp - fp) / np.linalg.norm(fp) < 1e-4
     for j in range(3):
-        fn = fd(negs[j], lambda v: info_nce(
-            a, p, np.vstack([negs[:j], v[None], negs[j + 1:]]), cfg, validate=False))
+        fn = fd(negs[j], lambda v: info_nce_grad(
+            a, p, np.vstack([negs[:j], v[None], negs[j + 1:]]), cfg, validate=False)[0])
         assert np.linalg.norm(gn[j] - fn) / max(np.linalg.norm(fn), 1e-12) < 1e-4
 
 
@@ -181,7 +178,7 @@ def test_identical_views_give_log_one_plus_beta():
     v = unit(np.array([0.3, -0.2, 0.9]))
     views = np.tile(v, (4, 1))
     k = 2  # 2b - 2 with b = 2
-    loss = info_nce_batch(views, LossConfig(tau=0.8))
+    loss = info_nce_batch_grad(views, LossConfig(tau=0.8))[0]
     assert abs(loss - np.log1p(k)) < 1e-10
 
 
@@ -189,13 +186,13 @@ def test_batch_equals_mean_of_scalar_calls():
     rng = np.random.default_rng(7)
     views = unit_rows(rng, 16, 6)
     cfg = LossConfig(tau=0.5)
-    batch = info_nce_batch(views, cfg)
-    k = 14
+    batch = info_nce_batch_grad(views, cfg)[0]
+    scalar_cfg = LossConfig(tau=0.5, beta_neg=14.0)  # beta = K = 2b - 2
     total = 0.0
     for j in range(16):
         pj = paired_index(j)
         negs = np.array([views[l] for l in range(16) if l not in (j, pj)])
-        total += info_nce(views[j], views[pj], negs, LossConfig(tau=0.5, beta_neg=float(k)))
+        total += info_nce_grad(views[j], views[pj], negs, scalar_cfg)[0]
     assert abs(batch - total / 16) < 1e-10
 
 
@@ -205,11 +202,11 @@ def test_orthogonal_pairs_composition():
         [0.0, 1.0], [0.0, 1.0],
     ])
     cfg = LossConfig(tau=1.0)
-    batch = info_nce_batch(views, cfg)
+    batch = info_nce_batch_grad(views, cfg)[0]
     manual = np.mean([
-        info_nce(views[j], views[paired_index(j)],
-                 np.array([views[l] for l in range(4) if l not in (j, paired_index(j))]),
-                 LossConfig(tau=1.0, beta_neg=2.0))
+        info_nce_grad(views[j], views[paired_index(j)],
+                      np.array([views[l] for l in range(4) if l not in (j, paired_index(j))]),
+                      LossConfig(tau=1.0, beta_neg=2.0))[0]
         for j in range(4)
     ])
     assert abs(batch - manual) < 1e-12
@@ -227,8 +224,8 @@ def test_batch_gradient_matches_finite_differences():
             up[i, j] += 1e-6
             down[i, j] -= 1e-6
             fd[i, j] = (
-                info_nce_batch(up, cfg, validate=False)
-                - info_nce_batch(down, cfg, validate=False)
+                info_nce_batch_grad(up, cfg, validate=False)[0]
+                - info_nce_batch_grad(down, cfg, validate=False)[0]
             ) / 2e-6
     assert np.linalg.norm(grads - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -247,20 +244,20 @@ def test_batch_kernel_matches_per_anchor_oracle(n, beta_neg):
 def test_batch_requires_two_anchors():
     v = unit(np.array([1.0, 1.0]))
     with pytest.raises(ContractViolationError):
-        info_nce_batch(np.tile(v, (2, 1)), LossConfig())
+        info_nce_batch_grad(np.tile(v, (2, 1)), LossConfig())
     with pytest.raises(ContractViolationError):
-        info_nce_batch(np.tile(v, (5, 1)), LossConfig())
+        info_nce_batch_grad(np.tile(v, (5, 1)), LossConfig())
 
 
 def test_batch_shift_invariance():
     rng = np.random.default_rng(9)
     views = unit_rows(rng, 8, 8)
     cfg = LossConfig(tau=0.5)
-    base = info_nce_batch(views, cfg)
+    base = info_nce_batch_grad(views, cfg)[0]
     # rigid rotation preserves all inner products
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     rotated = views @ q
-    assert abs(base - info_nce_batch(rotated, cfg, validate=False)) < 1e-10
+    assert abs(base - info_nce_batch_grad(rotated, cfg, validate=False)[0]) < 1e-10
 
 
 # ----- temperature cross-entropy ----------------------------------------------
@@ -269,17 +266,17 @@ def test_batch_shift_invariance():
 def test_uniform_logits_give_log_m():
     for m in (1, 2, 5, 11):
         for tau in (0.3, 1.0, 4.0):
-            loss = temperature_cross_entropy(np.full(m, 0.7), 0, tau)
+            loss = temperature_cross_entropy_grad(np.full(m, 0.7), 0, tau)[0]
             assert abs(loss - np.log(m)) < 1e-12
 
 
 def test_single_class_is_zero():
-    assert temperature_cross_entropy(np.array([3.2]), 0, 1.0) == pytest.approx(0.0)
+    assert temperature_cross_entropy_grad(np.array([3.2]), 0, 1.0)[0] == pytest.approx(0.0)
 
 
 def test_known_two_class_value():
     # logits (2, 0), first class, tau = 1  ->  log(1 + e^-2)
-    loss = temperature_cross_entropy(np.array([2.0, 0.0]), 0, 1.0)
+    loss = temperature_cross_entropy_grad(np.array([2.0, 0.0]), 0, 1.0)[0]
     assert loss == pytest.approx(0.1269280110429726, abs=1e-12)
 
 
@@ -287,8 +284,8 @@ def test_cross_entropy_shift_invariance():
     rng = np.random.default_rng(10)
     logits = rng.standard_normal(7)
     for tau in (0.5, 1.0):
-        a = temperature_cross_entropy(logits, 3, tau)
-        b = temperature_cross_entropy(logits + 42.0, 3, tau)
+        a = temperature_cross_entropy_grad(logits, 3, tau)[0]
+        b = temperature_cross_entropy_grad(logits + 42.0, 3, tau)[0]
         assert abs(a - b) < 1e-10
 
 
@@ -302,15 +299,15 @@ def test_cross_entropy_gradient_matches_fd():
         up[i] += 1e-6
         down[i] -= 1e-6
         fd[i] = (
-            temperature_cross_entropy(up, 2, 0.7)
-            - temperature_cross_entropy(down, 2, 0.7)
+            temperature_cross_entropy_grad(up, 2, 0.7)[0]
+            - temperature_cross_entropy_grad(down, 2, 0.7)[0]
         ) / 2e-6
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
 
 
 def test_label_out_of_range_rejected():
     with pytest.raises(ContractViolationError):
-        temperature_cross_entropy(np.zeros(3), 3, 1.0)
+        temperature_cross_entropy_grad(np.zeros(3), 3, 1.0)
 
 
 def test_config_validation():
@@ -322,4 +319,4 @@ def test_config_validation():
         with pytest.raises(ContractViolationError):
             LossConfig(**bad)
     with pytest.raises(ContractViolationError):
-        temperature_cross_entropy(np.zeros(3), 0, np.nan)
+        temperature_cross_entropy_grad(np.zeros(3), 0, np.nan)

@@ -194,6 +194,12 @@ def test_momentum_uses_velocity_buffer():
     assert theta[0] == pytest.approx(0.9 - 0.1 * 1.8)
 
 
+@pytest.mark.parametrize("step", [sam_step, sgd_step])
+def test_momentum_without_velocity_buffer_raises(step):
+    with pytest.raises(OptimizerError, match="velocity buffer"):
+        step(np.array([1.0]), quadratic, SamConfig(rho=0.0, momentum=0.9))
+
+
 def test_config_validation():
     with pytest.raises(OptimizerError):
         SamConfig(rho=-0.1)

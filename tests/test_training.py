@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sharpshift import training
+from sharpshift.cli import main
 from sharpshift.config import TrainConfig, load_config, parse_config_file
 from sharpshift.encoder import Encoder, load_checkpoint, params_digest, save_checkpoint
 from sharpshift.errors import PipelineError, SharpshiftError
@@ -183,7 +184,7 @@ def test_wall_seconds_present_when_timing_enabled(tmp_path):
     assert records[0]["wall_seconds"] >= 0.0
 
 
-def test_nan_injection_aborts_with_last_checkpoint(tmp_path, monkeypatch):
+def test_nan_injection_aborts_with_last_checkpoint(tmp_path, monkeypatch, capsys):
     cfg = tiny_config(tmp_path, epochs=4, checkpoint_every=1)
     calls = {"count": 0}
     real = training.info_nce_batch_grad
@@ -201,6 +202,12 @@ def test_nan_injection_aborts_with_last_checkpoint(tmp_path, monkeypatch):
     assert last is not None and os.path.exists(last)
     load_checkpoint(last)  # still readable
     assert not os.path.exists(os.path.join(cfg.output_dir, CHECKPOINT_NAME))
+    assert str(err.value).endswith(f"(last checkpoint {last})")
+    # the CLI's error line names it too
+    calls["count"] = 0
+    assert main(["train", *(f"--set={k}={v}" for k, v in cfg.to_flat().items())]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: aborting at epoch ") and f"(last checkpoint {last})" in stderr
 
 
 def test_gradient_evaluations_per_batch(tmp_path, monkeypatch):
