@@ -55,7 +55,7 @@ def _cmd_probe(args):
     _, results = training.evaluate_probe(config, encoder, params, ks=ks, epsilon=args.epsilon)
     if args.dump_features:
         images, labels = training.load_eval_data(config)
-        feats = encoder.features(params, images, tap=config.probe_tap_point)
+        feats = encoder.forward(params, images, tap=config.probe_tap_point)
         with (os_errors(EvaluationError, args.dump_features),
               open(args.dump_features, "w", encoding="utf-8") as fh):
             for row, label in zip(feats, labels):

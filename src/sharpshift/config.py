@@ -11,6 +11,8 @@ from .data import AugmentPool
 from .encoder import EncoderConfig
 from .errors import SIZE_CAP, PipelineError, check_range, os_errors
 from .evaluation import ProbeConfig
+from .fourier import AugmentConfig
+from .losses import LossConfig
 from .sam import SamConfig
 
 OUTPUT_ROOT_ENV = "SHARPSHIFT_OUTPUT_ROOT"
@@ -93,6 +95,8 @@ class TrainConfig:
         # each value is checked by the sub-config that owns it
         for build in (self.encoder_config, self.sam_config, self.probe_config, self.augment_pool):
             build()
+        LossConfig(tau=self.tau)
+        AugmentConfig(alpha=self.fft_alpha)
 
     # ----- derived sub-configs ---------------------------------------------
 

@@ -195,8 +195,8 @@ def _augment_chunk(images, seeds, pool):
 
     All substreams are seeded and drawn together by ``Streams``, and each pixel op
     does one view's arithmetic on every selected view at once. Crop and flip write each
-    view once: the flip is folded into the resize taps, and a view that is not resized
-    is copied straight from its (possibly reversed) image. ``images`` is never written.
+    view once, in one ``_resize_crops`` pass with the flip folded into its taps; a view
+    cropped at full size passes through it unchanged. ``images`` is never written.
     """
     n, h, w, channels = images.shape
     entropy = np.empty((4 * n, seeds.shape[1] + 1), dtype=seeds.dtype)
@@ -215,16 +215,9 @@ def _augment_chunk(images, seeds, pool):
     crop_w = np.maximum(1, np.rint(w * side).astype(np.int64))
     top = crop.integers(h - crop_h + 1)
     left = crop.integers(w - crop_w + 1)
-    src = np.ascontiguousarray(images)
-    out = np.empty_like(src)
     flipped = first[OP_FLIP] < pool.flip_p
     is_resized = (crop_h != h) | (crop_w != w)
-    resized = np.flatnonzero(is_resized)
-    if len(resized):
-        out[resized] = _resize_crops(src, resized, top[resized], left[resized],
-                                     crop_h[resized], crop_w[resized], flipped[resized])
-    for i in np.flatnonzero(~is_resized):
-        out[i] = src[i, :, ::-1] if flipped[i] else src[i]
+    out = _resize_crops(np.ascontiguousarray(images), top, left, crop_h, crop_w, flipped)
 
     factors = jitter.uniform(max(0.0, 1.0 - pool.jitter_strength), 1.0 + pool.jitter_strength,
                              size=3)
@@ -264,25 +257,28 @@ def _bilinear_taps(out_size, in_sizes):
     return lo, hi, np.clip(coord - lo, 0.0, 1.0)
 
 
-def _resize_crops(images, index, top, left, crop_h, crop_w, flipped):
-    """``bilinear_resize(images[i, top:top+crop_h, left:left+crop_w], H, W)`` for each i in index,
+def _resize_crops(images, top, left, crop_h, crop_w, flipped):
+    """``bilinear_resize(images[i, top:top+crop_h, left:left+crop_w], H, W)`` for every image i,
     with its columns reversed where ``flipped``.
 
     Each crop row is blended along x once, then each output row blends two of those
     rows; every output pixel does ``bilinear_resize``'s arithmetic in its order. The
     flip is folded into the column taps: a flipped row reverses its ``x0``, ``x1`` and
     ``wx``, so each output pixel is computed as its mirror in the unflipped view.
+    A full-size crop has integer taps of weight 0, so each of its pixels is
+    ``x * 1.0 + y * 0.0``: for finite pixels that is ``x`` (a -0.0 comes back as
+    +0.0, which compares equal), and the crop is copied exactly, reversed if flipped.
     ``images`` must be C-contiguous: the two column taps of every crop pixel are
     gathered from it with one flat ``np.take`` over pixels.
     """
-    _, h, w, channels = images.shape
-    m, rows_per_crop = len(index), int(crop_h.max())
+    m, h, w, channels = images.shape
+    rows_per_crop = int(crop_h.max())
     y0, y1, wy = _bilinear_taps(h, crop_h)
     x0, x1, wx = (np.where(flipped[:, None], tap[:, ::-1], tap)
                   for tap in _bilinear_taps(w, crop_w))
     # crop rows 0..rows_per_crop-1, a shorter crop repeating its last row
     crop_rows = np.minimum(np.arange(rows_per_crop), crop_h[:, None] - 1)
-    rows = (index[:, None] * h + top[:, None] + crop_rows) * w  # (m, rows)
+    rows = (np.arange(m)[:, None] * h + top[:, None] + crop_rows) * w  # (m, rows)
     cols = left[:, None] + np.stack([x0, x1])  # (2, m, W)
     pixels = rows[None, :, :, None] + cols[:, :, None, :]  # (2, m, rows, W)
     taps = np.take(images.reshape(-1, channels), pixels, axis=0).reshape(

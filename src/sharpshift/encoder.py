@@ -262,12 +262,8 @@ class Encoder:
                 g = (g - out * np.sum(g * out, axis=1, keepdims=True)) / norms
         return g
 
-    def forward(self, params, images):
-        """Unit-norm feature vectors, one row per image."""
-        return self._forward(params, images, "projection")[0]
-
-    def features(self, params, images, tap="projection"):
-        """Features at a tap point: "backbone" (pre-head) or "projection"."""
+    def forward(self, params, images, tap="projection"):
+        """Features at a tap point, one row per image: "projection" (unit norm) or "backbone"."""
         return self._forward(params, images, tap)[0]
 
     def loss_and_grad(self, params, images, feature_loss):

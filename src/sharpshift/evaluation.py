@@ -63,7 +63,7 @@ def train_linear_probe(encoder, params, labeled_data, config, num_classes=None):
     missing = [c for c in range(n_classes) if not np.any(labels == c)]
     if missing:
         raise EvaluationError(f"classes {missing} have no training examples")
-    feats = encoder.features(params, images, tap=config.tap_point)
+    feats = encoder.forward(params, images, tap=config.tap_point)
     n, dim = feats.shape
     rng = np.random.default_rng([int(config.seed)])
     weights = 0.01 * rng.standard_normal((n_classes, dim))
@@ -78,12 +78,12 @@ def top_k_accuracy(logits, labels, k):
 
     Ties rank the lower class index first, so results are deterministic.
     """
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.atleast_1d(np.asarray(labels, dtype=int))
-    n, m = logits.shape
-    check_range(EvaluationError, "k", k, 1, m, hi_open=False)
-    if labels.shape != (n,):
-        raise EvaluationError(f"{n} logit rows vs labels shape {labels.shape}")
+    logits = np.asarray(logits, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise EvaluationError(f"need a batch: logits (n, M) and labels (n,), got "
+                              f"{logits.shape} and {labels.shape}")
+    check_range(EvaluationError, "k", k, 1, logits.shape[1], hi_open=False)
     order = np.argsort(-logits, axis=1, kind="stable")
     hits = (order[:, :k] == labels[:, None]).any(axis=1)
     return float(hits.mean())
@@ -99,7 +99,7 @@ class ProbeModel:
     tap_point: str = "backbone"
 
     def logits(self, images):
-        feats = self.encoder.features(self.params, images, tap=self.tap_point)
+        feats = self.encoder.forward(self.params, images, tap=self.tap_point)
         return feats @ self.weights.T
 
     def input_gradient(self, images, labels, logits_out=None):
@@ -148,7 +148,7 @@ def robust_accuracy(model, labeled_data, config, logits_out=None):
     If given, the list ``logits_out`` receives the clean images' logits, read off the
     attack's own forward pass (at epsilon 0 the attacked images are the clean ones).
     """
-    images, labels = _as_batch(*labeled_data)
+    images, labels = labeled_data  # fgsm_attack checks the batch
     attacked = fgsm_attack(model, images, labels, config, logits_out)
     logits = model.logits(attacked)
     if logits_out is not None and config.epsilon == 0.0:

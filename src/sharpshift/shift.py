@@ -77,17 +77,19 @@ def _factor(config):
 def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config):
     """Estimate the shift gap of an augmentation pool under a feature map.
 
-    ``feature_fn`` maps a list of items to an (n, d) array of unit features
+    ``feature_fn`` maps a batch of items to an (n, d) array of unit features
     (bind the encoder and its parameters before calling). ``labeled_data`` is
-    a sequence of (item, class) pairs; ``augment_fn(item, rng, n)`` returns n
-    draws from the augmentation distribution, as a sequence ``feature_fn``
-    takes. Class means use all same-class items once; the augmentation mean of
-    each anchor averages ``n_mc_aug`` draws, requested in one call, from the
-    substream SeedSequence([seed, anchor_index]), so anchors can be processed
-    in any order (or in parallel) without changing the result.
+    an (items, labels) pair of equal lengths; ``augment_fn(item, rng, n)``
+    returns n draws from the augmentation distribution, as a batch
+    ``feature_fn`` takes. Class means use all same-class items once; the
+    augmentation mean of each anchor averages ``n_mc_aug`` draws, requested in
+    one call, from the substream SeedSequence([seed, anchor_index]), so anchors
+    can be processed in any order (or in parallel) without changing the result.
     """
-    items = [item for item, _ in labeled_data]
-    labels = np.array([label for _, label in labeled_data])
+    items, labels = labeled_data
+    labels = np.asarray(labels)
+    if len(items) != len(labels):
+        raise MetricError(f"{len(items)} items vs {len(labels)} labels")
     if len(items) == 0:
         raise MetricError("labeled_data is empty")
     classes = sorted(set(int(l) for l in labels))
@@ -98,9 +100,9 @@ def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config):
     }
 
     terms = np.empty(len(items))
-    for i, (item, label) in enumerate(zip(items, labels)):
+    for i, label in enumerate(labels):
         rng = np.random.default_rng([int(config.seed), i])
-        copies = augment_fn(item, rng, config.n_mc_aug)
+        copies = augment_fn(items[i], rng, config.n_mc_aug)
         aug_mean = np.asarray(feature_fn(copies), dtype=float).mean(axis=0)
         gap = float(np.linalg.norm(class_means[int(label)] - aug_mean))
         terms[i] = gap**config.exponent

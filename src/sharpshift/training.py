@@ -11,6 +11,7 @@ fixed config yields bit-identical metrics and checkpoints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -157,9 +158,11 @@ def train_ssl(config: TrainConfig, resume=None):
                 velocity = np.array(ckpt.extra["velocity"], dtype=float).reshape(params.shape)
             except (KeyError, TypeError, ValueError) as exc:
                 raise PipelineError(f"refusing to resume: {resume} has no velocity") from exc
-        # rewind the stream to the checkpoint, so that no epoch is logged twice
+        # rewind the stream to the checkpoint, so that no epoch is logged twice; every
+        # record is read and checked before the stream is opened for writing
         records = _read_metrics(metrics_path) if os.path.exists(metrics_path) else []
-        kept_records = itertools.takewhile(lambda r: r.get("epoch", -1) <= ckpt.epoch, records)
+        kept_records = list(itertools.takewhile(lambda r: r.get("epoch", -1) <= ckpt.epoch,
+                                                records))
     else:
         params = encoder.init_params(derived_seed(config.seed, TAG_INIT))
         velocity = np.zeros_like(params) if config.momentum > 0.0 else None
@@ -308,7 +311,7 @@ def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, exponent=0.5,
     """
     if eval_data is None:
         eval_data = load_eval_data(config)
-    images, labels = eval_data
+    images = eval_data[0]
     gap_cfg = ShiftGapConfig(
         n_mc_aug=n_mc, exponent=exponent, tau_factor=tau_factor, tau=config.tau, seed=seed
     )
@@ -316,15 +319,10 @@ def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, exponent=0.5,
     check_range(MetricError, "n_mc x views per draw x image values",
                 n_mc * views_per_draw * int(np.prod(np.shape(images)[1:])), 0, SIZE_CAP,
                 hi_open=False)
-    augment_fn = make_augment_fn(
-        aug_mode, config, encoder=encoder, params=params, pool_images=images
-    )
-
-    def feature_fn(items):
-        return encoder.forward(params, np.stack(items))
-
-    pairs = list(zip(images, labels))
-    return estimate_shift_gap(feature_fn, pairs, augment_fn, gap_cfg)
+    augment_fn = make_augment_fn(aug_mode, config, encoder=encoder, params=params,
+                                 pool_images=images)
+    return estimate_shift_gap(functools.partial(encoder.forward, params), eval_data, augment_fn,
+                              gap_cfg)
 
 
 # ----- evaluation glue --------------------------------------------------------
@@ -407,11 +405,15 @@ def run_experiment_matrix(variants, summary_path=None, shift_n_mc=4):
 
 
 def _read_metrics(path):
+    """The stream's records: JSON objects whose ``epoch``, where present, is an int."""
     with os_errors(PipelineError, path), open(path, "r", encoding="utf-8") as fh:
         try:
-            return [json.loads(line) for line in fh if line.strip()]
-        except ValueError as exc:
+            records = [json.loads(line) for line in fh if line.strip()]
+            if not all(isinstance(r, dict) and type(r.get("epoch", -1)) is int for r in records):
+                raise ValueError("a record is not a JSON object with an int epoch")
+        except (ValueError, RecursionError) as exc:  # a deeply nested line recurses
             raise PipelineError(f"{path}: corrupt metrics record ({exc})") from exc
+    return records
 
 
 def _write_summary(path, rows):

@@ -155,6 +155,13 @@ def test_matrix_rejects_unknown_variant(tmp_path, capsys):
     assert "unknown variants" in capsys.readouterr().err
 
 
+def test_matrix_checks_fft_alpha_before_training(tmp_path, capsys):
+    code = main(["matrix", *run_args(tmp_path), "--set", "fft.alpha=5"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: alpha must lie in [0, 1], got 5.0\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_checkpoint_fails_cleanly(tmp_path, capsys):
     code = main([
         "linear-eval", *run_args(tmp_path), "--checkpoint",
@@ -396,6 +403,67 @@ def test_resume_refuses_checkpoint_epoch_outside_the_run(tiny_run, tmp_path, cap
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: refusing to resume: {path} epoch ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def resumable_run(tmp_path_factory):
+    """The tiny run over four epochs, with a checkpoint after each."""
+    tmp = tmp_path_factory.mktemp("resumable")
+    argv = [f"--set={item}" for item in [*TINY_RUN, "train.epochs=4", "train.checkpoint_every=1"]]
+    assert main(["train", *argv, f"--set=train.output_dir={tmp}/run"]) == 0
+    return argv, tmp / "run"
+
+
+def _resume_on_stream_with(resumable_run, tmp, line, row, epoch):
+    """``train --resume`` from checkpoint_ep{epoch} of a copy of the resumable run whose
+    metrics line ``row`` reads ``line``; returns (exit code, stderr, stream bytes before,
+    stream bytes after)."""
+    argv, run = resumable_run
+    out = Path(shutil.copytree(run, Path(tmp) / "run"))
+    lines = (out / METRICS_NAME).read_bytes().splitlines(keepends=True)
+    lines[row] = line.encode("utf-8") + b"\n"
+    before = b"".join(lines)
+    (out / METRICS_NAME).write_bytes(before)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["train", *argv, f"--set=train.output_dir={out}",
+                     f"--resume={out}/checkpoint_ep{epoch:04d}.ckpt"])
+    return code, err.getvalue(), before, (out / METRICS_NAME).read_bytes()
+
+
+@pytest.mark.parametrize("line", ["3", "[1,2]", '{"epoch": "x"}', '{"epoch": null}', "[" * 10**5],
+                         ids=["3", "list", "str_epoch", "null_epoch", "deep"])
+def test_resume_refuses_a_bad_metrics_record_and_keeps_the_stream(resumable_run, tmp_path,
+                                                                   line):
+    code, err, before, after = _resume_on_stream_with(resumable_run, tmp_path, line, 2, 0)
+    assert code == 1 and err.startswith("error: "), err
+    assert f"{tmp_path}/run/{METRICS_NAME}: corrupt metrics record" in err
+    assert after == before
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(data=st.data())
+def test_adversarial_metrics_records_fail_cleanly(resumable_run, tmp_path_factory, data):
+    """One metrics line replaced by each adversarial value, by a JSON value that is not an
+    object, or by ``{"epoch": <value>}``: ``train --resume`` exits 0, or exits 1 with
+    ``error: `` and leaves the stream's bytes unchanged."""
+    non_object = (JSON_SCALARS | st.lists(JSON_VALUES, max_size=3)).map(json.dumps)
+    epoch_record = JSON_VALUES.map(lambda value: json.dumps({"epoch": value}))
+    lines = [*ADVERSARIAL_VALUES, *(f'{{"epoch": {value}}}' for value in ADVERSARIAL_VALUES),
+             data.draw(non_object, label="non-object"), data.draw(epoch_record, label="epoch")]
+    row = data.draw(st.integers(0, 3), label="replaced line")
+    epoch = data.draw(st.integers(0, 3), label="resume from checkpoint_ep{epoch}")
+    for line in lines:
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            code, err, before, after = _resume_on_stream_with(resumable_run, tmp, line, row,
+                                                              epoch)
+            assert code == 0 or (code == 1 and err.startswith("error: ")), (line, err)
+            assert code == 0 or after == before, line
 
 
 def test_diverging_run_stderr_starts_with_error(tmp_path):

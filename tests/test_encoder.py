@@ -94,8 +94,8 @@ def test_shape_mismatch_raises(tiny):
 
 def test_backbone_tap_differs_from_projection(tiny):
     enc, params, images = tiny
-    h = enc.features(params, images, tap="backbone")
-    z = enc.features(params, images, tap="projection")
+    h = enc.forward(params, images, tap="backbone")
+    z = enc.forward(params, images, tap="projection")
     assert h.shape == (4, enc.backbone_dim)
     assert z.shape == (4, enc.feature_dim)
 
@@ -110,7 +110,7 @@ def test_conv_backbone_matches_naive_convolution():
     for i in range(len(TINY_CONV2.hidden)):
         ref = np.maximum(naive_conv(ref, named[f"bb{i}.W"], named[f"bb{i}.b"],
                                     Encoder.CONV_STRIDE, Encoder.CONV_PAD), 0.0)
-    h = enc.features(params, images, tap="backbone")
+    h = enc.forward(params, images, tap="backbone")
     assert np.max(np.abs(h - ref.reshape(3, -1))) < 1e-12
 
 
@@ -276,7 +276,7 @@ def test_input_gradient_matches_finite_differences(tiny, tap):
                                   tap=tap)
 
     def value(x):
-        return float(np.sum(enc.features(params, x, tap=tap) * upstream))
+        return float(np.sum(enc.forward(params, x, tap=tap) * upstream))
 
     fd = np.zeros_like(images)
     flat_view = images.reshape(-1)
@@ -292,7 +292,7 @@ def test_input_gradient_matches_finite_differences(tiny, tap):
 def test_unknown_tap_raises(tiny):
     enc, params, images = tiny
     with pytest.raises(ModelError, match="unknown tap point"):
-        enc.features(params, images, tap="head")
+        enc.forward(params, images, tap="head")
     with pytest.raises(ModelError, match="unknown tap point"):
         enc.input_gradient(params, images, lambda f: (0.0, np.zeros_like(f)), tap="head")
 

@@ -24,7 +24,7 @@ class TableEncoder:
     def __init__(self, table):
         self.table = np.asarray(table, dtype=float)
 
-    def features(self, params, images, tap="backbone"):
+    def forward(self, params, images, tap="backbone"):
         images = np.asarray(images)
         if images.ndim == 3:
             images = images[None]
@@ -61,7 +61,7 @@ def test_one_hot_features_reach_full_train_accuracy():
     weights = train_linear_probe(
         enc, None, (images, labels), ProbeConfig(epochs=20, lr=2.0)
     )
-    logits = enc.features(None, images) @ weights.T
+    logits = enc.forward(None, images) @ weights.T
     assert top_k_accuracy(logits, labels, 1) == 1.0
 
 
@@ -83,7 +83,7 @@ def test_probe_accuracy_matches_prediction_count_oracle():
     labels = np.array([0] * 10 + [1] * 10)
     cfg = ProbeConfig(epochs=50, lr=1.0, seed=3)
     weights = train_linear_probe(enc, params, (images, labels), cfg)
-    logits = enc.features(params, images, tap=cfg.tap_point) @ weights.T
+    logits = enc.forward(params, images, tap=cfg.tap_point) @ weights.T
     predictions = np.argmax(logits, axis=1)
     expected = float(np.sum(predictions == labels)) / 20.0
     assert top_k_accuracy(logits, labels, 1) == pytest.approx(expected)
@@ -143,6 +143,13 @@ def test_non_decreasing_in_k():
     labels = rng.integers(0, 6, size=50)
     accs = [top_k_accuracy(logits, labels, k) for k in range(1, 7)]
     assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
+
+
+def test_single_rows_are_not_batches():
+    with pytest.raises(EvaluationError, match="need a batch"):
+        top_k_accuracy(np.array([0.9, 0.1]), 0, 1)
+    with pytest.raises(EvaluationError, match="need a batch"):
+        top_k_accuracy(np.zeros((2, 3)), np.zeros(3, dtype=int), 1)
 
 
 def test_k_out_of_range_raises():

@@ -36,11 +36,10 @@ def make_table_aug(moves, probs):
 
 def exact_gap(data, moves, probs, exponent):
     """Full enumeration over the augmentation set (the MC oracle)."""
-    labels = np.array([l for _, l in data])
-    items = np.array([x for x, _ in data])
+    items, labels = np.asarray(data[0]), np.asarray(data[1])
     feats = table_features(items)
     total = 0.0
-    n = len(data)
+    n = len(items)
     for c in np.unique(labels):
         mask = labels == c
         mean_c = feats[mask].mean(axis=0)
@@ -56,7 +55,7 @@ def exact_gap(data, moves, probs, exponent):
 
 
 def test_identity_augmentation_one_item_per_class_is_zero():
-    data = [(0, 0), (1, 1), (2, 2)]
+    data = ([0, 1, 2], [0, 1, 2])
     report = estimate_shift_gap(
         table_features, data, identity_aug, ShiftGapConfig(n_mc_aug=4, seed=0)
     )
@@ -70,6 +69,7 @@ def test_gaps_are_nonnegative_and_bounded():
     # ensure both classes appear
     data[0] = (0, 0)
     data[1] = (1, 1)
+    data = tuple(np.array(column) for column in zip(*data))  # (items, labels)
     aug = make_table_aug([0, 1, 2], [0.5, 0.3, 0.2])
     report = estimate_shift_gap(
         table_features, data, aug, ShiftGapConfig(n_mc_aug=6, exponent=0.5, seed=1)
@@ -81,7 +81,7 @@ def test_gaps_are_nonnegative_and_bounded():
 
 
 def test_aggregate_is_prior_weighted_sum():
-    data = [(0, 0), (1, 0), (4, 0), (2, 1), (3, 1)]
+    data = ([0, 1, 4, 2, 3], [0, 0, 0, 1, 1])
     aug = make_table_aug([0, 1], [0.7, 0.3])
     report = estimate_shift_gap(
         table_features, data, aug, ShiftGapConfig(n_mc_aug=5, seed=2)
@@ -93,7 +93,7 @@ def test_aggregate_is_prior_weighted_sum():
 
 
 def test_seed_determinism():
-    data = [(0, 0), (1, 0), (2, 1), (3, 1)]
+    data = ([0, 1, 2, 3], [0, 0, 1, 1])
     aug = make_table_aug([0, 1, 3], [0.2, 0.5, 0.3])
     cfg = ShiftGapConfig(n_mc_aug=7, seed=33)
     a = estimate_shift_gap(table_features, data, aug, cfg)
@@ -103,7 +103,7 @@ def test_seed_determinism():
 
 
 def test_monte_carlo_matches_exact_enumeration():
-    data = [(0, 0), (1, 0), (2, 1), (3, 1), (4, 0), (5, 1)]
+    data = ([0, 1, 2, 3, 4, 5], [0, 0, 1, 1, 0, 1])
     moves, probs = [0, 1, 2], [0.5, 0.25, 0.25]
     aug = make_table_aug(moves, probs)
     exact = exact_gap(data, moves, probs, exponent=0.5)
@@ -120,7 +120,7 @@ def test_monte_carlo_matches_exact_enumeration():
 
 
 def test_more_mc_samples_reduce_variance():
-    data = [(0, 0), (1, 0), (2, 1), (3, 1)]
+    data = ([0, 1, 2, 3], [0, 0, 1, 1])
     aug = make_table_aug([0, 1, 2, 3], [0.25, 0.25, 0.25, 0.25])
 
     def spread(n_mc):
@@ -136,7 +136,7 @@ def test_more_mc_samples_reduce_variance():
 
 
 def test_tau_factor_scaling():
-    data = [(0, 0), (1, 0), (2, 1), (3, 1)]
+    data = ([0, 1, 2, 3], [0, 0, 1, 1])
     aug = make_table_aug([1], [1.0])
     tau = 0.5
     base = estimate_shift_gap(
@@ -154,7 +154,7 @@ def test_tau_factor_scaling():
 
 
 def test_exponent_one_versus_half():
-    data = [(0, 0), (1, 0), (2, 1), (3, 1)]
+    data = ([0, 1, 2, 3], [0, 0, 1, 1])
     aug = make_table_aug([1], [1.0])
     half = estimate_shift_gap(
         table_features, data, aug, ShiftGapConfig(n_mc_aug=2, exponent=0.5, seed=5)
@@ -168,7 +168,7 @@ def test_exponent_one_versus_half():
 
 
 def test_report_serializes_to_json():
-    data = [(0, 0), (1, 1)]
+    data = ([0, 1], [0, 1])
     report = estimate_shift_gap(
         table_features, data, identity_aug, ShiftGapConfig(n_mc_aug=2)
     )
@@ -189,3 +189,8 @@ def test_config_validation():
     for tau in (0.0, np.nan, np.inf):
         with pytest.raises(MetricError):
             ShiftGapConfig(tau=tau)
+
+
+def test_items_and_labels_of_different_lengths_raise():
+    with pytest.raises(MetricError, match="3 items vs 2 labels"):
+        estimate_shift_gap(table_features, ([0, 1, 2], [0, 1]), identity_aug, ShiftGapConfig())

@@ -142,6 +142,14 @@ def test_config_validation():
         TrainConfig(seed=2**64)  # the view seeds are 64-bit words
 
 
+@pytest.mark.parametrize("field, value", [("tau", -1.0), ("tau", float("nan")),
+                                          ("fft_alpha", 5.0)])
+def test_config_checks_the_loss_and_mixing_values(field, value):
+    """train.tau and fft.alpha are checked at load, as every other key is."""
+    with pytest.raises(SharpshiftError, match="must lie in"):
+        TrainConfig(**{field: value})
+
+
 # ----- training loop -------------------------------------------------------------
 
 
