@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SIZE_CAP, LabError, check_range
-from .losses import contrastive_rows, cross_entropy_rows
+from .losses import contrastive_rows, cross_entropy_rows, loss_upper_bound
 
 # The exact K-negative expectation gathers the similarities of every point x to
 # every multiset of K negatives, an (n, M, K) array with M = C(K+n-1, n-1), and
@@ -235,17 +235,18 @@ class MeanClassifierCheck:
     holds: bool
 
 
-def verify_mean_classifier_step(world, tau, tol=1e-9):
+def verify_mean_classifier_step(world, tau):
     """Check sup-loss(mean classifier) <= surrogate + log(1 / min_c pi_c).
 
     The correction term log(1 / min_c pi_c) accounts for pulling the class
     priors out of the log-sum; it is exactly tight on the constant-feature
-    uniform world. The raw slack is reported so near-violations are visible.
+    uniform world. The step holds within 1e-9; the raw slack is reported so
+    near-violations are visible.
     """
     lhs = sup_loss_mean_classifier(world, tau)
     rhs = surrogate_unsup_loss(world, tau) + math.log(1.0 / float(np.min(world.priors)))
     slack = rhs - lhs
-    return MeanClassifierCheck(lhs=lhs, rhs=rhs, slack=slack, holds=bool(lhs <= rhs + tol))
+    return MeanClassifierCheck(lhs=lhs, rhs=rhs, slack=slack, holds=bool(lhs <= rhs + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -281,7 +282,7 @@ def pac_penalty(inputs):
     """
     n, t = inputs.n_samples, inputs.n_params
     sigma = inputs.rho / (math.sqrt(t) + math.sqrt(math.log(n)))
-    bound_l = 2.0 / inputs.tau + math.log1p(inputs.beta_neg)
+    bound_l = loss_upper_bound(inputs.tau, inputs.beta_neg)
     log_term = 0.5 * t * math.log1p(inputs.theta_norm**2 / (t * sigma**2))
     root_n = math.sqrt(n)
     return (

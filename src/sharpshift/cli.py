@@ -98,7 +98,8 @@ def _cmd_augment_preview(args):
     count = check_range(AugmentationError, "--n (amplitude mixing pairs views)",
                         min(args.n, len(images)), 2)
     fft_cfg = AugmentConfig(alpha=args.alpha, rng_seed=args.seed)
-    seeds = np.stack([np.full(count, args.seed), np.arange(count)], axis=1)
+    seeds = np.empty((count, 2), dtype=np.uint64)
+    seeds[:, 0], seeds[:, 1] = args.seed, np.arange(count)
     batch = data.base_augment_batch(images[:count], seeds, config.augment_pool())
     if args.checkpoint:
         encoder, params, _ = training.load_run(args.checkpoint)

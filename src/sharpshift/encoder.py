@@ -14,7 +14,6 @@ central-difference oracle.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -182,16 +181,6 @@ class Encoder:
             name: flat[offset:offset + math.prod(shape)].reshape(shape)
             for name, shape, offset in self.layout
         }
-
-    def flatten_params(self, named):
-        """Inverse of split_params; bitwise round trip."""
-        parts = []
-        for name, shape, _ in self.layout:
-            arr = np.asarray(named[name], dtype=float)
-            if arr.shape != shape:
-                raise ModelError(f"segment {name} has shape {arr.shape}, expected {shape}")
-            parts.append(arr.ravel())
-        return np.concatenate(parts)
 
     # ----- forward / backward --------------------------------------------
 
@@ -383,7 +372,8 @@ def load_checkpoint(path):
         raise ModelError(f"{path}: not a checkpoint file")
     start = len(_CHECKPOINT_MAGIC) + 8
     try:
-        # a proper prefix of the json object never parses, so a cut header fails here too
+        # a proper prefix of the json object never parses, so a cut header fails here too;
+        # a deeply nested one raises RecursionError
         (header_len,) = struct.unpack("<Q", blob[start - 8:start])
         header = json.loads(blob[start:start + header_len])
         config = EncoderConfig.from_dict(header["encoder_config"])
@@ -391,7 +381,7 @@ def load_checkpoint(path):
         train_config_hash = str(header["train_config_hash"])
         epoch = int(header.get("epoch", 0))
         extra = dict(header.get("extra", {}))
-    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ModelError(f"{path}: truncated or corrupt checkpoint header ({exc!r})") from exc
     raw = blob[start + header_len:]
     encoder = Encoder(config)
@@ -410,7 +400,3 @@ def load_checkpoint(path):
         extra=extra,
     )
 
-
-def params_digest(params):
-    """Stable content hash of a parameter vector (used in logs and tests)."""
-    return hashlib.sha256(np.asarray(params, dtype="<f8").tobytes()).hexdigest()

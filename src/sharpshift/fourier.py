@@ -49,14 +49,6 @@ def dft2(channel):
     return np.fft.fft2(channel)
 
 
-def idft2(spectrum):
-    """Inverse 2-D DFT (complex output; callers decide what to do with it)."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.ndim != 2:
-        raise AugmentationError(f"idft2 expects an H x W spectrum, got shape {spectrum.shape}")
-    return np.fft.ifft2(spectrum)
-
-
 def amplitude_phase(spectrum):
     """Split a complex spectrum into (amplitude, phase).
 
@@ -95,7 +87,7 @@ def reconstruct(mixed_amplitude, phase, clip=True):
         raise AugmentationError(
             f"amplitude/phase shape mismatch: {mixed_amplitude.shape} vs {phase.shape}"
         )
-    pixels = idft2(mixed_amplitude * np.exp(1j * phase)).real
+    pixels = np.fft.ifft2(mixed_amplitude * np.exp(1j * phase)).real
     if clip:
         pixels = np.clip(pixels, 0.0, 1.0)
     return pixels

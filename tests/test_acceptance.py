@@ -40,7 +40,7 @@ from sharpshift.fourier import (
     mix_amplitude,
     reconstruct,
 )
-from sharpshift.losses import LossConfig, info_nce_batch_grad, info_nce_grad, loss_upper_bound
+from sharpshift.losses import LossConfig, contrastive_rows, info_nce_batch_grad, loss_upper_bound
 from sharpshift.sam import SamConfig, sam_step, sgd_step
 from sharpshift.training import (
     METRICS_NAME,
@@ -138,8 +138,8 @@ def test_criterion_03_info_nce_closed_forms():
         perp = raw - (raw @ anchor) * anchor
         perp /= np.linalg.norm(perp)
         other = s * anchor + np.sqrt(1.0 - s * s) * perp
-        loss = info_nce_grad(anchor, other, np.tile(other, (k, 1)),
-                             LossConfig(tau=tau, beta_neg=beta))[0]
+        sim = np.array([anchor @ other]) / tau
+        loss = contrastive_rows(sim, np.tile(sim, (1, k)), beta)[0][0]
         assert abs(loss - np.log1p(beta)) <= 1e-10
 
     worst_margin = np.inf
@@ -150,7 +150,8 @@ def test_criterion_03_info_nce_closed_forms():
         negatives = unit_rows(rng, k, d)
         tau = rng.uniform(0.1, 2.0)
         beta = rng.uniform(0.0, 4.0)
-        loss = info_nce_grad(anchor, positive, negatives, LossConfig(tau=tau, beta_neg=beta))[0]
+        loss = contrastive_rows(np.array([anchor @ positive]) / tau,
+                                (negatives @ anchor)[None] / tau, beta)[0][0]
         bound = loss_upper_bound(tau, beta)
         assert loss <= bound + 1e-12
         worst_margin = min(worst_margin, bound - loss)

@@ -137,6 +137,16 @@ def test_augment_preview_writes_files(tmp_path):
     assert len(betas) == 3
 
 
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+def test_augment_preview_takes_the_top_of_the_seed_range(tmp_path, capsys, seed):
+    # the seed rows stay uint64: mixed with int64 they would promote to float64
+    out = tmp_path / "preview"
+    code = main(["augment-preview", *run_args(tmp_path), "--out", str(out),
+                 "--n", "2", "--seed", str(seed)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert len(os.listdir(out)) == 5
+
+
 def test_matrix_subcommand(tmp_path, capsys):
     code = main([
         "matrix", *run_args(tmp_path),
@@ -168,6 +178,14 @@ def test_missing_checkpoint_fails_cleanly(tmp_path, capsys):
         str(tmp_path / "nope.ckpt"),
     ])
     assert code == 1
+
+
+def test_deeply_nested_checkpoint_header_fails_cleanly(tmp_path, capsys):
+    ckpt = tmp_path / "nested.ckpt"
+    ckpt.write_bytes(b"SHARPSHIFT-CKPT-1\n" + (100_000).to_bytes(8, "little") + b"[" * 100_000)
+    code = main(["linear-eval", *run_args(tmp_path), "--checkpoint", str(ckpt)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: truncated or corrupt")
 
 
 def test_bad_override_fails_cleanly(tmp_path, capsys):
@@ -254,7 +272,8 @@ def test_fft_shift_gap_reads_negative_zero_alpha_as_zero(trained, capsys):
 
 TRAIN_KEYS = [f.metadata["key"] for f in fields(TrainConfig)]
 PATH_KEYS = ("train.output_dir", "dataset.dir")
-ADVERSARIAL_VALUES = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", str(2**64), "", "abc", "1,2"]
+ADVERSARIAL_VALUES = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", str(2**63), str(2**64 - 1),
+                      str(2**64), "", "abc", "1,2"]
 TINY_RUN = [
     "train.epochs=1", "dataset.n_per_class=4", "dataset.n_eval_per_class=2",
     "dataset.image_size=4", "train.batch_size=4", "encoder.hidden=4", "encoder.feature_dim=2",

@@ -76,10 +76,10 @@ def test_identity_linear_encoder_normalizes():
         proj_hidden=2, center_input=False,
     )
     enc = Encoder(cfg)
-    named = enc.split_params(np.zeros(enc.n_params))
+    params = np.zeros(enc.n_params)
+    named = enc.split_params(params)  # views: the writes land in params
     named["proj0.W"][:] = np.eye(2)
     named["proj1.W"][:] = np.eye(2)
-    params = enc.flatten_params(named)
     out = enc.forward(params, np.array([3.0, 4.0]).reshape(1, 1, 2, 1))
     assert np.allclose(out[0], [0.6, 0.8], atol=1e-12)
 
@@ -150,9 +150,15 @@ def test_layout_sizes_sum_to_t(tiny):
 
 
 def test_flatten_unflatten_roundtrip_bitwise(tiny):
+    # the segments in layout order are the flat vector, and writing one writes the vector
     enc, params, _ = tiny
-    rebuilt = enc.flatten_params(enc.split_params(params))
-    assert np.array_equal(rebuilt, params)
+    flat = params.copy()
+    named = enc.split_params(flat)
+    rebuilt = np.concatenate([named[name].ravel() for name, _, _ in enc.layout])
+    assert rebuilt.tobytes() == params.tobytes()
+    for i, (name, _, offset) in enumerate(enc.layout):
+        named[name].flat[0] = -1.0 - i
+        assert flat[offset] == -1.0 - i
 
 
 def test_tiny_mlp_is_under_two_hundred_params():
@@ -431,6 +437,16 @@ def test_every_header_bit_flip_loads_or_fails_cleanly(tmp_path, config):
                 continue
             assert ckpt.layout == enc.layout
             assert np.array_equal(ckpt.params, params)
+
+
+def test_deeply_nested_checkpoint_header_fails_cleanly(tmp_path):
+    # json.loads recurses once per "[" and gives up with RecursionError
+    magic, _, payload = _checkpoint_parts(tmp_path)
+    nested = b"[" * 100_000
+    path = tmp_path / "nested.ckpt"
+    path.write_bytes(magic + struct.pack("<Q", len(nested)) + nested + payload)
+    with pytest.raises(ModelError, match="corrupt checkpoint header"):
+        load_checkpoint(path)
 
 
 def test_not_a_checkpoint_fails(tmp_path):
