@@ -15,6 +15,7 @@ from .encoder import Encoder
 from .errors import AugmentationError, EvaluationError, SharpshiftError, check_range, os_errors
 from .evaluation import FGSM_DEFAULT_EPSILON
 from .fourier import AugmentConfig, draw_betas, fft_augment_batch
+from .streams import seed_rows
 
 
 def _add_config_args(parser):
@@ -52,9 +53,10 @@ def _cmd_probe(args):
         raise EvaluationError(f"--k must be comma-separated integers, got {args.k!r}") from None
     config = _config_from(args)
     encoder, params, _ = training.load_run(args.checkpoint)
-    _, results = training.evaluate_probe(config, encoder, params, ks=ks, epsilon=args.epsilon)
+    images, labels = eval_data = training.load_eval_data(config)
+    _, results = training.evaluate_probe(config, encoder, params, ks=ks, epsilon=args.epsilon,
+                                         eval_data=eval_data)
     if args.dump_features:
-        images, labels = training.load_eval_data(config)
         feats = encoder.forward(params, images, tap=config.probe_tap_point)
         with (os_errors(EvaluationError, args.dump_features),
               open(args.dump_features, "w", encoding="utf-8") as fh):
@@ -98,8 +100,7 @@ def _cmd_augment_preview(args):
     count = check_range(AugmentationError, "--n (amplitude mixing pairs views)",
                         min(args.n, len(images)), 2)
     fft_cfg = AugmentConfig(alpha=args.alpha, rng_seed=args.seed)
-    seeds = np.empty((count, 2), dtype=np.uint64)
-    seeds[:, 0], seeds[:, 1] = args.seed, np.arange(count)
+    seeds = seed_rows(args.seed, np.arange(count))
     batch = data.base_augment_batch(images[:count], seeds, config.augment_pool())
     if args.checkpoint:
         encoder, params, _ = training.load_run(args.checkpoint)

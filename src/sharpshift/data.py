@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AugmentationError, IngestionError, check_range, os_errors
-from .streams import Streams
+from .streams import Streams, seed_rows
 
 RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixel bytes (R, G, B planes)
 CIFAR_CLASSES = 10
@@ -80,19 +80,15 @@ def gen_synthetic(n_per_class, num_classes, image_size=16, channels=1, seed=0,
     pattern_rng = np.random.default_rng([int(pattern_seed), 0])
     noise_rng = np.random.default_rng([int(seed), 1])
     h = w = int(image_size)
-    images = np.empty((n_per_class * num_classes, h, w, channels))
-    labels = np.empty(n_per_class * num_classes, dtype=int)
+    images = np.empty((num_classes, n_per_class, h, w, channels))
     for c in range(num_classes):
         coarse = pattern_rng.standard_normal((4, 4, channels))
         base = bilinear_resize(coarse, h, w)
         spread = max(float(np.max(np.abs(base))), 1e-12)
         base = 0.5 + 0.3 * base / spread
-        for i in range(n_per_class):
-            idx = c * n_per_class + i
-            noise = 0.1 * noise_rng.standard_normal((h, w, channels))
-            images[idx] = np.clip(base + noise, 0.0, 1.0)
-            labels[idx] = c
-    return images, labels
+        noise = 0.1 * noise_rng.standard_normal((n_per_class, h, w, channels))
+        images[c] = np.clip(base + noise, 0.0, 1.0)
+    return images.reshape(-1, h, w, channels), np.repeat(np.arange(num_classes), n_per_class)
 
 
 def bilinear_resize(image, out_h, out_w):
@@ -155,8 +151,9 @@ def base_augment(image, seed, pool=AugmentPool()):
     return base_augment_batch(image[None], np.array(seed, dtype=np.uint64).reshape(1, -1), pool)[0]
 
 
-# Pixel values one pass of base_augment_batch works on; larger batches go in
-# even chunks, whose temporaries stay in cache (about 42 views of 32x32x3).
+# Pixel values one pass of base_augment_batch works on (about 42 views of 32x32x3);
+# larger batches go in even chunks, which bound the temporaries of a request near
+# SIZE_CAP to a few chunk-sized arrays.
 _BATCH_CHUNK_VALUES = 2**17
 
 
@@ -199,11 +196,8 @@ def _augment_chunk(images, seeds, pool):
     cropped at full size passes through it unchanged. ``images`` is never written.
     """
     n, h, w, channels = images.shape
-    entropy = np.empty((4 * n, seeds.shape[1] + 1), dtype=seeds.dtype)
-    for slot in (OP_CROP, OP_FLIP, OP_JITTER, OP_GRAY):  # op-major rows: slot * n + i
-        entropy[slot * n:(slot + 1) * n, :-1] = seeds
-        entropy[slot * n:(slot + 1) * n, -1] = slot
-    streams = Streams(entropy)
+    # op-major rows: row slot * n + i is seeds[i] followed by the slot
+    streams = Streams(seed_rows(*np.tile(seeds, (4, 1)).T, np.repeat(np.arange(4), n)))
     # each op's first draw is a uniform: the crop area, then the flip, jitter and gray coins
     low, high = np.zeros(4 * n), np.ones(4 * n)
     low[:n], high[:n] = pool.crop_scale

@@ -327,8 +327,7 @@ def _col2im(dcols, x_shape):
 @dataclass
 class Checkpoint:
     params: np.ndarray
-    encoder_config: EncoderConfig
-    layout: tuple
+    encoder: Encoder
     train_config_hash: str
     epoch: int = 0
     extra: dict = field(default_factory=dict)
@@ -393,8 +392,7 @@ def load_checkpoint(path):
         )
     return Checkpoint(
         params=np.frombuffer(raw, dtype="<f8").astype(float),
-        encoder_config=config,
-        layout=encoder.layout,
+        encoder=encoder,
         train_config_hash=train_config_hash,
         epoch=epoch,
         extra=extra,

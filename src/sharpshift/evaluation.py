@@ -51,15 +51,15 @@ def _as_batch(images, labels):
     return images, labels
 
 
-def train_linear_probe(encoder, params, labeled_data, config, num_classes=None):
+def train_linear_probe(encoder, params, labeled_data, config):
     """Gradient-train a weight matrix on frozen features; returns W (M, d).
 
-    ``labeled_data`` is an (images, labels) pair. The encoder parameters are
-    read, never written. Full-batch updates keep the run deterministic for a
-    given seed.
+    ``labeled_data`` is an (images, labels) pair whose labels cover every class
+    0..M-1. The encoder parameters are read, never written. Full-batch updates
+    keep the run deterministic for a given seed.
     """
     images, labels = _as_batch(*labeled_data)
-    n_classes = int(num_classes) if num_classes is not None else int(labels.max()) + 1
+    n_classes = int(labels.max()) + 1
     missing = [c for c in range(n_classes) if not np.any(labels == c)]
     if missing:
         raise EvaluationError(f"classes {missing} have no training examples")

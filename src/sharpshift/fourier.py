@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AugmentationError, check_range
-from .streams import Streams
+from .streams import Streams, seed_rows
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,7 @@ def draw_betas(n_views, config):
     View k uses the substream SeedSequence([rng_seed, k]); all n_views streams
     are seeded and drawn at once, with the same values as one at a time.
     """
-    entropy = np.empty((n_views, 2), dtype=np.uint64)
-    entropy[:, 0] = config.rng_seed
-    entropy[:, 1] = np.arange(n_views)
-    return Streams(entropy).uniform(0.0, config.alpha)
+    return Streams(seed_rows(config.rng_seed, np.arange(n_views))).uniform(0.0, config.alpha)
 
 
 def mix_batch(views, partners, betas):

@@ -87,6 +87,19 @@ def _step(hi, lo, inc_hi, inc_lo):
     return _add128(new_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
 
 
+def seed_rows(*columns):
+    """The (n, k) uint64 entropy table whose row i holds element i of each 1-D column;
+    a scalar column repeats down the rows. A negative or non-integer column raises
+    ``ValueError`` before the uint64 cast, which would wrap a negative value silently."""
+    columns = [np.atleast_1d(column) for column in columns]
+    for column in columns:
+        if (column.ndim != 1 or column.dtype.kind not in "iu"
+                or (column.dtype.kind == "i" and (column < 0).any())):
+            raise ValueError("seed columns must be scalars or 1-D arrays of non-negative ints")
+    return np.stack([column.astype(np.uint64) for column in np.broadcast_arrays(*columns)],
+                    axis=1)
+
+
 def _entropy_words(entropy):
     """Rows of non-negative ints → (row indices, uint32 word rows) per word count.
 

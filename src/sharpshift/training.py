@@ -23,8 +23,8 @@ import numpy as np
 from . import data as data_mod
 from .config import TrainConfig
 from .encoder import Encoder, load_checkpoint, save_checkpoint
-from .errors import (SIZE_CAP, IngestionError, MetricError, ModelError, OptimizerError,
-                     PipelineError, check_range, os_errors)
+from .errors import (SIZE_CAP, EvaluationError, IngestionError, MetricError, ModelError,
+                     OptimizerError, PipelineError, check_range, os_errors)
 from .evaluation import (
     FGSM_DEFAULT_EPSILON,
     AttackConfig,
@@ -38,6 +38,7 @@ from .fourier import dft2, reconstruct  # noqa: F401  (benchmarks/tracer.py wrap
 from .losses import LossConfig, info_nce_batch_grad
 from .sam import DEFAULT_ADAPTIVE_RHO, DEFAULT_RHO, sam_step, sgd_step
 from .shift import ShiftGapConfig, estimate_shift_gap
+from .streams import seed_rows
 
 # SeedSequence stream tags; every consumer of randomness gets its own branch.
 TAG_INIT, TAG_SHUFFLE, TAG_VIEW, TAG_FFT, TAG_EVAL_DATA = 1, 2, 3, 4, 5
@@ -55,13 +56,7 @@ def derived_seed(*parts):
 
 def load_train_data(config: TrainConfig):
     if config.dataset == "synthetic":
-        return data_mod.gen_synthetic(
-            config.n_per_class,
-            config.num_classes,
-            image_size=config.image_size,
-            channels=config.channels,
-            seed=config.seed,
-        )
+        return _synthetic(config, config.n_per_class, config.seed)
     return _cifar_sides(config)[0]
 
 
@@ -73,15 +68,15 @@ def load_eval_data(config: TrainConfig):
     that file is absent.
     """
     if config.dataset == "synthetic":
-        return data_mod.gen_synthetic(
-            config.n_eval_per_class,
-            config.num_classes,
-            image_size=config.image_size,
-            channels=config.channels,
-            seed=derived_seed(config.seed, TAG_EVAL_DATA),
-            pattern_seed=config.seed,
-        )
+        seed = derived_seed(config.seed, TAG_EVAL_DATA)
+        return _synthetic(config, config.n_eval_per_class, seed)
     return _cifar_sides(config)[1]
+
+
+def _synthetic(config, n_per_class, seed):
+    """A synthetic split; every split of a run shares the class patterns of ``config.seed``."""
+    return data_mod.gen_synthetic(n_per_class, config.num_classes, image_size=config.image_size,
+                                  channels=config.channels, seed=seed, pattern_seed=config.seed)
 
 
 def _cifar_sides(config):
@@ -105,10 +100,7 @@ def _cifar_sides(config):
 def _make_views(images, indices, epoch, config, pool):
     """Views 2i and 2i+1 of a batch are the two base augmentations of anchor i."""
     anchors = np.repeat(np.asarray(indices), 2)
-    seeds = np.empty((len(anchors), 5), dtype=np.uint64)
-    seeds[:, :3] = config.seed, TAG_VIEW, epoch
-    seeds[:, 3] = anchors
-    seeds[:, 4] = np.arange(len(anchors)) % 2
+    seeds = seed_rows(config.seed, TAG_VIEW, epoch, anchors, np.arange(len(anchors)) % 2)
     return data_mod.base_augment_batch(images[anchors], seeds, pool)
 
 
@@ -331,7 +323,7 @@ def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, exponent=0.5,
 def load_run(checkpoint_path):
     """(encoder, params, checkpoint) from a checkpoint file."""
     ckpt = load_checkpoint(checkpoint_path)
-    return Encoder(ckpt.encoder_config), ckpt.params, ckpt
+    return ckpt.encoder, ckpt.params, ckpt
 
 
 def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None, eval_data=None):
@@ -340,10 +332,11 @@ def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None, eval_data=Non
         eval_data = load_eval_data(config)
     attack = None if epsilon is None else AttackConfig(epsilon=epsilon)  # checked before training
     probe_cfg = config.probe_config()
-    weights = train_linear_probe(
-        encoder, params, load_train_data(config), probe_cfg, num_classes=config.num_classes
-        if config.dataset == "synthetic" else None,
-    )
+    train_data = load_train_data(config)
+    unseen = np.setdiff1d(eval_data[1], train_data[1])
+    if unseen.size:  # refused before the probe trains
+        raise EvaluationError(f"held-out classes {unseen.tolist()} have no training examples")
+    weights = train_linear_probe(encoder, params, train_data, probe_cfg)
     model = ProbeModel(
         encoder=encoder, params=params, weights=weights, tap_point=probe_cfg.tap_point
     )
@@ -360,23 +353,22 @@ def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None, eval_data=Non
 # ----- experiment matrix ------------------------------------------------------
 
 
+# The ablation rows: baseline, sam, asam, fft and the full method. Rows without
+# SAM leave sam_rho and sam_adaptive as they are; the config hash reads them.
+_SAM = dict(sam_enabled=True, sam_rho=DEFAULT_RHO, sam_adaptive=False)
+_VARIANTS = {
+    "baseline": dict(sam_enabled=False, fft_enabled=False),
+    "sam": dict(_SAM, fft_enabled=False),
+    "asam": dict(_SAM, sam_rho=DEFAULT_ADAPTIVE_RHO, sam_adaptive=True, fft_enabled=False),
+    "fft": dict(sam_enabled=False, fft_enabled=True),
+    "sam_fft": dict(_SAM, fft_enabled=True),
+}
+
+
 def standard_variants(base: TrainConfig):
-    """The five ablation rows: baseline, sam, asam, fft, and the full method."""
-    return [
-        ("baseline", replace(base, sam_enabled=False, fft_enabled=False,
-                             output_dir=os.path.join(base.output_dir, "baseline"))),
-        ("sam", replace(base, sam_enabled=True, sam_rho=DEFAULT_RHO, sam_adaptive=False,
-                        fft_enabled=False,
-                        output_dir=os.path.join(base.output_dir, "sam"))),
-        ("asam", replace(base, sam_enabled=True, sam_rho=DEFAULT_ADAPTIVE_RHO, sam_adaptive=True,
-                         fft_enabled=False,
-                         output_dir=os.path.join(base.output_dir, "asam"))),
-        ("fft", replace(base, sam_enabled=False, fft_enabled=True,
-                        output_dir=os.path.join(base.output_dir, "fft"))),
-        ("sam_fft", replace(base, sam_enabled=True, sam_rho=DEFAULT_RHO, sam_adaptive=False,
-                            fft_enabled=True,
-                            output_dir=os.path.join(base.output_dir, "sam_fft"))),
-    ]
+    """The five ``_VARIANTS`` rows of ``base``, each under ``base.output_dir/<name>``."""
+    return [(name, replace(base, **overrides, output_dir=os.path.join(base.output_dir, name)))
+            for name, overrides in _VARIANTS.items()]
 
 
 def run_experiment_matrix(variants, summary_path=None, shift_n_mc=4):
@@ -417,11 +409,7 @@ def _read_metrics(path):
 
 
 def _write_summary(path, rows):
-    columns = ["variant"]
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(["variant"] + [key for row in rows for key in row]))
     with os_errors(PipelineError, path), open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(columns) + "\n")
         for row in rows:

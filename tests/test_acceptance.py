@@ -345,7 +345,7 @@ def test_criterion_11_robust_eval_contracts(desk_runs):
     images, labels = _eval_images(cfg, 200)
     probe = train_linear_probe(
         encoder, params, (images, labels),
-        ProbeConfig(epochs=100, lr=1.0, seed=0), num_classes=cfg.num_classes,
+        ProbeConfig(epochs=100, lr=1.0, seed=0),
     )
     model = ProbeModel(encoder=encoder, params=params, weights=probe)
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from sharpshift.bounds import lab_suite
 from sharpshift.cli import main
 from sharpshift.config import TrainConfig, load_config
-from sharpshift.encoder import Encoder, load_checkpoint, save_checkpoint
+from sharpshift.encoder import load_checkpoint, save_checkpoint
+from sharpshift import training
 from sharpshift.training import METRICS_NAME, load_eval_data, load_train_data
 
 
@@ -416,7 +417,7 @@ def test_resume_refuses_checkpoint_epoch_outside_the_run(tiny_run, tmp_path, cap
     argv, ckpt, _ = tiny_run
     stored = load_checkpoint(ckpt)
     path = tmp_path / "odd.ckpt"
-    save_checkpoint(path, Encoder(stored.encoder_config), stored.params,
+    save_checkpoint(path, stored.encoder, stored.params,
                     stored.train_config_hash, epoch=epoch)
     code = main(["train", *argv, f"--set=train.output_dir={tmp_path}/out", f"--resume={path}"])
     assert code == 1
@@ -503,12 +504,13 @@ def test_readme_lists_every_config_key():
     assert sorted(re.findall(r"^\| `([a-z_.]+)` \|", section, flags=re.M)) == sorted(TRAIN_KEYS)
 
 
-def write_fake_cifar(data_dir, name="data_batch_1.bin", records=12, seed=0):
-    """A CIFAR-style batch file of random records with alternating labels."""
+def write_fake_cifar(data_dir, name="data_batch_1.bin", records=12, seed=0, first_label=0):
+    """A CIFAR-style batch file of random records with alternating labels
+    ``first_label`` and ``first_label + 1``."""
     blob = bytearray()
     rng = np.random.default_rng(seed)
     for i in range(records):
-        blob.append(i % 2)
+        blob.append(first_label + i % 2)
         blob.extend(rng.integers(0, 256, size=3072, dtype=np.uint16).astype("uint8").tobytes())
     data_dir.mkdir(exist_ok=True)
     (data_dir / name).write_bytes(bytes(blob))
@@ -570,6 +572,39 @@ def cifar_run(tmp_path_factory):
     argv = [f"--set={item}" for item in [*TINY_RUN, f"train.output_dir={tmp}/run"]]
     assert main(["train", f"--data={tmp}/data", *argv]) == 0
     return argv, str(tmp / "run" / "checkpoint.ckpt")
+
+
+@pytest.mark.parametrize("command", ["linear-eval", "robust-eval"])
+def test_held_out_class_the_probe_never_saw_fails_cleanly(cifar_run, tmp_path, command):
+    """Training records hold classes 0 and 1, ``test_batch.bin`` only 2 and 3."""
+    argv, ckpt = cifar_run
+    data_dir = tmp_path / "cifar"
+    write_fake_cifar(data_dir)
+    write_fake_cifar(data_dir, name="test_batch.bin", records=4, first_label=2)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, *argv, f"--data={data_dir}", f"--checkpoint={ckpt}"])
+    assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
+    assert "[2, 3]" in err.getvalue()
+
+
+def test_probe_command_reads_the_dataset_once_per_side(cifar_run, tmp_path, monkeypatch):
+    """linear-eval --dump-features reads the training side and the held-out side once each."""
+    argv, ckpt = cifar_run
+    data_dir = tmp_path / "cifar"
+    write_fake_cifar(data_dir)
+    write_fake_cifar(data_dir, name="test_batch.bin", records=4, seed=1)
+    reads = []
+    load_cifar10 = training.data_mod.load_cifar10
+    monkeypatch.setattr(training.data_mod, "load_cifar10",
+                        lambda directory: reads.append(directory) or load_cifar10(directory))
+    features = tmp_path / "features.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["linear-eval", *argv, f"--data={data_dir}", f"--checkpoint={ckpt}",
+                     f"--dump-features={features}"])
+    assert code == 0
+    assert len(reads) == 2
+    assert len(features.read_text().splitlines()) == 4
 
 
 # (records per batch file, the path under the data directory that the error names)

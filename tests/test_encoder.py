@@ -328,10 +328,10 @@ def test_checkpoint_roundtrip(tmp_path, tiny):
     save_checkpoint(path, enc, params, "confighash", epoch=7)
     ckpt = load_checkpoint(path)
     assert np.array_equal(ckpt.params, params)
-    assert ckpt.encoder_config == enc.config
+    assert ckpt.encoder.config == enc.config
     assert ckpt.train_config_hash == "confighash"
     assert ckpt.epoch == 7
-    assert ckpt.layout == enc.layout
+    assert ckpt.encoder.layout == enc.layout
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path, tiny):
@@ -435,7 +435,7 @@ def test_every_header_bit_flip_loads_or_fails_cleanly(tmp_path, config):
                 ckpt = load_checkpoint(path)
             except ModelError:
                 continue
-            assert ckpt.layout == enc.layout
+            assert ckpt.encoder.layout == enc.layout
             assert np.array_equal(ckpt.params, params)
 
 

@@ -92,9 +92,8 @@ def test_probe_accuracy_matches_prediction_count_oracle():
 def test_probe_missing_class_raises():
     enc, params = small_real_encoder()
     images = np.random.default_rng(2).uniform(size=(6, 4, 4, 1))
-    with pytest.raises(EvaluationError):
-        train_linear_probe(enc, params, (images, np.zeros(6, dtype=int)),
-                           ProbeConfig(), num_classes=2)
+    with pytest.raises(EvaluationError, match=r"classes \[1\]"):
+        train_linear_probe(enc, params, (images, np.array([0, 2] * 3)), ProbeConfig())
 
 
 def test_probe_is_deterministic_per_seed():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sharpshift.streams import Streams
+from sharpshift.streams import Streams, seed_rows
 
 NEAR_2_32 = [2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32]  # high rejection rates, and no bias
 
@@ -81,3 +81,25 @@ def test_integers_range_is_checked():
     for high in (0, 2**32 + 1):
         with pytest.raises(ValueError):
             streams.integers(high)
+
+
+def test_seed_rows_repeats_scalar_columns():
+    table = seed_rows(7, np.arange(3), 2**64 - 1)
+    assert table.dtype == np.uint64
+    assert table.tolist() == [[7, 0, 2**64 - 1], [7, 1, 2**64 - 1], [7, 2, 2**64 - 1]]
+    assert seed_rows(1, 2).tolist() == [[1, 2]]
+
+
+def test_seed_rows_keeps_large_values_beside_int64_columns():
+    large = np.array([2**63, 2**64 - 1], dtype=np.uint64)
+    table = seed_rows(large, np.array([0, 5], dtype=np.int64), 2**63)
+    assert table.dtype == np.uint64
+    assert table.tolist() == [[2**63, 0, 2**63], [2**64 - 1, 5, 2**63]]
+    gens = [np.random.default_rng([int(v) for v in row]) for row in table.tolist()]
+    assert list(Streams(table).integers(1000)) == [gen.integers(0, 1000) for gen in gens]
+
+
+@pytest.mark.parametrize("bad", [-1, 0.5, np.array([3, -1]), np.array([0.5, 1.0]), [[1, 2]]])
+def test_seed_rows_rejects_negative_non_integer_and_2d_columns(bad):
+    with pytest.raises(ValueError):
+        seed_rows(np.arange(2), bad)

@@ -541,6 +541,15 @@ def test_standard_variants_shape():
     assert len(dirs) == 5
 
 
+def test_variants_without_sam_keep_the_base_sam_settings():
+    base = TrainConfig(output_dir="m", sam_rho=0.3, sam_adaptive=True)
+    variants = dict(standard_variants(base))
+    for name in ("baseline", "fft"):
+        assert (variants[name].sam_rho, variants[name].sam_adaptive) == (0.3, True)
+    for name, variant in variants.items():
+        assert variant.output_dir == os.path.join("m", name)
+
+
 def test_identical_configs_give_identical_rows(tmp_path):
     cfg = tiny_config(tmp_path, epochs=1)
     rows = run_experiment_matrix([("one", cfg), ("two", cfg)], shift_n_mc=2)
