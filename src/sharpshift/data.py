@@ -77,37 +77,19 @@ def gen_synthetic(n_per_class, num_classes, image_size=16, channels=1, seed=0,
     check_range(IngestionError, "num_classes", num_classes, 2)
     if pattern_seed is None:
         pattern_seed = seed
-    pattern_rng = np.random.default_rng([int(pattern_seed), 0])
-    noise_rng = np.random.default_rng([int(seed), 1])
     h = w = int(image_size)
-    images = np.empty((num_classes, n_per_class, h, w, channels))
-    for c in range(num_classes):
-        coarse = pattern_rng.standard_normal((4, 4, channels))
-        base = bilinear_resize(coarse, h, w)
-        spread = max(float(np.max(np.abs(base))), 1e-12)
-        base = 0.5 + 0.3 * base / spread
-        noise = 0.1 * noise_rng.standard_normal((n_per_class, h, w, channels))
-        images[c] = np.clip(base + noise, 0.0, 1.0)
+    coarse = np.random.default_rng([int(pattern_seed), 0]).standard_normal(
+        (num_classes, 4, 4, channels))
+    zero, four = np.zeros(num_classes, dtype=np.int64), np.full(num_classes, 4)
+    base = _resize_crops(coarse, zero, zero, four, four, np.zeros(num_classes, bool), h, w)
+    spread = np.maximum(np.max(np.abs(base), axis=(1, 2, 3)), 1e-12)
+    base = 0.5 + 0.3 * base / spread[:, None, None, None]
+    images = np.random.default_rng([int(seed), 1]).standard_normal(
+        (num_classes, n_per_class, h, w, channels))
+    images *= 0.1
+    images += base[:, None]
+    np.clip(images, 0.0, 1.0, out=images)
     return images.reshape(-1, h, w, channels), np.repeat(np.arange(num_classes), n_per_class)
-
-
-def bilinear_resize(image, out_h, out_w):
-    """Channel-last bilinear resample (align_corners=False convention)."""
-    image = np.asarray(image, dtype=float)
-    in_h, in_w = image.shape[:2]
-    if (in_h, in_w) == (out_h, out_w):
-        return image.copy()
-    ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
-    xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
-    bottom = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
-    return top * (1 - wy) + bottom * wy
 
 
 # ----- base augmentation pool ----------------------------------------------
@@ -211,14 +193,14 @@ def _augment_chunk(images, seeds, pool):
     left = crop.integers(w - crop_w + 1)
     flipped = first[OP_FLIP] < pool.flip_p
     is_resized = (crop_h != h) | (crop_w != w)
-    out = _resize_crops(np.ascontiguousarray(images), top, left, crop_h, crop_w, flipped)
+    out = _resize_crops(np.ascontiguousarray(images), top, left, crop_h, crop_w, flipped, h, w)
 
     factors = jitter.uniform(max(0.0, 1.0 - pool.jitter_strength), 1.0 + pool.jitter_strength,
                              size=3)
     jittered = np.flatnonzero(first[OP_JITTER] < pool.jitter_p)
     if len(jittered):
         # the mean sums in the order of the per-image reference in tests/oracles.py: C
-        # order after a flip, (W, H, C) order after bilinear_resize, else the input's own
+        # order after a flip, (W, H, C) order after its bilinear_resize, else the input's own
         whc = (is_resized & ~flipped)[jittered]
         own = ~(is_resized | flipped)[jittered] & (not images[0].flags.c_contiguous)
         f = factors[jittered, :, None, None, None]
@@ -243,7 +225,7 @@ def _augment_chunk(images, seeds, pool):
 
 
 def _bilinear_taps(out_size, in_sizes):
-    """``bilinear_resize``'s source taps and weights along one axis, one row per input size."""
+    """Source taps and weights along one axis (align_corners=False), one row per input size."""
     in_sizes = in_sizes[:, None]
     coord = (np.arange(out_size) + 0.5) * in_sizes / out_size - 0.5
     lo = np.clip(np.floor(coord).astype(int), 0, in_sizes - 1)
@@ -251,15 +233,17 @@ def _bilinear_taps(out_size, in_sizes):
     return lo, hi, np.clip(coord - lo, 0.0, 1.0)
 
 
-def _resize_crops(images, top, left, crop_h, crop_w, flipped):
-    """``bilinear_resize(images[i, top:top+crop_h, left:left+crop_w], H, W)`` for every image i,
+def _resize_crops(images, top, left, crop_h, crop_w, flipped, out_h, out_w):
+    """Channel-last bilinear resample (align_corners=False) of the crop
+    ``images[i, top:top+crop_h, left:left+crop_w]`` of every image i to (out_h, out_w),
     with its columns reversed where ``flipped``.
 
     Each crop row is blended along x once, then each output row blends two of those
-    rows; every output pixel does ``bilinear_resize``'s arithmetic in its order. The
-    flip is folded into the column taps: a flipped row reverses its ``x0``, ``x1`` and
-    ``wx``, so each output pixel is computed as its mirror in the unflipped view.
-    A full-size crop has integer taps of weight 0, so each of its pixels is
+    rows; every output pixel does the arithmetic of the per-image ``bilinear_resize``
+    in ``tests/oracles.py``, in its order. The flip is folded into the column taps: a
+    flipped row reverses its ``x0``, ``x1`` and ``wx``, so each output pixel is
+    computed as its mirror in the unflipped view.
+    A crop the output's size has integer taps of weight 0, so each of its pixels is
     ``x * 1.0 + y * 0.0``: for finite pixels that is ``x`` (a -0.0 comes back as
     +0.0, which compares equal), and the crop is copied exactly, reversed if flipped.
     ``images`` must be C-contiguous: the two column taps of every crop pixel are
@@ -267,22 +251,22 @@ def _resize_crops(images, top, left, crop_h, crop_w, flipped):
     """
     m, h, w, channels = images.shape
     rows_per_crop = int(crop_h.max())
-    y0, y1, wy = _bilinear_taps(h, crop_h)
+    y0, y1, wy = _bilinear_taps(out_h, crop_h)
     x0, x1, wx = (np.where(flipped[:, None], tap[:, ::-1], tap)
-                  for tap in _bilinear_taps(w, crop_w))
+                  for tap in _bilinear_taps(out_w, crop_w))
     # crop rows 0..rows_per_crop-1, a shorter crop repeating its last row
     crop_rows = np.minimum(np.arange(rows_per_crop), crop_h[:, None] - 1)
     rows = (np.arange(m)[:, None] * h + top[:, None] + crop_rows) * w  # (m, rows)
-    cols = left[:, None] + np.stack([x0, x1])  # (2, m, W)
-    pixels = rows[None, :, :, None] + cols[:, :, None, :]  # (2, m, rows, W)
+    cols = left[:, None] + np.stack([x0, x1])  # (2, m, out_w)
+    pixels = rows[None, :, :, None] + cols[:, :, None, :]  # (2, m, rows, out_w)
     taps = np.take(images.reshape(-1, channels), pixels, axis=0).reshape(
-        2, m, rows_per_crop, w * channels)
+        2, m, rows_per_crop, out_w * channels)
     # weights repeated over channels, so that each product runs over whole rows
     wx, wy = np.repeat(wx, channels, axis=1)[:, None, :], wy[:, :, None]
-    across = (taps[0] * (1 - wx) + taps[1] * wx).reshape(m * rows_per_crop, w * channels)
+    across = (taps[0] * (1 - wx) + taps[1] * wx).reshape(m * rows_per_crop, out_w * channels)
     first = np.arange(m)[:, None] * rows_per_crop
     upper, lower = np.take(across, first + y0, axis=0), np.take(across, first + y1, axis=0)
-    return (upper * (1 - wy) + lower * wy).reshape(-1, h, w, channels)
+    return (upper * (1 - wy) + lower * wy).reshape(-1, out_h, out_w, channels)
 
 
 # ----- image file output (manual inspection) --------------------------------

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,14 +68,7 @@ class EncoderConfig:
         object.__setattr__(self, "input_shape", tuple(int(x) for x in self.input_shape))
 
     def to_dict(self):
-        return {
-            "architecture": self.architecture,
-            "input_shape": list(self.input_shape),
-            "hidden": list(self.hidden),
-            "feature_dim": self.feature_dim,
-            "proj_hidden": self.proj_hidden,
-            "center_input": self.center_input,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):

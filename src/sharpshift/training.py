@@ -265,30 +265,27 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
 
     def fft_fn(image, rng, n):
         # draw in the order of n one-at-a-time draws: the view's seed, its beta, and
-        # unless beta is 0 the candidates and their seeds; then augment all at once
-        sources, seeds, betas = [], [], []
+        # unless beta is 0 the candidates and their seeds; then augment all at once.
+        # A draw's own view is row rows[k] of the batch, its candidates the count rows after.
+        sources, seeds, rows, mixed = [], [], [], []
         for _ in range(n):
+            rows.append(len(rows) + count * len(mixed))
             seeds.append(rng.integers(0, 2**62, size=(1, 2)))
-            betas.append(float(rng.uniform(0.0, alpha)))
             sources.append(image[None])
-            if betas[-1] != 0.0:
+            beta = float(rng.uniform(0.0, alpha))
+            if beta != 0.0:
+                mixed.append((rows[-1], beta))
                 chosen = rng.choice(len(pool_images), size=count, replace=False)
                 seeds.append(rng.integers(0, 2**62, size=(count, 2)))
                 sources.append(pool_images[chosen])
         views = data_mod.base_augment_batch(np.concatenate(sources), np.concatenate(seeds),
                                             aug_pool)
         # each draw's own row is mixed toward its partner row; candidate rows have beta 0
-        rows = np.empty(n, dtype=int)
         partners, mix_betas = np.arange(len(views)), np.zeros(len(views))
-        start = 0
-        for k, beta in enumerate(betas):
-            rows[k] = start
-            if beta != 0.0:
-                stack = views[start:start + 1 + count]
-                partners[start] += most_similar_index(encoder.forward(params, stack), 0)
-                mix_betas[start] = beta
-                start += count
-            start += 1
+        for row, beta in mixed:
+            stack = views[row:row + 1 + count]
+            partners[row] += most_similar_index(encoder.forward(params, stack), 0)
+            mix_betas[row] = beta
         return mix_batch(views, partners, mix_betas)[rows]
 
     return fft_fn
@@ -379,10 +376,11 @@ def run_experiment_matrix(variants, summary_path=None, shift_n_mc=4):
         try:
             ckpt_path = train_ssl(config)
             encoder, params, _ = load_run(ckpt_path)
-            _, results = evaluate_probe(config, encoder, params, epsilon=FGSM_DEFAULT_EPSILON)
-            report = shift_gap_report(
-                config, encoder, params, "base", n_mc=shift_n_mc, seed=config.seed
-            )
+            eval_data = load_eval_data(config)
+            _, results = evaluate_probe(config, encoder, params, epsilon=FGSM_DEFAULT_EPSILON,
+                                        eval_data=eval_data)
+            report = shift_gap_report(config, encoder, params, "base", n_mc=shift_n_mc,
+                                      seed=config.seed, eval_data=eval_data)
             metrics = _read_metrics(os.path.join(config.resolved_output_dir(), METRICS_NAME))
             row.update(results)
             row["shift_gap"] = report.aggregate

@@ -4,8 +4,9 @@ Everything here is deliberately naive: direct double sums, ordered-tuple
 enumerations, explicit loops. None of it shares code with the package, except
 the augmentation oracles at the end. ``base_augment`` there is the per-image
 composition of the four base ops, each drawing from its own ``op_rng``
-substream, and it uses ``data.bilinear_resize`` for the crop. The per-draw
-oracles loop over it and over the per-channel fourier helpers.
+substream, and it resizes the crop with the per-image ``bilinear_resize``
+below. The per-draw oracles loop over it and over the per-channel fourier
+helpers.
 ``data.base_augment_batch`` and the package's other batched paths must
 reproduce them bit for bit.
 """
@@ -245,6 +246,42 @@ def op_rng(seed, slot):
     return np.random.default_rng(entropy + [slot])
 
 
+def bilinear_resize(image, out_h, out_w):
+    """Channel-last bilinear resample (align_corners=False convention)."""
+    image = np.asarray(image, dtype=float)
+    in_h, in_w = image.shape[:2]
+    if (in_h, in_w) == (out_h, out_w):
+        return image.copy()
+    ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
+    xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
+    bottom = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def gen_synthetic_per_image(n_per_class, num_classes, image_size, channels, seed):
+    """``data.gen_synthetic`` one class pattern and one noise image at a time."""
+    pattern_rng = np.random.default_rng([int(seed), 0])
+    noise_rng = np.random.default_rng([int(seed), 1])
+    images, labels = [], []
+    for label in range(num_classes):
+        base = bilinear_resize(pattern_rng.standard_normal((4, 4, channels)), image_size,
+                               image_size)
+        spread = max(float(np.max(np.abs(base))), 1e-12)
+        base = 0.5 + 0.3 * base / spread
+        for _ in range(n_per_class):
+            noise = 0.1 * noise_rng.standard_normal((image_size, image_size, channels))
+            images.append(np.clip(base + noise, 0.0, 1.0))
+            labels.append(label)
+    return np.stack(images), np.array(labels)
+
+
 def random_resized_crop(image, rng, scale):
     """Random square-fraction crop resized back to the input shape."""
     h, w = image.shape[:2]
@@ -257,7 +294,7 @@ def random_resized_crop(image, rng, scale):
     if crop_h == h and crop_w == w:
         return image
     patch = image[top:top + crop_h, left:left + crop_w]
-    return data.bilinear_resize(patch, h, w)
+    return bilinear_resize(patch, h, w)
 
 
 def horizontal_flip(image, rng, p):

@@ -607,6 +607,33 @@ def test_probe_command_reads_the_dataset_once_per_side(cifar_run, tmp_path, monk
     assert len(features.read_text().splitlines()) == 4
 
 
+def test_matrix_reads_the_held_out_split_once_per_variant(tmp_path, monkeypatch):
+    """A one-variant CIFAR matrix reads the dataset for training, for the probe's training
+    side, and once for the held-out split that the probe and the shift gap share."""
+    data_dir = tmp_path / "cifar"
+    write_fake_cifar(data_dir)
+    write_fake_cifar(data_dir, name="test_batch.bin", records=4, seed=1)
+    argv = ["matrix", f"--data={data_dir}", "--variants=baseline",
+            *[f"--set={item}" for item in [*TINY_RUN, f"train.output_dir={tmp_path}/run"]]]
+    reads = []
+    load_cifar10 = training.data_mod.load_cifar10
+    monkeypatch.setattr(training.data_mod, "load_cifar10",
+                        lambda directory: reads.append(directory) or load_cifar10(directory))
+    summary = tmp_path / "run" / training.SUMMARY_NAME
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(reads) == 3
+    shared = summary.read_bytes()
+    # the probe and the shift gap each loading their own held-out split give the same row
+    for name in ("evaluate_probe", "shift_gap_report"):
+        monkeypatch.setattr(training, name, lambda *args, eval_data, _fn=getattr(training, name),
+                            **kwargs: _fn(*args, **kwargs))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(reads) == 3 + 5
+    assert summary.read_bytes() == shared
+
+
 # (records per batch file, the path under the data directory that the error names)
 EMPTY_CIFAR_CASES = {
     "empty_test_batch": ({"data_batch_1.bin": 12, "test_batch.bin": 0}, "test_batch.bin"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from sharpshift.data import (
     OP_GRAY,
     OP_JITTER,
     AugmentPool,
+    _resize_crops,
     base_augment,
     base_augment_batch,
-    bilinear_resize,
     gen_synthetic,
     load_cifar10,
     write_image,
@@ -21,6 +23,7 @@ from sharpshift.errors import AugmentationError, IngestionError
 import oracles
 from oracles import (
     IDENTITY_POOL,
+    bilinear_resize,
     color_jitter,
     horizontal_flip,
     op_rng,
@@ -125,6 +128,19 @@ def test_pattern_seed_shares_classes_across_splits():
         assert corr > 0.9
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("image_size", [1, 2, 3, 4, 5, 8, 16, 32])
+def test_synthetic_matches_per_image_composition(image_size, channels):
+    """One pattern draw, one noise draw and one batched resize give the per-image bytes;
+    at image_size 4 the patterns pass through the resize unchanged."""
+    for num_classes, seed in itertools.product((2, 3, 10), (0, 7, 2**64 - 1)):
+        images, labels = gen_synthetic(3, num_classes, image_size, channels, seed)
+        expected, expected_labels = oracles.gen_synthetic_per_image(3, num_classes, image_size,
+                                                                    channels, seed)
+        assert images.tobytes() == expected.tobytes()
+        assert np.array_equal(labels, expected_labels)
+
+
 def test_raw_pixel_probe_beats_chance():
     images, labels = gen_synthetic(50, 2, image_size=16, seed=3)
     flat = images.reshape(len(labels), -1)
@@ -222,6 +238,24 @@ def test_bilinear_resize_constant_preserved():
     image = np.full((4, 4, 1), 0.42)
     out = bilinear_resize(image, 9, 7)
     assert np.allclose(out, 0.42)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_resize_crops_matches_bilinear_resize_to_other_sizes(channels):
+    """Crops resized up and down to an output size that is not the input's."""
+    rng = np.random.default_rng(channels)
+    n, h, w = 24, 9, 7
+    images = rng.uniform(size=(n, h, w, channels))
+    crop_h, crop_w = rng.integers(1, h + 1, n), rng.integers(1, w + 1, n)
+    top, left = rng.integers(0, h - crop_h + 1), rng.integers(0, w - crop_w + 1)
+    flipped = rng.uniform(size=n) < 0.5
+    for out_h, out_w in ((1, 1), (3, 2), (4, 13), (16, 20)):
+        out = _resize_crops(images, top, left, crop_h, crop_w, flipped, out_h, out_w)
+        assert out.shape == (n, out_h, out_w, channels)
+        for i in range(n):
+            crop = images[i, top[i]:top[i] + crop_h[i], left[i]:left[i] + crop_w[i]]
+            expected = bilinear_resize(crop, out_h, out_w)
+            assert np.array_equal(out[i], expected[:, ::-1] if flipped[i] else expected), i
 
 
 def test_bad_image_rank_rejected():

@@ -467,6 +467,36 @@ def test_shift_gap_matches_per_draw_oracle(tmp_path, monkeypatch, overrides, mod
         assert report == shift_gap_report(c, encoder, params, mode, n_mc=4, seed=seed).to_json()
 
 
+class _ZeroEveryOtherBeta:
+    """A generator whose odd-numbered ``uniform`` draws, the fft draws' betas, read 0."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def uniform(self, low, high):
+        self.calls += 1
+        value = self.rng.uniform(low, high)
+        return 0.0 if self.calls % 2 else value
+
+
+def test_fft_draws_with_and_without_candidates_match_per_draw_oracle(tmp_path):
+    """Draws that take candidates, interleaved with draws that do not, keep their own rows."""
+    cfg = tiny_config(tmp_path, **TINY_SSA_MLP)
+    images, _ = load_train_data(cfg)
+    encoder = Encoder(cfg.encoder_config())
+    params = encoder.init_params(0)
+    context = dict(encoder=encoder, params=params, pool_images=images)
+    batched = make_augment_fn("fft", cfg, **context)(images[0], _ZeroEveryOtherBeta(3), 7)
+    per_draw = oracles.per_draw_augment_fn("fft", cfg, **context)(images[0],
+                                                                   _ZeroEveryOtherBeta(3), 7)
+    assert len(batched) == 7
+    for k, (view, expected) in enumerate(zip(batched, per_draw)):
+        assert np.array_equal(view, expected), k
+
+
 def test_robust_eval_runs_the_eval_split_through_the_encoder_twice(tmp_path, monkeypatch):
     """Once for the attack's gradient, which also gives the clean logits, once for the attacked
     logits."""
