@@ -334,6 +334,6 @@ def lab_suite(suite, n_worlds, seed):
     if suite not in rows:
         raise LabError(f"unknown bound-lab suite {suite!r}; choose from {sorted(rows)}")
     check_range(LabError, "n_worlds", n_worlds, 1, SIZE_CAP, hi_open=False)
-    check_range(LabError, "seed", seed, 0)
+    check_range(LabError, "seed", seed, 0, 2**64)
     rng = np.random.default_rng([int(seed)])
     return (rows[suite](rng, i) for i in range(n_worlds))

@@ -14,7 +14,7 @@ from .config import load_config
 from .encoder import Encoder
 from .errors import AugmentationError, EvaluationError, SharpshiftError, check_range, os_errors
 from .evaluation import FGSM_DEFAULT_EPSILON
-from .fourier import AugmentConfig, draw_betas, fft_augment_batch
+from .fourier import AugmentConfig, draw_betas, mix_batch, most_similar_index
 from .streams import seed_rows
 
 
@@ -99,7 +99,7 @@ def _cmd_augment_preview(args):
     images, _ = training.load_train_data(config)
     count = check_range(AugmentationError, "--n (amplitude mixing pairs views)",
                         min(args.n, len(images)), 2)
-    fft_cfg = AugmentConfig(alpha=args.alpha, rng_seed=args.seed)
+    fft_cfg = AugmentConfig(alpha=config.fft_alpha, rng_seed=args.seed)  # checks --seed first
     seeds = seed_rows(args.seed, np.arange(count))
     batch = data.base_augment_batch(images[:count], seeds, config.augment_pool())
     if args.checkpoint:
@@ -107,9 +107,10 @@ def _cmd_augment_preview(args):
     else:
         encoder = Encoder(config.encoder_config())
         params = encoder.init_params(args.seed)
-    feats = encoder.forward(params, batch)
-    mixed = fft_augment_batch(batch, feats, fft_cfg)
     betas = draw_betas(count, fft_cfg)
+    partners, rows = np.arange(count), np.flatnonzero(betas)
+    partners[rows] = most_similar_index(encoder.forward(params, batch), rows)
+    mixed = mix_batch(batch, partners, betas)
     with os_errors(AugmentationError, args.out):
         os.makedirs(args.out, exist_ok=True)
     for i in range(count):
@@ -119,8 +120,7 @@ def _cmd_augment_preview(args):
                 data.write_image(path, views[i])
     path = os.path.join(args.out, "betas.txt")
     with os_errors(AugmentationError, path), open(path, "w", encoding="utf-8") as fh:
-        for i in range(count):
-            fh.write(f"view_{i:03d} beta={betas[i]!r}\n")
+        fh.writelines(f"view_{i:03d} beta={beta!r}\n" for i, beta in enumerate(betas))
     print(f"wrote {count} before/after pairs to {args.out}")
     return 0
 
@@ -186,11 +186,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bound_lab)
 
-    p = sub.add_parser("augment-preview", help="write before/after augmentation images")
+    p = sub.add_parser("augment-preview", help="write before/after images of mixing at fft.alpha")
     _add_config_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint", help="use this encoder for pairing (default: fresh init)")
     p.set_defaults(func=_cmd_augment_preview)

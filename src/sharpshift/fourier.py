@@ -94,18 +94,19 @@ def reconstruct(mixed_amplitude, phase, clip=True):
 
 
 def most_similar_index(features, k):
-    """Index l != k maximizing features[k] . features[l].
+    """Index l != k maximizing features[k] . features[l], shaped like the row or row array k.
 
-    Ties are broken toward the smallest index so the pairing is deterministic.
+    One row-wise sum of products per similarity: equal rows tie exactly, the smaller index wins.
     """
-    features = np.asarray(features, dtype=float)
+    features, k = np.asarray(features, dtype=float), np.asarray(k)
     n = features.shape[0]
     if n < 2:
         raise AugmentationError(f"need at least 2 feature vectors, got {n}")
-    check_range(AugmentationError, "index", k, 0, n)
-    sims = features @ features[k]
-    sims[k] = -np.inf
-    return int(np.argmax(sims))
+    if k.dtype.kind not in "iu" or not np.all((k >= 0) & (k < n)):
+        raise AugmentationError(f"index must be rows of the {n} feature vectors, got {k}")
+    sims = (features[k, ..., None, :] * features).sum(-1)
+    np.put_along_axis(sims, k[..., None], -np.inf, axis=-1)
+    return sims.argmax(-1) if k.ndim else int(sims.argmax())
 
 
 def draw_betas(n_views, config):
@@ -164,8 +165,7 @@ def fft_augment_batch(views, features, config):
     phase. Views with beta == 0 are passed through bit-identically, so
     alpha = 0 makes the whole op the identity.
     """
-    views = np.asarray(views, dtype=float)
-    features = np.asarray(features, dtype=float)
+    views, features = np.asarray(views, dtype=float), np.asarray(features, dtype=float)
     if views.ndim != 4:
         raise AugmentationError(f"views must be (n, H, W, C), got shape {views.shape}")
     if features.ndim != 2 or features.shape[0] != views.shape[0]:
@@ -173,6 +173,7 @@ def fft_augment_batch(views, features, config):
             f"need one feature vector per view: {features.shape} vs {views.shape[0]} views"
         )
     betas = draw_betas(len(views), config)
-    partners = np.array([most_similar_index(features, k) if beta else k
-                         for k, beta in enumerate(betas)], dtype=int)
+    partners, rows = np.arange(len(views)), np.flatnonzero(betas)
+    if rows.size:
+        partners[rows] = most_similar_index(features, rows)
     return mix_batch(views, partners, betas)

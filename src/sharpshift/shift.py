@@ -42,7 +42,7 @@ class ShiftGapConfig:
         if self.tau_factor not in _TAU_FACTORS:
             raise MetricError(f"tau_factor must be one of {_TAU_FACTORS}")
         check_range(MetricError, "tau", self.tau, 0, lo_open=True)
-        check_range(MetricError, "seed", self.seed, 0)
+        check_range(MetricError, "seed", self.seed, 0, 2**64)
 
 
 @dataclass

@@ -18,7 +18,11 @@ from hypothesis import strategies as st
 from sharpshift.bounds import lab_suite
 from sharpshift.cli import main
 from sharpshift.config import TrainConfig, load_config
-from sharpshift.encoder import load_checkpoint, save_checkpoint
+from sharpshift.data import base_augment_batch, write_image
+from sharpshift.encoder import Encoder, load_checkpoint, save_checkpoint
+from sharpshift.fourier import (AugmentConfig, draw_betas, fft_augment_batch, mix_batch,
+                                most_similar_index)
+from sharpshift.streams import seed_rows
 from sharpshift import training
 from sharpshift.training import METRICS_NAME, load_eval_data, load_train_data
 
@@ -127,7 +131,7 @@ def test_augment_preview_writes_files(tmp_path):
     out = tmp_path / "preview"
     code = main([
         "augment-preview", *run_args(tmp_path), "--out", str(out),
-        "--n", "3", "--alpha", "0.5", "--seed", "2",
+        "--n", "3", "--set", "fft.alpha=0.5", "--seed", "2",
     ])
     assert code == 0
     names = sorted(os.listdir(out))
@@ -136,6 +140,74 @@ def test_augment_preview_writes_files(tmp_path):
     assert sum(1 for n in names if n.endswith("_after.ppm")) == 3
     betas = (out / "betas.txt").read_text().splitlines()
     assert len(betas) == 3
+
+
+def _preview(tmp_path, name, seed, *extra):
+    """augment-preview of 6 views on the tiny run: {file name: bytes}."""
+    out = tmp_path / name
+    argv = ["augment-preview", *run_args(tmp_path), "--out", str(out), "--n", "6",
+            "--seed", str(seed), *extra]
+    assert main(argv) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def _preview_inputs(tmp_path, seed, count=6):
+    """The preview's before views and their features, built from the library."""
+    config = load_config(None, run_args(tmp_path)[1::2])
+    images, _ = load_train_data(config)
+    views = base_augment_batch(images[:count], seed_rows(seed, np.arange(count)),
+                               config.augment_pool())
+    encoder = Encoder(config.encoder_config())
+    return views, encoder.forward(encoder.init_params(seed), views)
+
+
+def _image_files(tmp_path, side, views):
+    files = {}
+    for i, view in enumerate(views):
+        path = tmp_path / f"view_{i:03d}_{side}.ppm"
+        write_image(path, view)
+        files[path.name] = path.read_bytes()
+    return files
+
+
+def _betas(files):
+    return np.array([float(re.search(r"beta=(?:np\.float64\()?([^)]+)", line).group(1))
+                     for line in files["betas.txt"].decode().splitlines()])
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_augment_preview_after_images_are_its_betas_mixed_toward_their_partners(tmp_path, seed):
+    files = _preview(tmp_path, "preview", seed, "--set", "fft.alpha=0.9")
+    views, feats = _preview_inputs(tmp_path, seed)
+    betas = _betas(files)
+    assert betas.shape == (6,) and np.all((betas > 0.0) & (betas <= 0.9))
+    partners = [most_similar_index(feats, k) for k in range(6)]
+    assert _image_files(tmp_path, "before", views).items() <= files.items()
+    after = _image_files(tmp_path, "after", mix_batch(views, partners, betas))
+    assert after.items() <= files.items()
+
+
+def test_augment_preview_takes_alpha_from_the_config(tmp_path):
+    default = _preview(tmp_path, "default", 4)
+    wide = _preview(tmp_path, "wide", 4, "--set", "fft.alpha=0.5")
+    assert np.allclose(_betas(wide), 2.5 * _betas(default))
+    before = [name for name in default if name.endswith("_before.ppm")]
+    after = [name for name in default if name.endswith("_after.ppm")]
+    assert all(wide[name] == default[name] for name in before)
+    assert any(wide[name] != default[name] for name in after)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_augment_preview_at_the_default_alpha_is_one_fft_augment_batch(tmp_path, seed):
+    """At the default alpha the files are those of one fft_augment_batch call and its betas."""
+    files = _preview(tmp_path, "preview", seed)
+    views, feats = _preview_inputs(tmp_path, seed)
+    config = AugmentConfig(alpha=0.2, rng_seed=seed)
+    expected = {**_image_files(tmp_path, "before", views),
+                **_image_files(tmp_path, "after", fft_augment_batch(views, feats, config)),
+                "betas.txt": "".join(f"view_{i:03d} beta={beta!r}\n"
+                                     for i, beta in enumerate(draw_betas(6, config))).encode()}
+    assert files == expected
 
 
 @pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
@@ -224,10 +296,14 @@ NON_FINITE_TRAIN_OVERRIDES = [
     ["augment-preview", "--out", "{tmp}/failed", "--n", "0"],
     ["linear-eval", "{run}", "--checkpoint", "{ckpt}", "--dump-features", "{tmp}/failed/f.csv"],
     ["augment-preview", "{run}", "--out", "{ckpt}", "--n", "2"],
+    ["augment-preview", "{run}", "--out", "{tmp}/failed", "--set", "fft.alpha=nan"],
     ["robust-eval", "{run}", "--checkpoint", "{ckpt}", "--epsilon", "nan"],
     ["bound-lab", "--suite", "k-trend", "--n-worlds", "-1"],
     ["bound-lab", "--suite", "k-trend", "--seed", "-1"],
     ["shift-gap", "{run}", "--checkpoint", "{ckpt}", "--seed", "-1"],
+    # every seed is a 64-bit stream key
+    ["bound-lab", "--suite", "k-trend", "--seed", str(2**64)],
+    ["shift-gap", "{run}", "--checkpoint", "{ckpt}", "--seed", str(2**64)],
     *(["train", "--set", "train.output_dir={tmp}/failed", *(f"--set={o}" for o in overrides)]
       for overrides in BAD_TRAIN_OVERRIDES),
     # the same overrides aimed at the trained run must leave its files alone
@@ -330,7 +406,6 @@ CLI_FLAG_COMMANDS = {
                ["bound-lab", "--suite", "k-trend"], ["augment-preview"]],
     "--k": [["linear-eval"]],
     "--n": [["augment-preview"]],
-    "--alpha": [["augment-preview"]],
 }
 
 

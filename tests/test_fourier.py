@@ -211,6 +211,53 @@ def test_ties_break_toward_smallest_index():
     assert most_similar_index(feats, 0) == 1
 
 
+@pytest.mark.parametrize("n, d", [(9, 32), (33, 13)])
+def test_duplicated_row_never_beats_its_smaller_copy(n, d):
+    """A copied row pair (i, j), i < j, at every pair of positions of a unit stack.
+
+    No other row may pick j, and the two copies pick each other. With n = 9 and
+    row 8 a copy of row 2, a matrix-vector product read row 1's similarity to
+    row 8 one ulp above its similarity to row 2. With d = 13 the rows start at
+    different alignments.
+    """
+    base = unit_rows(np.random.default_rng(0), n, d)
+    cases = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            feats = base.copy()
+            feats[j] = feats[i]
+            picks = [most_similar_index(feats, k) for k in range(n)]
+            assert j not in [picks[k] for k in range(n) if k not in (i, j)], (i, j)
+            assert (picks[i], picks[j]) == (j, i)
+            cases.append((feats, picks))
+    for feats, picks in cases:  # one call for every row picks the same partners
+        assert most_similar_index(feats, np.arange(n)).tolist() == picks
+
+
+def test_index_array_matches_one_row_at_a_time():
+    feats = unit_rows(np.random.default_rng(18), 12, 5)
+    feats[7] = feats[3]
+    rows = np.array([[0, 5, 3], [7, 11, 5]])
+    picks = most_similar_index(feats, rows)
+    assert picks.shape == rows.shape
+    assert picks.tolist() == [[most_similar_index(feats, int(k)) for k in r] for r in rows]
+    assert most_similar_index(feats, np.array([], dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("k", [-1, 12, 1.0, True, [0, 12]])
+def test_index_outside_the_rows_raises(k):
+    with pytest.raises(AugmentationError, match="index must be rows"):
+        most_similar_index(unit_rows(np.random.default_rng(19), 12, 5), k)
+
+
+def test_one_view_batch_passes_through_at_beta_zero_and_refuses_to_mix():
+    rng = np.random.default_rng(20)
+    view, feat = rng.uniform(size=(1, 4, 4, 1)), unit_rows(rng, 1, 3)
+    assert np.array_equal(fft_augment_batch(view, feat, AugmentConfig(alpha=0.0)), view)
+    with pytest.raises(AugmentationError, match="at least 2"):
+        fft_augment_batch(view, feat, AugmentConfig(alpha=0.5))
+
+
 def test_default_alpha_operating_point():
     assert AugmentConfig().alpha == 0.2
 

@@ -1,7 +1,7 @@
 import json
 import os
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,13 @@ import oracles
 from sharpshift import training
 from sharpshift.cli import main
 from sharpshift.config import TrainConfig, load_config, parse_config_file
-from sharpshift.encoder import Encoder, load_checkpoint, save_checkpoint
+from sharpshift.data import AugmentPool
+from sharpshift.encoder import Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from sharpshift.errors import PipelineError, SharpshiftError
+from sharpshift.evaluation import ProbeConfig
+from sharpshift.fourier import AugmentConfig
+from sharpshift.losses import LossConfig
+from sharpshift.sam import SamConfig
 from sharpshift.training import (
     CHECKPOINT_NAME,
     METRICS_NAME,
@@ -148,6 +153,22 @@ def test_config_checks_the_loss_and_mixing_values(field, value):
     """train.tau and fft.alpha are checked at load, as every other key is."""
     with pytest.raises(SharpshiftError, match="must lie in"):
         TrainConfig(**{field: value})
+
+
+def test_train_config_defaults_match_the_sub_configs_that_own_them():
+    """A default written twice must say the same thing in both places.
+
+    optimizer.lr (0.5) against SamConfig.eta (0.1) is the one known difference;
+    any other drift fails here.
+    """
+    config = TrainConfig()
+    pairs = [(config.augment_pool(), AugmentPool()), (config.probe_config(), ProbeConfig()),
+             (config.encoder_config(), EncoderConfig()), (config.sam_config(), SamConfig()),
+             (AugmentConfig(alpha=config.fft_alpha), AugmentConfig()),
+             (LossConfig(tau=config.tau), LossConfig())]
+    differ = {(type(own).__name__, f.name) for built, own in pairs for f in fields(own)
+              if getattr(built, f.name) != getattr(own, f.name)}
+    assert differ == {("SamConfig", "eta")}
 
 
 # ----- training loop -------------------------------------------------------------
