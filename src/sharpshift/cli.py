@@ -120,7 +120,7 @@ def _cmd_augment_preview(args):
                 data.write_image(path, views[i])
     path = os.path.join(args.out, "betas.txt")
     with os_errors(AugmentationError, path), open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"view_{i:03d} beta={beta!r}\n" for i, beta in enumerate(betas))
+        fh.writelines(f"view_{i:03d} beta={beta!r}\n" for i, beta in enumerate(betas.tolist()))
     print(f"wrote {count} before/after pairs to {args.out}")
     return 0
 

@@ -93,10 +93,15 @@ def reconstruct(mixed_amplitude, phase, clip=True):
     return pixels
 
 
+# Values of the (rows, n, d) similarity product that most_similar_index builds at once.
+_SIM_BLOCK = 2**16
+
+
 def most_similar_index(features, k):
     """Index l != k maximizing features[k] . features[l], shaped like the row or row array k.
 
     One row-wise sum of products per similarity: equal rows tie exactly, the smaller index wins.
+    The products are built ``_SIM_BLOCK`` values at a time, so memory stays flat in len(k).
     """
     features, k = np.asarray(features, dtype=float), np.asarray(k)
     n = features.shape[0]
@@ -104,9 +109,15 @@ def most_similar_index(features, k):
         raise AugmentationError(f"need at least 2 feature vectors, got {n}")
     if k.dtype.kind not in "iu" or not np.all((k >= 0) & (k < n)):
         raise AugmentationError(f"index must be rows of the {n} feature vectors, got {k}")
-    sims = (features[k, ..., None, :] * features).sum(-1)
-    np.put_along_axis(sims, k[..., None], -np.inf, axis=-1)
-    return sims.argmax(-1) if k.ndim else int(sims.argmax())
+    flat = k.reshape(-1)
+    picks = np.empty(flat.size, dtype=np.intp)
+    step = max(1, _SIM_BLOCK // max(1, features.size))
+    for start in range(0, flat.size, step):
+        block = flat[start:start + step]
+        sims = (features[block, None, :] * features).sum(-1)
+        sims[np.arange(block.size), block] = -np.inf
+        picks[start:start + step] = sims.argmax(-1)
+    return picks.reshape(k.shape) if k.ndim else int(picks[0])
 
 
 def draw_betas(n_views, config):
@@ -121,12 +132,14 @@ def draw_betas(n_views, config):
 def mix_batch(views, partners, betas):
     """Amplitude-mix every view toward another row of ``views`` at its beta, all channels at once.
 
-    Row k equals, bit for bit, the per-channel composition
+    Row k agrees within 1e-12 with the per-channel composition
     ``reconstruct(mix_amplitude(A, A', betas[k]), P)`` with
     ``A, P = amplitude_phase(dft2(...))`` of a channel of ``views[k]`` and
     ``A'`` the amplitude of the same channel of ``views[partners[k]]``. One
-    forward transform covers the rows with beta != 0 and their partners, each
-    row once; rows with beta == 0 come back untouched.
+    real forward transform covers the rows with beta != 0 and their partners,
+    each row once. Each mixed row keeps its own half spectrum, scaled bin by
+    bin to the mixed amplitude; a bin with no amplitude has phase 0 and
+    becomes the mixed amplitude. Rows with beta == 0 come back untouched.
     """
     views = np.asarray(views, dtype=float)
     partners = np.asarray(partners)
@@ -144,12 +157,18 @@ def mix_batch(views, partners, betas):
     rows = np.flatnonzero(betas)
     if rows.size:
         used, slot = np.unique(np.concatenate((rows, partners[rows])), return_inverse=True)
-        spectrum = np.fft.fft2(views[used], axes=(1, 2))
-        amplitude, phase = amplitude_phase(spectrum[slot[:rows.size]])
-        partner_amplitude = np.abs(spectrum[slot[rows.size:]])
+        spectrum = np.fft.rfft2(views[used].transpose(0, 3, 1, 2))  # (used, C, H, W // 2 + 1)
+        own = spectrum[slot[:rows.size]]
+        amplitude = np.abs(own)
         beta = betas[rows, None, None, None]
-        mixed = (1.0 - beta) * amplitude + beta * partner_amplitude
-        out[rows] = np.clip(np.fft.ifft2(mixed * np.exp(1j * phase), axes=(1, 2)).real, 0.0, 1.0)
+        mixed = (1.0 - beta) * amplitude + beta * np.abs(spectrum[slot[rows.size:]])
+        # the unit phasor times the mixed amplitude; dividing the parts first cannot overflow
+        zero = amplitude == 0.0
+        safe = np.where(zero, 1.0, amplitude)
+        own.real = np.where(zero, 1.0, own.real / safe) * mixed
+        own.imag = own.imag / safe * mixed
+        pixels = np.fft.irfft2(own, s=views.shape[1:3])
+        out[rows] = np.clip(pixels.transpose(0, 2, 3, 1), 0.0, 1.0)
     return out
 
 

@@ -243,7 +243,8 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
     ``_FFT_CANDIDATES`` base-augmented images drawn from ``pool_images``, which
     emulates the in-batch pairing at measurement time. Each closure makes all
     n draws' base views in one ``base_augment_batch`` call, and ``rng`` is
-    consumed as n one-draw calls would consume it.
+    consumed as n one-draw calls would consume it. An "fft" call runs one
+    encoder forward over its views, and none when no draw mixes.
     """
     aug_pool = config.augment_pool()
 
@@ -280,11 +281,12 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
                 sources.append(pool_images[chosen])
         views = data_mod.base_augment_batch(np.concatenate(sources), np.concatenate(seeds),
                                             aug_pool)
-        # each draw's own row is mixed toward its partner row; candidate rows have beta 0
+        # each draw's own row is mixed toward its partner row; candidate rows have beta 0.
+        # One forward covers every view; a draw pairs within its own rows of the features.
         partners, mix_betas = np.arange(len(views)), np.zeros(len(views))
+        feats = encoder.forward(params, views) if mixed else None
         for row, beta in mixed:
-            stack = views[row:row + 1 + count]
-            partners[row] += most_similar_index(encoder.forward(params, stack), 0)
+            partners[row] += most_similar_index(feats[row:row + 1 + count], 0)
             mix_betas[row] = beta
         return mix_batch(views, partners, mix_betas)[rows]
 

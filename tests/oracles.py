@@ -5,8 +5,8 @@ enumerations, explicit loops. None of it shares code with the package, except
 the augmentation oracles at the end. ``base_augment`` there is the per-image
 composition of the four base ops, each drawing from its own ``op_rng``
 substream, and it resizes the crop with the per-image ``bilinear_resize``
-below. The per-draw oracles loop over it and over the per-channel fourier
-helpers.
+below. The per-draw oracles loop over it, and mix each draw's (view,
+partner) pair through ``fourier.mix_batch`` on its own.
 ``data.base_augment_batch`` and the package's other batched paths must
 reproduce them bit for bit.
 """
@@ -387,12 +387,8 @@ def per_draw_augment_fn(mode, config, encoder=None, params=None, pool_images=Non
             candidates[slot] = base_draw(pool_images[idx], rng)
         stack = np.concatenate([view[None], candidates])
         partner = fourier.most_similar_index(encoder.forward(params, stack), 0)
-        out = np.empty_like(view)
-        for c in range(view.shape[2]):
-            amp, phase = fourier.amplitude_phase(fourier.dft2(view[:, :, c]))
-            partner_amp, _ = fourier.amplitude_phase(fourier.dft2(stack[partner][:, :, c]))
-            out[:, :, c] = fourier.reconstruct(fourier.mix_amplitude(amp, partner_amp, beta), phase)
-        return out
+        pair = stack[[0, partner]]
+        return fourier.mix_batch(pair, np.array([1, 1]), np.array([beta, 0.0]))[0]
 
     draw = {"base": base_draw, "fft": fft_draw}[mode]
     return lambda image, rng, n: [draw(image, rng) for _ in range(n)]

@@ -171,7 +171,7 @@ def _image_files(tmp_path, side, views):
 
 
 def _betas(files):
-    return np.array([float(re.search(r"beta=(?:np\.float64\()?([^)]+)", line).group(1))
+    return np.array([float(re.fullmatch(r"view_\d{3} beta=(\S+)", line).group(1))
                      for line in files["betas.txt"].decode().splitlines()])
 
 
@@ -203,10 +203,11 @@ def test_augment_preview_at_the_default_alpha_is_one_fft_augment_batch(tmp_path,
     files = _preview(tmp_path, "preview", seed)
     views, feats = _preview_inputs(tmp_path, seed)
     config = AugmentConfig(alpha=0.2, rng_seed=seed)
+    betas = draw_betas(6, config).tolist()
     expected = {**_image_files(tmp_path, "before", views),
                 **_image_files(tmp_path, "after", fft_augment_batch(views, feats, config)),
                 "betas.txt": "".join(f"view_{i:03d} beta={beta!r}\n"
-                                     for i, beta in enumerate(draw_betas(6, config))).encode()}
+                                     for i, beta in enumerate(betas)).encode()}
     assert files == expected
 
 

@@ -518,6 +518,32 @@ def test_fft_draws_with_and_without_candidates_match_per_draw_oracle(tmp_path):
         assert np.array_equal(view, expected), k
 
 
+def test_fft_draws_take_one_encoder_forward_per_call_that_mixes(tmp_path, monkeypatch):
+    """All of a call's views go through one forward; a call in which no draw mixes runs none."""
+    cfg = tiny_config(tmp_path, **TINY_SSA_MLP)
+    images, _ = load_train_data(cfg)
+    encoder = Encoder(cfg.encoder_config())
+    context = dict(encoder=encoder, params=encoder.init_params(0), pool_images=images)
+    views_per_draw = 1 + min(training._FFT_CANDIDATES, len(images))
+    sizes = []
+    real = Encoder._forward
+
+    def counting(self, params, images, tap):
+        sizes.append(len(images))
+        return real(self, params, images, tap)
+
+    monkeypatch.setattr(Encoder, "_forward", counting)
+    # draws 1, 3 and 5 of seven mix; at alpha 0 no draw does
+    cases = [(cfg, _ZeroEveryOtherBeta(3), 7, [7 + 3 * (views_per_draw - 1)]),
+             (cfg, np.random.default_rng(4), 5, [5 * views_per_draw]),
+             (cfg, _ZeroEveryOtherBeta(3), 1, []),
+             (replace(cfg, fft_alpha=0.0), np.random.default_rng(4), 5, [])]
+    for config, rng, n, expected in cases:
+        sizes.clear()
+        assert len(make_augment_fn("fft", config, **context)(images[0], rng, n)) == n
+        assert sizes == expected
+
+
 def test_robust_eval_runs_the_eval_split_through_the_encoder_twice(tmp_path, monkeypatch):
     """Once for the attack's gradient, which also gives the clean logits, once for the attacked
     logits."""
