@@ -38,40 +38,40 @@ class TrainConfig:
 
     batch_size: int = _key("train.batch_size", 16)
     epochs: int = _key("train.epochs", 50)
-    tau: float = _key("train.tau", 0.5)
+    tau: float = _key("train.tau", LossConfig.tau)
     lr: float = _key("optimizer.lr", 0.5)
     seed: int = _key("train.seed", 0)
     output_dir: str = _key("train.output_dir", "run")
     checkpoint_every: int = _key("train.checkpoint_every", 0)
 
     sam_enabled: bool = _key("sam.enabled", False)
-    sam_rho: float = _key("sam.rho", 0.05)
-    sam_adaptive: bool = _key("sam.adaptive", False)
-    sam_grad_eps: float = _key("sam.grad_eps", 1e-12)
-    weight_decay: float = _key("optimizer.weight_decay", 0.0)
-    momentum: float = _key("optimizer.momentum", 0.0)
+    sam_rho: float = _key("sam.rho", SamConfig.rho)
+    sam_adaptive: bool = _key("sam.adaptive", SamConfig.adaptive)
+    sam_grad_eps: float = _key("sam.grad_eps", SamConfig.grad_eps)
+    weight_decay: float = _key("optimizer.weight_decay", SamConfig.weight_decay)
+    momentum: float = _key("optimizer.momentum", SamConfig.momentum)
 
     fft_enabled: bool = _key("fft.enabled", False)
-    fft_alpha: float = _key("fft.alpha", 0.2)
+    fft_alpha: float = _key("fft.alpha", AugmentConfig.alpha)
     fft_warmup_epochs: int = _key("fft.warmup_epochs", 0)
 
-    encoder_architecture: str = _key("encoder.architecture", "mlp")
-    encoder_hidden: tuple[int, ...] = _key("encoder.hidden", (32,))
-    encoder_feature_dim: int = _key("encoder.feature_dim", 16)
+    encoder_architecture: str = _key("encoder.architecture", EncoderConfig.architecture)
+    encoder_hidden: tuple[int, ...] = _key("encoder.hidden", EncoderConfig.hidden)
+    encoder_feature_dim: int = _key("encoder.feature_dim", EncoderConfig.feature_dim)
     encoder_proj_hidden: int = _key("encoder.proj_hidden", 0)  # 0 means "backbone width"
 
-    probe_epochs: int = _key("probe.epochs", 200)
-    probe_lr: float = _key("probe.lr", 2.0)
-    probe_tap_point: str = _key("probe.tap_point", "backbone")
-    probe_tau: float = _key("probe.tau", 1.0)
-    probe_seed: int = _key("probe.seed", 0)
+    probe_epochs: int = _key("probe.epochs", ProbeConfig.epochs)
+    probe_lr: float = _key("probe.lr", ProbeConfig.lr)
+    probe_tap_point: str = _key("probe.tap_point", ProbeConfig.tap_point)
+    probe_tau: float = _key("probe.tau", ProbeConfig.tau)
+    probe_seed: int = _key("probe.seed", ProbeConfig.seed)
 
-    aug_crop_min: float = _key("augment.crop_scale_min", 0.2)
-    aug_crop_max: float = _key("augment.crop_scale_max", 1.0)
-    aug_flip_p: float = _key("augment.flip_p", 0.5)
-    aug_jitter_p: float = _key("augment.jitter_p", 0.8)
-    aug_jitter_strength: float = _key("augment.jitter_strength", 0.4)
-    aug_gray_p: float = _key("augment.gray_p", 0.2)
+    aug_crop_min: float = _key("augment.crop_scale_min", AugmentPool.crop_scale[0])
+    aug_crop_max: float = _key("augment.crop_scale_max", AugmentPool.crop_scale[1])
+    aug_flip_p: float = _key("augment.flip_p", AugmentPool.flip_p)
+    aug_jitter_p: float = _key("augment.jitter_p", AugmentPool.jitter_p)
+    aug_jitter_strength: float = _key("augment.jitter_strength", AugmentPool.jitter_strength)
+    aug_gray_p: float = _key("augment.gray_p", AugmentPool.gray_p)
 
     metrics_timing: bool = _key("metrics.timing", False)
 

@@ -144,8 +144,9 @@ def base_augment_batch(images, seeds, pool=AugmentPool()):
 
     ``images`` is (N, H, W, C) and ``seeds`` holds one seed per image, all of
     equal length: N ints or an (N, L) array of non-negative ints below 2**64.
-    A view depends only on its image and its seed, never on the rest of the
-    batch. Output shape equals input shape and pixels stay in [0, 1].
+    A view depends only on its image's values and its seed: never on the rest
+    of the batch, nor on the array's memory layout (C, Fortran, channel-planar
+    or broadcast). Output shape equals input shape and pixels stay in [0, 1].
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 4:
@@ -169,7 +170,8 @@ def _augment_chunk(images, seeds, pool):
       top then left uniform; a crop smaller than the image is resized back bilinearly
     - flip: reverses the columns with probability flip_p
     - jitter: a coin, then brightness, contrast and saturation factors ~ U(max(0, 1-s), 1+s);
-      applied with probability jitter_p and clipped to [0, 1]
+      applied with probability jitter_p and clipped to [0, 1]; the contrast mean sums the
+      brightened view in C order
     - gray: a 3-channel view becomes its luminance with probability gray_p
 
     All substreams are seeded and drawn together by ``Streams``, and each pixel op
@@ -192,26 +194,15 @@ def _augment_chunk(images, seeds, pool):
     top = crop.integers(h - crop_h + 1)
     left = crop.integers(w - crop_w + 1)
     flipped = first[OP_FLIP] < pool.flip_p
-    is_resized = (crop_h != h) | (crop_w != w)
     out = _resize_crops(np.ascontiguousarray(images), top, left, crop_h, crop_w, flipped, h, w)
 
     factors = jitter.uniform(max(0.0, 1.0 - pool.jitter_strength), 1.0 + pool.jitter_strength,
                              size=3)
     jittered = np.flatnonzero(first[OP_JITTER] < pool.jitter_p)
     if len(jittered):
-        # the mean sums in the order of the per-image reference in tests/oracles.py: C
-        # order after a flip, (W, H, C) order after its bilinear_resize, else the input's own
-        whc = (is_resized & ~flipped)[jittered]
-        own = ~(is_resized | flipped)[jittered] & (not images[0].flags.c_contiguous)
         f = factors[jittered, :, None, None, None]
         view = out[jittered] * f[:, 0]
-        mean = np.empty(len(jittered))
-        for rows, axes in ((~whc & ~own, (0, 1, 2, 3)), (whc, (0, 2, 1, 3))):
-            flat = view[rows].transpose(axes).reshape(np.count_nonzero(rows), h * w * channels)
-            mean[rows] = np.add.reduce(flat, axis=1) / flat.shape[1]
-        for row in np.flatnonzero(own):
-            mean[row] = (images[jittered[row]] * f[row, 0, 0, 0, 0]).mean()
-        mean = mean[:, None, None, None]
+        mean = view.mean(axis=(1, 2, 3), keepdims=True)
         view = (view - mean) * f[:, 1] + mean
         if channels == 3:
             gray = _luminance(view)[..., None]

@@ -310,7 +310,7 @@ def color_jitter(image, rng, p, strength):
     if not apply:
         return image
     out = image * factors[0]
-    mean = out.mean()
+    mean = np.ascontiguousarray(out).mean()  # C order, whatever the image's memory layout
     out = (out - mean) * factors[1] + mean
     if image.shape[2] == 3:
         gray = _luminance(out)[..., None]

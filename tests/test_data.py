@@ -191,7 +191,7 @@ def test_composition_matches_scripted_replay():
 
 
 def test_one_view_matches_per_image_reference():
-    """The one-view call reads every seed word exactly and keeps the image's memory order."""
+    """The one-view call reads every seed word exactly, whatever the image's memory order."""
     rng = np.random.default_rng(11)
     planar = rng.uniform(size=(3, 9, 7)).transpose(1, 2, 0)
     seeds = [[2**63 + 5, 3], [7, 2**64 - 1, 0], [2**63], 12]
@@ -274,7 +274,7 @@ def test_pool_validation():
 
 BATCH_POOLS = [
     AugmentPool(),
-    AugmentPool(crop_scale=(1.0, 1.0)),  # full-size crops: views keep the input layout
+    AugmentPool(crop_scale=(1.0, 1.0)),  # full-size crops: views copy the input's pixels
     AugmentPool(flip_p=1.0, jitter_p=1.0, gray_p=1.0),
     AugmentPool(jitter_p=0.0),
     AugmentPool(crop_scale=(0.05, 1.0), jitter_strength=1.5, gray_p=0.5),
@@ -305,11 +305,29 @@ def test_batch_matches_stacked_base_augment(shape, pool):
 
 
 def test_batch_matches_on_channel_planar_images():
-    """CIFAR records are read as (C, H, W) planes, so unresized views sum in that order."""
+    """CIFAR records are read as (C, H, W) planes; their views still sum in C order."""
     rng = np.random.default_rng(9)
     planar = rng.uniform(size=(40, 3, 32, 32)).transpose(0, 2, 3, 1)
     for pool in BATCH_POOLS[:3]:
         assert_batch_matches_per_image(planar, rng.integers(0, 2**40, size=(40, 3)), pool)
+
+
+@pytest.mark.parametrize("shape", [(32, 32, 3), (9, 7, 3), (16, 16, 1)])
+@pytest.mark.parametrize("pool", BATCH_POOLS)
+def test_views_do_not_depend_on_memory_layout(shape, pool):
+    """Equal values held C-contiguous, Fortran-ordered, channel-planar (the CIFAR reader's
+    layout) or broadcast give byte-identical views."""
+    rng = np.random.default_rng(sum(shape))
+    images = rng.uniform(size=(96,) + shape)
+    seeds = rng.integers(0, 2**62, size=(96, 2))
+    expected = base_augment_batch(images, seeds, pool)
+    planar = np.ascontiguousarray(images.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+    for layout in (np.asfortranarray(images), planar):
+        assert layout.tobytes() == images.tobytes()
+        assert base_augment_batch(layout, seeds, pool).tobytes() == expected.tobytes()
+    broadcast = np.broadcast_to(images[5], images.shape)
+    assert (base_augment_batch(broadcast, seeds, pool).tobytes()
+            == base_augment_batch(broadcast.copy(), seeds, pool).tobytes())
 
 
 def test_batch_takes_int_seeds_and_empty_batches():
