@@ -41,8 +41,10 @@ def read_cifar_batch(path):
     """One CIFAR-10 binary batch file as (images (N, 32, 32, 3), labels (N,)).
 
     Each record is one label byte followed by 3072 pixel bytes laid out as
-    three 32x32 row-major planes. Pixels are scaled to [0, 1]. Truncated files
-    and out-of-range labels fail loudly.
+    three 32x32 row-major planes. Pixels are scaled to [0, 1] and returned
+    C-contiguous, so that a batch gathered from them by index is C-contiguous too and
+    view generation reads it without a copy. Truncated files and out-of-range labels
+    fail loudly.
     """
     with os_errors(IngestionError, path), open(path, "rb") as fh:
         raw = fh.read()
@@ -59,7 +61,7 @@ def read_cifar_batch(path):
             byte_offset=int(bad[0]) * RECORD_BYTES,
         )
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    return pixels.astype(float) / 255.0, labels.astype(int)
+    return pixels.astype(float, order="C") / 255.0, labels.astype(int)
 
 
 def gen_synthetic(n_per_class, num_classes, image_size=16, channels=1, seed=0,
@@ -114,12 +116,16 @@ class AugmentPool:
         check_range(AugmentationError, "jitter_strength", self.jitter_strength, 0)
 
 
-# Sub-seed slots, one per op, in the order the ops apply (see _augment_chunk).
+# Sub-seed slots, one per op, in the order the ops apply (see _draw_ops).
 OP_CROP, OP_FLIP, OP_JITTER, OP_GRAY = 0, 1, 2, 3
 
 
 def _luminance(image):
-    return 0.299 * image[..., 0] + 0.587 * image[..., 1] + 0.114 * image[..., 2]
+    """0.299 R + 0.587 G + 0.114 B of every pixel, added left to right."""
+    gray = image[..., 0] * 0.299
+    gray += image[..., 1] * 0.587
+    gray += image[..., 2] * 0.114
+    return gray
 
 
 def base_augment(image, seed, pool=AugmentPool()):
@@ -133,9 +139,10 @@ def base_augment(image, seed, pool=AugmentPool()):
     return base_augment_batch(image[None], np.array(seed, dtype=np.uint64).reshape(1, -1), pool)[0]
 
 
-# Pixel values one pass of base_augment_batch works on (about 42 views of 32x32x3);
-# larger batches go in even chunks, which bound the temporaries of a request near
-# SIZE_CAP to a few chunk-sized arrays.
+# Pixel values one pixel pass of base_augment_batch works on (about 42 views of
+# 32x32x3); larger batches go in even chunks, which bound the temporaries of a request
+# near SIZE_CAP to a few chunk-sized arrays. Op seeding is not chunked: every view's op
+# parameters are drawn once per call.
 _BATCH_CHUNK_VALUES = 2**17
 
 
@@ -147,39 +154,43 @@ def base_augment_batch(images, seeds, pool=AugmentPool()):
     A view depends only on its image's values and its seed: never on the rest
     of the batch, nor on the array's memory layout (C, Fortran, channel-planar
     or broadcast). Output shape equals input shape and pixels stay in [0, 1].
+
+    ``_draw_ops`` draws every view's op parameters in one pass over the whole
+    call; the pixel passes (``_augment_chunk``) then run chunk by chunk, each
+    writing its views straight into its slice of the one output array. A chunk
+    not held C-contiguous (Fortran, channel-planar or broadcast) is copied to C
+    order first.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 4:
         raise AugmentationError(f"images must be (N, H, W, C), got {images.shape}")
-    if len(images) == 0:
+    n = len(images)
+    if n == 0:
         return images.copy()
-    seeds = np.asarray(seeds).reshape(len(images), -1)
+    ops = _draw_ops(np.asarray(seeds).reshape(n, -1), pool, *images.shape[1:3])
+    out = np.empty(images.shape)
     chunks = -(-images.size // _BATCH_CHUNK_VALUES)
-    if chunks == 1:
-        return _augment_chunk(images, seeds, pool)
-    return np.concatenate([
-        _augment_chunk(part, part_seeds, pool)
-        for part, part_seeds in zip(np.array_split(images, chunks), np.array_split(seeds, chunks))
-    ])
+    for k in range(chunks):
+        part = slice(k * n // chunks, (k + 1) * n // chunks)
+        _augment_chunk(np.ascontiguousarray(images[part]), out[part], *(op[part] for op in ops))
+    return out
 
 
-def _augment_chunk(images, seeds, pool):
-    """Op k of view i draws from SeedSequence(list(seeds[i]) + [k]); ops apply in slot order.
+def _draw_ops(seeds, pool, h, w):
+    """Every op parameter of every view, as (top, left, crop_h, crop_w, flipped, factors,
+    jittered, grayed), one row per view.
+
+    Op k of view i draws from SeedSequence(list(seeds[i]) + [k]); all 4N substreams are
+    seeded and drawn together by ``Streams``, so a call pays the seeding once.
 
     - crop: area a ~ U(crop_scale), crop sides round(H sqrt(a)) and round(W sqrt(a)),
-      top then left uniform; a crop smaller than the image is resized back bilinearly
-    - flip: reverses the columns with probability flip_p
-    - jitter: a coin, then brightness, contrast and saturation factors ~ U(max(0, 1-s), 1+s);
-      applied with probability jitter_p and clipped to [0, 1]; the contrast mean sums the
-      brightened view in C order
-    - gray: a 3-channel view becomes its luminance with probability gray_p
-
-    All substreams are seeded and drawn together by ``Streams``, and each pixel op
-    does one view's arithmetic on every selected view at once. Crop and flip write each
-    view once, in one ``_resize_crops`` pass with the flip folded into its taps; a view
-    cropped at full size passes through it unchanged. ``images`` is never written.
+      top then left uniform
+    - flip: a coin, true with probability flip_p
+    - jitter: a coin, true with probability jitter_p, then the brightness, contrast and
+      saturation factors ~ U(max(0, 1-s), 1+s)
+    - gray: a coin, true with probability gray_p
     """
-    n, h, w, channels = images.shape
+    n = len(seeds)
     # op-major rows: row slot * n + i is seeds[i] followed by the slot
     streams = Streams(seed_rows(*np.tile(seeds, (4, 1)).T, np.repeat(np.arange(4), n)))
     # each op's first draw is a uniform: the crop area, then the flip, jitter and gray coins
@@ -193,26 +204,56 @@ def _augment_chunk(images, seeds, pool):
     crop_w = np.maximum(1, np.rint(w * side).astype(np.int64))
     top = crop.integers(h - crop_h + 1)
     left = crop.integers(w - crop_w + 1)
-    flipped = first[OP_FLIP] < pool.flip_p
-    out = _resize_crops(np.ascontiguousarray(images), top, left, crop_h, crop_w, flipped, h, w)
-
     factors = jitter.uniform(max(0.0, 1.0 - pool.jitter_strength), 1.0 + pool.jitter_strength,
                              size=3)
-    jittered = np.flatnonzero(first[OP_JITTER] < pool.jitter_p)
-    if len(jittered):
-        f = factors[jittered, :, None, None, None]
-        view = out[jittered] * f[:, 0]
-        mean = view.mean(axis=(1, 2, 3), keepdims=True)
-        view = (view - mean) * f[:, 1] + mean
-        if channels == 3:
-            gray = _luminance(view)[..., None]
-            view = (view - gray) * f[:, 2] + gray
-        out[jittered] = np.clip(view, 0.0, 1.0)
+    return (top, left, crop_h, crop_w, first[OP_FLIP] < pool.flip_p, factors,
+            first[OP_JITTER] < pool.jitter_p, first[OP_GRAY] < pool.gray_p)
 
-    if channels == 3:
-        grayed = first[OP_GRAY] < pool.gray_p
-        out[grayed] = _luminance(out[grayed])[..., None]
-    return out
+
+def _augment_chunk(images, out, top, left, crop_h, crop_w, flipped, factors, jittered, grayed):
+    """The pixel passes of one chunk, in op order, written into ``out`` (images' shape).
+
+    - crop and flip: one ``_resize_crops`` pass writes every view into ``out``, the flip
+      folded into its taps; a crop smaller than the image is resized back bilinearly and
+      a view cropped at full size passes through unchanged
+    - jitter: brightness, contrast and saturation in place on the gathered jittered views,
+      clipped to [0, 1] and scattered back; the contrast mean sums the brightened view in
+      C order
+    - gray: a 3-channel view becomes its luminance
+
+    Each pixel op does one view's arithmetic on every selected view at once, and the
+    luminance is subtracted and written one channel at a time, never broadcast over the
+    channel axis. ``images`` must be C-contiguous and is never written.
+    """
+    channels = images.shape[3]
+    _resize_crops(images, top, left, crop_h, crop_w, flipped, *images.shape[1:3], out=out)
+
+    jittered = np.flatnonzero(jittered)
+    if len(jittered):
+        brightness, contrast, saturation = factors[jittered].T[:, :, None, None, None]
+        view = out[jittered]
+        view *= brightness
+        mean = view.mean(axis=(1, 2, 3), keepdims=True)
+        view -= mean
+        view *= contrast
+        view += mean
+        if channels == 3:
+            gray = _luminance(view)
+            for c in range(3):
+                plane = view[..., c]
+                plane -= gray
+                plane *= saturation[..., 0]
+                plane += gray
+        np.clip(view, 0.0, 1.0, out=view)
+        out[jittered] = view
+
+    grayed = np.flatnonzero(grayed)
+    if channels == 3 and len(grayed):
+        view = out[grayed]
+        gray = _luminance(view)
+        for c in range(3):
+            view[..., c] = gray
+        out[grayed] = view
 
 
 def _bilinear_taps(out_size, in_sizes):
@@ -224,16 +265,19 @@ def _bilinear_taps(out_size, in_sizes):
     return lo, hi, np.clip(coord - lo, 0.0, 1.0)
 
 
-def _resize_crops(images, top, left, crop_h, crop_w, flipped, out_h, out_w):
+def _resize_crops(images, top, left, crop_h, crop_w, flipped, out_h, out_w, out=None):
     """Channel-last bilinear resample (align_corners=False) of the crop
     ``images[i, top:top+crop_h, left:left+crop_w]`` of every image i to (out_h, out_w),
-    with its columns reversed where ``flipped``.
+    with its columns reversed where ``flipped``; written into ``out`` (a new array when
+    None, else a C-contiguous (m, out_h, out_w, C) float array) and returned.
 
     Each crop row is blended along x once, then each output row blends two of those
     rows; every output pixel does the arithmetic of the per-image ``bilinear_resize``
-    in ``tests/oracles.py``, in its order. The flip is folded into the column taps: a
-    flipped row reverses its ``x0``, ``x1`` and ``wx``, so each output pixel is
-    computed as its mirror in the unflipped view.
+    in ``tests/oracles.py``, in its order. Both blends work in place: the x-blend in the
+    gathered taps, the y-blend in ``out``, which takes the upper rows and then their
+    blend with the lower rows. The flip is folded into the column taps: a flipped row
+    reverses its ``x0``, ``x1`` and ``wx``, so each output pixel is computed as its
+    mirror in the unflipped view.
     A crop the output's size has integer taps of weight 0, so each of its pixels is
     ``x * 1.0 + y * 0.0``: for finite pixels that is ``x`` (a -0.0 comes back as
     +0.0, which compares equal), and the crop is copied exactly, reversed if flipped.
@@ -241,6 +285,8 @@ def _resize_crops(images, top, left, crop_h, crop_w, flipped, out_h, out_w):
     gathered from it with one flat ``np.take`` over pixels.
     """
     m, h, w, channels = images.shape
+    if out is None:
+        out = np.empty((m, out_h, out_w, channels))
     rows_per_crop = int(crop_h.max())
     y0, y1, wy = _bilinear_taps(out_h, crop_h)
     x0, x1, wx = (np.where(flipped[:, None], tap[:, ::-1], tap)
@@ -254,10 +300,20 @@ def _resize_crops(images, top, left, crop_h, crop_w, flipped, out_h, out_w):
         2, m, rows_per_crop, out_w * channels)
     # weights repeated over channels, so that each product runs over whole rows
     wx, wy = np.repeat(wx, channels, axis=1)[:, None, :], wy[:, :, None]
-    across = (taps[0] * (1 - wx) + taps[1] * wx).reshape(m * rows_per_crop, out_w * channels)
+    across, right = taps
+    across *= 1 - wx
+    right *= wx
+    across += right
+    across = across.reshape(m * rows_per_crop, out_w * channels)
     first = np.arange(m)[:, None] * rows_per_crop
-    upper, lower = np.take(across, first + y0, axis=0), np.take(across, first + y1, axis=0)
-    return (upper * (1 - wy) + lower * wy).reshape(-1, out_h, out_w, channels)
+    blend = out.reshape(m, out_h, out_w * channels)
+    # every tap is in range; mode "clip" lets np.take write into ``out`` without a buffer
+    np.take(across, first + y0, axis=0, out=blend, mode="clip")
+    blend *= 1 - wy
+    lower = np.take(across, first + y1, axis=0)
+    lower *= wy
+    blend += lower
+    return out
 
 
 # ----- image file output (manual inspection) --------------------------------

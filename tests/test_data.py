@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpshift.data import (
+    _BATCH_CHUNK_VALUES,
     OP_CROP,
     OP_FLIP,
     OP_GRAY,
@@ -16,6 +17,7 @@ from sharpshift.data import (
     base_augment_batch,
     gen_synthetic,
     load_cifar10,
+    read_cifar_batch,
     write_image,
 )
 from sharpshift.errors import AugmentationError, IngestionError
@@ -83,6 +85,17 @@ def test_round_trip_against_writer_oracle(tmp_path):
     images, labels = load_cifar10(tmp_path)
     assert list(labels) == [0, 5, 9]
     assert np.array_equal(np.round(images * 255).astype(np.uint8), expected)
+
+
+def test_images_are_c_contiguous_and_keep_their_values(tmp_path):
+    """The planar records come back in C order, so a batch gathered by index is C order too."""
+    rng = np.random.default_rng(3)
+    expected = write_records(tmp_path / "data_batch_1.bin", [4, 0, 8, 1], rng=rng)
+    images, labels = read_cifar_batch(tmp_path / "data_batch_1.bin")
+    assert images.flags.c_contiguous and images[[3, 0, 2]].flags.c_contiguous
+    assert images.dtype == float and list(labels) == [4, 0, 8, 1]
+    assert images.tobytes() == (expected / 255.0).tobytes()
+    assert load_cifar10(tmp_path)[0].tobytes() == images.tobytes()
 
 
 def test_multiple_files_sorted_order(tmp_path):
@@ -301,6 +314,20 @@ def test_batch_matches_stacked_base_augment(shape, pool):
     seeds = rng.integers(0, 2**62, size=(96, 2))  # one or two words per value
     seeds[::7, 1] = 0
     seeds[::5, 0] %= 2**32
+    assert_batch_matches_per_image(images, seeds, pool)
+
+
+@pytest.mark.parametrize("n", [43, 85])
+@pytest.mark.parametrize("pool", [AugmentPool(), BATCH_POOLS[4]])
+def test_uneven_chunks_keep_every_view_on_its_own_image_and_seed(n, pool):
+    """43 and 85 views of 32x32x3 split into two chunks of unequal size. The op draws are
+    made once for the whole call, so each chunk must read its own views' rows of them."""
+    rng = np.random.default_rng(n)
+    images = rng.uniform(size=(n, 32, 32, 3))
+    assert -(-images.size // _BATCH_CHUNK_VALUES) == 2 and n % 2 == 1
+    seeds = rng.integers(0, 2**62, size=(n, 2))
+    seeds[::3] %= 2**32  # rows of one-word values beside rows of two-word values
+    seeds[1::3, 1] %= 2**32  # and rows that mix the two
     assert_batch_matches_per_image(images, seeds, pool)
 
 

@@ -12,7 +12,7 @@ import oracles
 from sharpshift import training
 from sharpshift.cli import main
 from sharpshift.config import TrainConfig, load_config, parse_config_file
-from sharpshift.data import AugmentPool
+from sharpshift.data import _BATCH_CHUNK_VALUES, AugmentPool
 from sharpshift.encoder import Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from sharpshift.errors import PipelineError, SharpshiftError
 from sharpshift.evaluation import ProbeConfig
@@ -486,6 +486,24 @@ def test_shift_gap_matches_per_draw_oracle(tmp_path, monkeypatch, overrides, mod
     monkeypatch.setattr(training, "make_augment_fn", oracles.per_draw_augment_fn)
     for (c, seed), report in zip(cases, reports):
         assert report == shift_gap_report(c, encoder, params, mode, n_mc=4, seed=seed).to_json()
+
+
+def test_shift_gap_closures_match_per_draw_oracle_across_chunks(tmp_path):
+    """A base call of 96 draws at 32x32x3 augments three chunks, and an fft call of 8
+    mixed draws (72 views) two; every view keeps the op draws of its own seed."""
+    cfg = tiny_config(tmp_path, **TINY_CONV)
+    images, _ = load_train_data(cfg)
+    encoder = Encoder(cfg.encoder_config())
+    context = dict(encoder=encoder, params=encoder.init_params(0), pool_images=images)
+    chunk_views = _BATCH_CHUNK_VALUES // images[0].size
+    assert 2 * chunk_views < 96 and chunk_views < 8 * (1 + training._FFT_CANDIDATES) <= 2 * chunk_views
+    for mode, n in (("base", 96), ("fft", 8)):
+        batched = make_augment_fn(mode, cfg, **context)(images[0], np.random.default_rng(5), n)
+        per_draw = oracles.per_draw_augment_fn(mode, cfg, **context)(
+            images[0], np.random.default_rng(5), n)
+        assert len(batched) == n
+        for k, (view, expected) in enumerate(zip(batched, per_draw)):
+            assert view.tobytes() == expected.tobytes(), (mode, k)
 
 
 class _ZeroEveryOtherBeta:
