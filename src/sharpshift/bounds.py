@@ -135,8 +135,6 @@ def surrogate_unsup_loss(world, tau):
 
 class ExpectationResult(NamedTuple):
     value: float
-    stderr: float
-    exact: bool
 
 
 @functools.lru_cache(maxsize=16)
@@ -156,25 +154,21 @@ def _negative_multisets(n_points, k_negatives):
     return combos, log_coef
 
 
-def exact_info_nce_expectation(world, tau, beta_neg, k_negatives, mc_samples=None, seed=0):
-    """Expectation of the K-negative contrastive loss over the world.
+def exact_info_nce_expectation(world, tau, beta_neg, k_negatives):
+    """Exact expectation of the K-negative contrastive loss over the world.
 
-    Exact when the similarity gather fits the guard, otherwise a Monte Carlo
-    estimate with its standard error (``mc_samples`` must be given).
+    A world and K whose similarity gather exceeds ``MAX_EXACT_ENTRIES`` are refused.
     """
     check_range(LabError, "k_negatives", k_negatives, 1)
     check_range(LabError, "tau", tau, 0, lo_open=True)
     check_range(LabError, "beta_neg", beta_neg, 0)
     n = world.n_points
     entries = n * math.comb(k_negatives + n - 1, n - 1) * k_negatives
-    if entries <= MAX_EXACT_ENTRIES:
-        return ExpectationResult(_exact_expectation(world, tau, beta_neg, k_negatives), 0.0, True)
-    if mc_samples is None:
+    if entries > MAX_EXACT_ENTRIES:
         raise LabError(
-            f"the exact gather of {entries} similarities exceeds the guard "
-            f"({MAX_EXACT_ENTRIES}); pass mc_samples for a Monte Carlo estimate"
+            f"the exact gather of {entries} similarities exceeds the guard ({MAX_EXACT_ENTRIES})"
         )
-    return _mc_expectation(world, tau, beta_neg, k_negatives, mc_samples, seed)
+    return ExpectationResult(_exact_expectation(world, tau, beta_neg, k_negatives))
 
 
 def _exact_expectation(world, tau, beta_neg, k_negatives):
@@ -203,28 +197,6 @@ def _exact_expectation(world, tau, beta_neg, k_negatives):
         )
         per_pair[lo:lo + step] = losses.reshape(len(x), -1) @ weights
     return float(p_pos[xs, xps] @ per_pair)
-
-
-def _mc_expectation(world, tau, beta_neg, k_negatives, mc_samples, seed):
-    rng = np.random.default_rng([int(seed)])
-    n = world.n_points
-    classes = rng.choice(world.n_classes, size=mc_samples, p=world.priors)
-    sims = world.features @ world.features.T / tau
-    anchors = np.empty(mc_samples, dtype=int)
-    positives = np.empty(mc_samples, dtype=int)
-    for c in range(world.n_classes):
-        mask = classes == c
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        anchors[mask] = rng.choice(n, size=count, p=world.conditionals[c])
-        positives[mask] = rng.choice(n, size=count, p=world.conditionals[c])
-    negatives = rng.choice(n, size=(mc_samples, k_negatives), p=world.p_data)
-    losses, _, _ = contrastive_rows(
-        sims[anchors, positives], sims[anchors[:, None], negatives], beta_neg
-    )
-    stderr = float(np.std(losses, ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else np.inf
-    return ExpectationResult(float(np.mean(losses)), stderr, False)
 
 
 @dataclass(frozen=True)

@@ -72,13 +72,14 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, data):
+        """Inverse of ``to_dict``; every key is required."""
         return cls(
             architecture=data["architecture"],
             input_shape=tuple(data["input_shape"]),
             hidden=tuple(data["hidden"]),
             feature_dim=int(data["feature_dim"]),
-            proj_hidden=None if data.get("proj_hidden") is None else int(data["proj_hidden"]),
-            center_input=bool(data.get("center_input", True)),
+            proj_hidden=None if data["proj_hidden"] is None else int(data["proj_hidden"]),
+            center_input=bool(data["center_input"]),
         )
 
 
@@ -326,6 +327,17 @@ class Checkpoint:
     extra: dict = field(default_factory=dict)
 
 
+def _header(encoder, train_config_hash, epoch, extra):
+    """The header dict a checkpoint stores, before it is written as sorted JSON."""
+    return {
+        "layout": [[name, list(shape), offset] for name, shape, offset in encoder.layout],
+        "encoder_config": encoder.config.to_dict(),
+        "train_config_hash": train_config_hash,
+        "epoch": epoch,
+        "extra": extra,
+    }
+
+
 def save_checkpoint(path, encoder, params, train_config_hash, epoch=0, extra=None):
     """Write a checkpoint with deterministic bytes (header json + raw float64), atomically:
     a failed write leaves neither a partial ``path`` nor its ``<path>.tmp``."""
@@ -334,13 +346,7 @@ def save_checkpoint(path, encoder, params, train_config_hash, epoch=0, extra=Non
         raise ModelError(
             f"params shape {params.shape} does not match encoder T={encoder.n_params}"
         )
-    header = {
-        "layout": [[name, list(shape), offset] for name, shape, offset in encoder.layout],
-        "encoder_config": encoder.config.to_dict(),
-        "train_config_hash": train_config_hash,
-        "epoch": int(epoch),
-        "extra": extra or {},
-    }
+    header = _header(encoder, train_config_hash, int(epoch), extra or {})
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = f"{os.fspath(path)}.tmp"
     with os_errors(ModelError, path):
@@ -357,7 +363,11 @@ def save_checkpoint(path, encoder, params, train_config_hash, epoch=0, extra=Non
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; any truncation, corrupt header or size mismatch is a ModelError."""
+    """Read a checkpoint; any truncation, corrupt header or size mismatch is a ModelError.
+
+    Every header key must hold the value ``save_checkpoint`` writes for the encoder
+    config, hash, epoch and extra read from it, with the same JSON types.
+    """
     with os_errors(ModelError, path), open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
@@ -369,16 +379,23 @@ def load_checkpoint(path):
         (header_len,) = struct.unpack("<Q", blob[start - 8:start])
         header = json.loads(blob[start:start + header_len])
         config = EncoderConfig.from_dict(header["encoder_config"])
-        stored_layout = tuple((n, tuple(s), o) for n, s, o in header["layout"])
         train_config_hash = str(header["train_config_hash"])
-        epoch = int(header.get("epoch", 0))
-        extra = dict(header.get("extra", {}))
-    except (struct.error, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        epoch = int(header["epoch"])
+        extra = dict(header["extra"])
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise ModelError(f"{path}: truncated or corrupt checkpoint header ({exc!r})") from exc
-    raw = blob[start + header_len:]
     encoder = Encoder(config)
-    if stored_layout != encoder.layout:
-        raise ModelError(f"{path}: layout mismatch against encoder config")
+    # every conversion above must have kept its value: 4.9 or true for 4, "false" for
+    # false, a float in the layout, a missing or an unknown key all differ from it here
+    expected = _header(encoder, train_config_hash, epoch, extra)
+    malformed = [key for key in sorted(header.keys() | expected.keys())
+                 if key not in header or key not in expected
+                 or json.dumps(header[key], sort_keys=True)
+                 != json.dumps(expected[key], sort_keys=True)]
+    if malformed:
+        raise ModelError(f"{path}: malformed checkpoint header values {malformed}")
+    raw = blob[start + header_len:]
     if len(raw) != 8 * encoder.n_params:
         raise ModelError(
             f"{path}: parameter payload has {len(raw)} bytes, expected {8 * encoder.n_params}"
@@ -390,4 +407,3 @@ def load_checkpoint(path):
         epoch=epoch,
         extra=extra,
     )
-

@@ -102,36 +102,28 @@ class ProbeModel:
         feats = self.encoder.forward(self.params, images, tap=self.tap_point)
         return feats @ self.weights.T
 
-    def input_gradient(self, images, labels, logits_out=None):
-        """Per-sample gradient of the tau=1 cross-entropy w.r.t. the pixels.
-
-        The logits of its forward pass are appended to the list ``logits_out`` if given.
-        """
+    def input_gradient(self, images, labels):
+        """Per-sample gradient of the tau=1 cross-entropy w.r.t. the pixels."""
         images, labels = _as_batch(images, labels)
 
         def probe_loss(feats):
-            logits = feats @ self.weights.T
-            if logits_out is not None:
-                logits_out.append(logits)
-            loss, dlogits = cross_entropy_rows(logits, labels, 1.0)
+            loss, dlogits = cross_entropy_rows(feats @ self.weights.T, labels, 1.0)
             return loss.sum(), dlogits @ self.weights
 
         return self.encoder.input_gradient(self.params, images, probe_loss, tap=self.tap_point)
 
 
-def fgsm_attack(model, images, labels, config, logits_out=None):
+def fgsm_attack(model, images, labels, config):
     """Sign-gradient perturbation: clip(x + eps * sign(grad_x CE), 0, 1).
 
     Takes a batch (n, H, W, C) with labels (n,); pass a single image as a batch
     of one. Epsilon = 0 returns a copy of the input. The result always satisfies the
-    infinity-norm budget and stays in the [0, 1] pixel range. ``logits_out`` is
-    passed to the model's ``input_gradient``; epsilon = 0 runs no gradient pass
-    and leaves it alone.
+    infinity-norm budget and stays in the [0, 1] pixel range.
     """
     images, labels = _as_batch(images, labels)
     if config.epsilon == 0.0:
         return images.copy()
-    grad = model.input_gradient(images, labels, logits_out)
+    grad = model.input_gradient(images, labels)
     if not np.all(np.isfinite(grad)):
         raise EvaluationError("non-finite input gradient during attack")
     return np.clip(images + config.epsilon * np.sign(grad), 0.0, 1.0)
@@ -142,15 +134,8 @@ def clean_accuracy(model, labeled_data, k=1):
     return top_k_accuracy(model.logits(images), labels, k)
 
 
-def robust_accuracy(model, labeled_data, config, logits_out=None):
-    """Top-1 accuracy on attacked inputs; equals clean accuracy at epsilon 0.
-
-    If given, the list ``logits_out`` receives the clean images' logits, read off the
-    attack's own forward pass (at epsilon 0 the attacked images are the clean ones).
-    """
+def robust_accuracy(model, labeled_data, config):
+    """Top-1 accuracy on attacked inputs; equals clean accuracy at epsilon 0."""
     images, labels = labeled_data  # fgsm_attack checks the batch
-    attacked = fgsm_attack(model, images, labels, config, logits_out)
-    logits = model.logits(attacked)
-    if logits_out is not None and config.epsilon == 0.0:
-        logits_out.append(logits)
-    return top_k_accuracy(logits, labels, 1)
+    attacked = fgsm_attack(model, images, labels, config)
+    return top_k_accuracy(model.logits(attacked), labels, 1)

@@ -339,12 +339,10 @@ def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None, eval_data=Non
     model = ProbeModel(
         encoder=encoder, params=params, weights=weights, tap_point=probe_cfg.tap_point
     )
-    clean = []  # with an attack, its forward pass gives the clean logits
-    robust = None if attack is None else robust_accuracy(model, eval_data, attack, clean)
-    logits = clean[0] if clean else model.logits(eval_data[0])
+    logits = model.logits(eval_data[0])
     results = {f"top{k}": top_k_accuracy(logits, eval_data[1], k) for k in ks}
     if attack is not None:
-        results["robust_top1"] = robust
+        results["robust_top1"] = robust_accuracy(model, eval_data, attack)
         results["clean_top1"] = top_k_accuracy(logits, eval_data[1], 1)
     return model, results
 
@@ -370,7 +368,11 @@ def standard_variants(base: TrainConfig):
             for name, overrides in _VARIANTS.items()]
 
 
-def run_experiment_matrix(variants, summary_path=None, shift_n_mc=4):
+# Monte Carlo draws per anchor of each matrix row's ``base`` shift gap.
+_MATRIX_SHIFT_N_MC = 4
+
+
+def run_experiment_matrix(variants, summary_path=None):
     """Train and evaluate each (name, config) variant; failures mark their row."""
     rows = []
     for name, config in variants:
@@ -381,7 +383,7 @@ def run_experiment_matrix(variants, summary_path=None, shift_n_mc=4):
             eval_data = load_eval_data(config)
             _, results = evaluate_probe(config, encoder, params, epsilon=FGSM_DEFAULT_EPSILON,
                                         eval_data=eval_data)
-            report = shift_gap_report(config, encoder, params, "base", n_mc=shift_n_mc,
+            report = shift_gap_report(config, encoder, params, "base", n_mc=_MATRIX_SHIFT_N_MC,
                                       seed=config.seed, eval_data=eval_data)
             metrics = _read_metrics(os.path.join(config.resolved_output_dir(), METRICS_NAME))
             row.update(results)

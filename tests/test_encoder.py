@@ -402,13 +402,38 @@ def _checkpoint_parts(tmp_path):
     return blob[:start], json.loads(blob[start + 8:end]), blob[end:]
 
 
-@pytest.mark.parametrize("drop", [None, "layout", "encoder_config", "train_config_hash"])
-def test_corrupt_checkpoint_header_fails_cleanly(tmp_path, drop):
+# (dotted path into the header, value): each loaded as a plausible checkpoint before
+# the header values were checked, with the JSON type of the value coerced or a
+# missing key filled in with a default; "layout.1.2" is the second segment's offset
+_MALFORMED_VALUES = [
+    ("encoder_config.center_input", "false"), ("encoder_config.center_input", 1),
+    ("encoder_config.feature_dim", 4.9), ("encoder_config.feature_dim", 4.0),
+    ("encoder_config.feature_dim", float("inf")), ("encoder_config.proj_hidden", 6.0),
+    ("encoder_config.hidden", [6.5]), ("encoder_config.input_shape", [4, 4.0, 1]),
+    ("encoder_config.spare", 1), ("layout.1.2", 96.0), ("train_config_hash", 5),
+    ("epoch", 0.0), ("epoch", False), ("extra", []), ("spare", None),
+]
+_DROP = object()
+
+
+@pytest.mark.parametrize("change", [
+    None, "layout", "encoder_config", "train_config_hash", "epoch", "extra",
+    "encoder_config.proj_hidden", "encoder_config.center_input",
+] + [pytest.param(edit, id=f"{edit[0]}={edit[1]!r}") for edit in _MALFORMED_VALUES])
+def test_corrupt_checkpoint_header_fails_cleanly(tmp_path, change):
     magic, header, payload = _checkpoint_parts(tmp_path)
-    if drop is None:
+    if change is None:
         corrupt = b"{not json"
     else:
-        del header[drop]
+        key, value = (change, _DROP) if isinstance(change, str) else change
+        *parents, last = key.split(".")
+        node = header
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[int(last) if isinstance(node, list) else last] = value
         corrupt = json.dumps(header).encode()
     path = tmp_path / "corrupt.ckpt"
     path.write_bytes(magic + struct.pack("<Q", len(corrupt)) + corrupt + payload)
