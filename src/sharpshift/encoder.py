@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -26,6 +27,13 @@ from .errors import SIZE_CAP, ModelError, check_range, os_errors
 
 _NORM_EPS = 1e-12
 _CHECKPOINT_MAGIC = b"SHARPSHIFT-CKPT-1\n"
+
+
+def _size(name, value):
+    """``value`` as an int: a width or dimension must be an integer of at least 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return check_range(ModelError, name, int(value), 1)
 
 
 @dataclass(frozen=True)
@@ -52,20 +60,19 @@ class EncoderConfig:
             raise ModelError(f"unknown architecture {self.architecture!r}")
         if len(self.input_shape) != 3:
             raise ModelError(f"input_shape must be (H, W, C), got {self.input_shape}")
-        h, w, c = self.input_shape
-        check_range(ModelError, "input height", h, 1)
-        check_range(ModelError, "input width", w, 1)
+        h, w, c = (_size(name, x) for name, x in
+                   zip(("input height", "input width", "input channels"), self.input_shape))
         if c not in (1, 3):
             raise ModelError(f"input channels must be 1 or 3, got {c}")
-        check_range(ModelError, "feature_dim", self.feature_dim, 1)
         if self.architecture == "small_conv" and len(self.hidden) == 0:
             raise ModelError("small_conv needs at least one conv block")
-        for width in self.hidden:
-            check_range(ModelError, "hidden width", width, 1)
+        if not isinstance(self.center_input, bool):
+            raise ModelError(f"center_input must be a bool, got {self.center_input!r}")
+        object.__setattr__(self, "input_shape", (h, w, c))
+        object.__setattr__(self, "hidden", tuple(_size("hidden width", x) for x in self.hidden))
+        object.__setattr__(self, "feature_dim", _size("feature_dim", self.feature_dim))
         if self.proj_hidden is not None:
-            check_range(ModelError, "proj_hidden", self.proj_hidden, 1)
-        object.__setattr__(self, "hidden", tuple(int(x) for x in self.hidden))
-        object.__setattr__(self, "input_shape", tuple(int(x) for x in self.input_shape))
+            object.__setattr__(self, "proj_hidden", _size("proj_hidden", self.proj_hidden))
 
     def to_dict(self):
         return asdict(self)

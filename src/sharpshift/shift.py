@@ -79,12 +79,17 @@ def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config):
 
     ``feature_fn`` maps a batch of items to an (n, d) array of unit features
     (bind the encoder and its parameters before calling). ``labeled_data`` is
-    an (items, labels) pair of equal lengths; ``augment_fn(item, rng, n)``
-    returns n draws from the augmentation distribution, as a batch
-    ``feature_fn`` takes. Class means use all same-class items once; the
-    augmentation mean of each anchor averages ``n_mc_aug`` draws, requested in
-    one call, from the substream SeedSequence([seed, anchor_index]), so anchors
-    can be processed in any order (or in parallel) without changing the result.
+    an (items, labels) pair of equal lengths. Class means use all same-class
+    items once. Anchor i draws from its own substream
+    ``default_rng([seed, i])``; ``augment_fn(items, rngs, n)`` is called once
+    with every anchor's generator and returns an iterable that yields, in
+    anchor order, each anchor's ``n_mc_aug`` draws from the augmentation
+    distribution as a batch ``feature_fn`` takes. The iterable is consumed
+    lazily, one anchor at a time: ``feature_fn`` runs on an anchor's draws
+    before the next anchor's are pulled, and the augmentation mean of each
+    anchor averages its own draws only. An anchor's draws depend only on its
+    item and its substream, so ``augment_fn`` may make them in any order or
+    grouping without changing the result.
     """
     items, labels = labeled_data
     labels = np.asarray(labels)
@@ -99,10 +104,10 @@ def estimate_shift_gap(feature_fn, labeled_data, augment_fn, config):
         c: features[labels == c].mean(axis=0) for c in classes
     }
 
+    rngs = [np.random.default_rng([int(config.seed), i]) for i in range(len(items))]
+    draws = augment_fn(items, rngs, config.n_mc_aug)
     terms = np.empty(len(items))
-    for i, label in enumerate(labels):
-        rng = np.random.default_rng([int(config.seed), i])
-        copies = augment_fn(items[i], rng, config.n_mc_aug)
+    for i, (label, copies) in enumerate(zip(labels, draws, strict=True)):
         aug_mean = np.asarray(feature_fn(copies), dtype=float).mean(axis=0)
         gap = float(np.linalg.norm(class_means[int(label)] - aug_mean))
         terms[i] = gap**config.exponent

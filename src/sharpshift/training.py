@@ -234,27 +234,69 @@ def append_metrics(checkpoint_path, payload):
 # Base-augmented candidates an fft draw pairs its view with, at most.
 _FFT_CANDIDATES = 8
 
+# Pixel values of the views one view-generation call of a shift-gap closure makes,
+# less one anchor's: a block of anchors closes at the first anchor that reaches it.
+_BLOCK_VALUES = 2**15
+
+
+def _blocks(images, rngs, draw, make):
+    """Each anchor's draws, made one block of consecutive anchors at a time.
+
+    ``draw(image, rng)`` takes one anchor's random draws from its own ``rng`` and
+    returns them with the number of views they make. A block closes at the first
+    anchor that brings its views' pixel values to ``_BLOCK_VALUES``; then
+    ``make(block)``, for a block of (drawn, views) pairs, yields each anchor's
+    draws in order.
+    """
+    block, values = [], 0
+    for image, rng in zip(images, rngs):
+        drawn, views = draw(image, rng)
+        block.append((drawn, views))
+        values += views * np.size(image)
+        if values >= _BLOCK_VALUES:
+            yield from make(block)
+            block, values = [], 0
+    if block:
+        yield from make(block)
+
 
 def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
-    """Augmentation map ``t(x, rng, n)`` used by the shift-gap estimator: n draws of t(x).
+    """Augmentation map ``t(images, rngs, n)`` used by the shift-gap estimator.
 
-    "identity" returns the input; "base" is the stochastic view pool; "fft"
-    additionally amplitude-mixes the view toward the most feature-similar of
-    ``_FFT_CANDIDATES`` base-augmented images drawn from ``pool_images``, which
-    emulates the in-batch pairing at measurement time. Each closure makes all
-    n draws' base views in one ``base_augment_batch`` call, and ``rng`` is
-    consumed as n one-draw calls would consume it. An "fft" call runs one
-    encoder forward over its views, and none when no draw mixes.
+    The closure returns a lazy iterable that yields n draws of t(x) for each image x,
+    in order, each drawn from that image's generator in ``rngs``. "identity" repeats
+    the input; "base" is the stochastic view pool; "fft" additionally
+    amplitude-mixes the view toward the most feature-similar of ``_FFT_CANDIDATES``
+    base-augmented images drawn from ``pool_images``, which emulates the in-batch
+    pairing at measurement time.
+
+    Each anchor's generator is consumed as n one-draw calls would consume it: the
+    view's seed, then for "fft" its beta and, unless beta is 0, the candidates and
+    their seeds. The views of a block of anchors (see ``_blocks``) are made by one
+    ``base_augment_batch`` call, and for "fft" mixed by one ``mix_batch`` call. A
+    view depends only on its image and its seed, so blocking changes no byte. The
+    "fft" partner search runs one encoder forward per anchor over that anchor's
+    views, and none for an anchor in which no draw mixes.
     """
     aug_pool = config.augment_pool()
 
     if mode == "identity":
-        return lambda image, rng, n: [image] * n
+        return lambda images, rngs, n: ([image] * n for image in images)
     if mode == "base":
-        def base_fn(image, rng, n):
-            seeds = rng.integers(0, 2**62, size=(n, 2))
-            return data_mod.base_augment_batch(np.broadcast_to(image, (n,) + image.shape), seeds,
-                                               aug_pool)
+        def base_fn(images, rngs, n):
+            def draw(image, rng):
+                return (image, rng.integers(0, 2**62, size=(n, 2))), n
+
+            def make(block):
+                sources, seeds = zip(*(drawn for drawn, _ in block))
+                k, shape = len(sources), np.shape(sources[0])
+                # n copies of each image; a one-anchor block's are a broadcast view
+                copies = np.broadcast_to(np.stack(sources)[:, None], (k, n) + shape).reshape(
+                    (k * n,) + shape)
+                views = data_mod.base_augment_batch(copies, np.concatenate(seeds), aug_pool)
+                return (views[j * n:(j + 1) * n] for j in range(k))
+
+            return _blocks(images, rngs, draw, make)
 
         return base_fn
     if mode != "fft":
@@ -264,31 +306,45 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
     count = min(_FFT_CANDIDATES, len(pool_images))
     alpha = AugmentConfig(alpha=config.fft_alpha).alpha  # checked before any draw
 
-    def fft_fn(image, rng, n):
-        # draw in the order of n one-at-a-time draws: the view's seed, its beta, and
-        # unless beta is 0 the candidates and their seeds; then augment all at once.
-        # A draw's own view is row rows[k] of the batch, its candidates the count rows after.
-        sources, seeds, rows, mixed = [], [], [], []
-        for _ in range(n):
-            rows.append(len(rows) + count * len(mixed))
-            seeds.append(rng.integers(0, 2**62, size=(1, 2)))
-            sources.append(image[None])
-            beta = float(rng.uniform(0.0, alpha))
-            if beta != 0.0:
-                mixed.append((rows[-1], beta))
-                chosen = rng.choice(len(pool_images), size=count, replace=False)
-                seeds.append(rng.integers(0, 2**62, size=(count, 2)))
-                sources.append(pool_images[chosen])
-        views = data_mod.base_augment_batch(np.concatenate(sources), np.concatenate(seeds),
-                                            aug_pool)
-        # each draw's own row is mixed toward its partner row; candidate rows have beta 0.
-        # One forward covers every view; a draw pairs within its own rows of the features.
-        partners, mix_betas = np.arange(len(views)), np.zeros(len(views))
-        feats = encoder.forward(params, views) if mixed else None
-        for row, beta in mixed:
-            partners[row] += most_similar_index(feats[row:row + 1 + count], 0)
-            mix_betas[row] = beta
-        return mix_batch(views, partners, mix_betas)[rows]
+    def fft_fn(images, rngs, n):
+        def draw(image, rng):
+            # draw in the order of n one-at-a-time draws: the view's seed, its beta, and
+            # unless beta is 0 the candidates and their seeds. Among the anchor's views,
+            # a draw's own view is row rows[k], its candidates the count rows after.
+            sources, seeds, rows, mixed = [], [], [], []
+            for _ in range(n):
+                rows.append(len(rows) + count * len(mixed))
+                seeds.append(rng.integers(0, 2**62, size=(1, 2)))
+                sources.append(image[None])
+                beta = float(rng.uniform(0.0, alpha))
+                if beta != 0.0:
+                    mixed.append((rows[-1], beta))
+                    chosen = rng.choice(len(pool_images), size=count, replace=False)
+                    seeds.append(rng.integers(0, 2**62, size=(count, 2)))
+                    sources.append(pool_images[chosen])
+            return (sources, seeds, rows, mixed), n + count * len(mixed)
+
+        def make(block):
+            sources, seeds, starts = [], [], [0]
+            for (own_sources, own_seeds, _, _), size in block:
+                sources += own_sources
+                seeds += own_seeds
+                starts.append(starts[-1] + size)
+            views = data_mod.base_augment_batch(np.concatenate(sources), np.concatenate(seeds),
+                                                aug_pool)
+            # each draw's own row is mixed toward its partner row; candidate rows have
+            # beta 0. An anchor's views go through one forward, and a draw pairs within
+            # its anchor's rows of the features.
+            partners, mix_betas = np.arange(len(views)), np.zeros(len(views))
+            for start, stop, ((_, _, _, mixed), _) in zip(starts, starts[1:], block):
+                feats = encoder.forward(params, views[start:stop]) if mixed else None
+                for row, beta in mixed:
+                    partners[start + row] += most_similar_index(feats[row:row + 1 + count], 0)
+                    mix_betas[start + row] = beta
+            out = mix_batch(views, partners, mix_betas)
+            return (out[start + np.array(drawn[2])] for start, (drawn, _) in zip(starts, block))
+
+        return _blocks(images, rngs, draw, make)
 
     return fft_fn
 

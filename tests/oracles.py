@@ -368,7 +368,7 @@ def make_views_per_image(images, indices, epoch, config, pool):
 
 def per_draw_augment_fn(mode, config, encoder=None, params=None, pool_images=None,
                         n_candidates=8):
-    """``make_augment_fn`` as n one-draw calls: each draw builds its own views."""
+    """``make_augment_fn`` as n one-draw calls per anchor: each draw builds its own views."""
     aug_pool = config.augment_pool()
 
     def base_draw(image, rng):
@@ -391,4 +391,5 @@ def per_draw_augment_fn(mode, config, encoder=None, params=None, pool_images=Non
         return fourier.mix_batch(pair, np.array([1, 1]), np.array([beta, 0.0]))[0]
 
     draw = {"base": base_draw, "fft": fft_draw}[mode]
-    return lambda image, rng, n: [draw(image, rng) for _ in range(n)]
+    return lambda images, rngs, n: ([draw(image, rng) for _ in range(n)]
+                                    for image, rng in zip(images, rngs))

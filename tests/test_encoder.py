@@ -488,3 +488,24 @@ def test_config_validation():
         EncoderConfig(input_shape=(4, 4, 2))
     with pytest.raises(ModelError):
         EncoderConfig(architecture="small_conv", hidden=())
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(feature_dim=4.5), dict(feature_dim=4.0), dict(feature_dim=True),
+    dict(hidden=(6.5,)), dict(hidden=(6, False)), dict(proj_hidden=2.0),
+    dict(input_shape=(16.0, 16, 1)), dict(input_shape=(16, 16, True)),
+    dict(center_input="false"), dict(center_input=1),
+], ids=repr)
+def test_config_refuses_non_integral_sizes_and_non_bool_centering(overrides):
+    with pytest.raises(ModelError):
+        EncoderConfig(**overrides)
+
+
+def test_config_keeps_integral_sizes_as_ints():
+    cfg = EncoderConfig(input_shape=[16, np.int64(16), 1], hidden=[np.int32(6)],
+                        feature_dim=np.int64(4), proj_hidden=np.uint8(3))
+    assert cfg == EncoderConfig(input_shape=(16, 16, 1), hidden=(6,), feature_dim=4,
+                                proj_hidden=3)
+    assert all(type(x) is int for x in (*cfg.input_shape, *cfg.hidden, cfg.feature_dim,
+                                         cfg.proj_hidden))
+    assert type(Encoder(cfg).n_params) is int

@@ -21,15 +21,16 @@ def table_features(items):
     return FEATURES[np.asarray(items, dtype=int)]
 
 
-def identity_aug(item, rng, n):
-    return [item] * n
+def identity_aug(items, rngs, n):
+    return ([item] * n for item in items)
 
 
 def make_table_aug(moves, probs):
     """Augmentation over an enumerable set: item -> item + move (mod 6)."""
 
-    def aug(item, rng, n):
-        return [(int(item) + int(rng.choice(moves, p=probs))) % len(FEATURES) for _ in range(n)]
+    def aug(items, rngs, n):
+        return ([(int(item) + int(rng.choice(moves, p=probs))) % len(FEATURES) for _ in range(n)]
+                for item, rng in zip(items, rngs))
 
     return aug
 
@@ -165,6 +166,26 @@ def test_exponent_one_versus_half():
     # deterministic augmentation: per-anchor norms are the same, only the
     # exponent differs; with norms in (1, 2] the sqrt version is smaller
     assert half.aggregate != one.aggregate
+
+
+def test_each_anchor_is_featurized_before_the_next_is_pulled():
+    """The draws are consumed lazily: only one anchor's draws are alive at a time."""
+    data = ([0, 1, 2, 3], [0, 0, 1, 1])
+    pulled, seen = [], []
+
+    def counting_aug(items, rngs, n):
+        for item, rng in zip(items, rngs):
+            pulled.append(item)
+            yield [(int(item) + int(rng.integers(2))) % len(FEATURES) for _ in range(n)]
+
+    def counting_features(items):
+        seen.append(len(pulled))
+        return table_features(items)
+
+    estimate_shift_gap(counting_features, data, counting_aug, ShiftGapConfig(n_mc_aug=3))
+    # the class means come first, then each anchor's draws right after they are pulled
+    assert seen == [0, 1, 2, 3, 4]
+    assert pulled == data[0]
 
 
 def test_report_serializes_to_json():

@@ -431,15 +431,15 @@ def test_augment_fn_modes(tmp_path):
     rng = np.random.default_rng(0)
 
     identity = make_augment_fn("identity", cfg)
-    assert np.array_equal(identity(images[0], rng, 1)[0], images[0])
+    assert np.array_equal(next(iter(identity(images[:1], [rng], 1)))[0], images[0])
 
     base = make_augment_fn("base", cfg)
-    out = base(images[0], rng, 1)[0]
+    out = next(iter(base(images[:1], [rng], 1)))[0]
     assert out.shape == images[0].shape
 
     fft = make_augment_fn("fft", cfg, encoder=encoder, params=params,
                           pool_images=images)
-    out = fft(images[0], rng, 1)[0]
+    out = next(iter(fft(images[:1], [rng], 1)))[0]
     assert out.shape == images[0].shape
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
@@ -488,22 +488,84 @@ def test_shift_gap_matches_per_draw_oracle(tmp_path, monkeypatch, overrides, mod
         assert report == shift_gap_report(c, encoder, params, mode, n_mc=4, seed=seed).to_json()
 
 
-def test_shift_gap_closures_match_per_draw_oracle_across_chunks(tmp_path):
-    """A base call of 96 draws at 32x32x3 augments three chunks, and an fft call of 8
-    mixed draws (72 views) two; every view keeps the op draws of its own seed."""
+def _view_call_sizes(monkeypatch):
+    """The number of views of every ``base_augment_batch`` call from now on."""
+    sizes = []
+    real = training.data_mod.base_augment_batch
+
+    def counting(images, seeds, pool):
+        sizes.append(len(images))
+        return real(images, seeds, pool)
+
+    monkeypatch.setattr(training.data_mod, "base_augment_batch", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("overrides", [TINY_SSA_MLP, TINY_CONV], ids=["ssa_mlp", "conv"])
+def test_shift_gap_reports_do_not_depend_on_the_blocks(tmp_path, monkeypatch, overrides):
+    """One anchor per block, one block for all anchors, and blocks of four anchors' base
+    views, the last of which holds two, all give the default blocks' report bytes."""
+    cfg = tiny_config(tmp_path, **overrides)
+    encoder = Encoder(cfg.encoder_config())
+    params = encoder.init_params(0)
+    images = load_eval_data(cfg)[0]
+    n_mc = 4
+    assert len(images) % 4 == 2
+    calls = _view_call_sizes(monkeypatch)
+
+    def reports():
+        return [shift_gap_report(cfg, encoder, params, mode, n_mc=n_mc, seed=seed).to_json()
+                for mode in ("base", "fft", "identity") for seed in (0, 2**40 + 3)]
+
+    default = reports()
+    for block_values, base_calls in ((1, [n_mc] * len(images)), (2**40, [n_mc * len(images)]),
+                                     (4 * n_mc * images[0].size, [4 * n_mc, 2 * n_mc])):
+        monkeypatch.setattr(training, "_BLOCK_VALUES", block_values)
+        calls.clear()
+        assert reports() == default, block_values
+        assert calls[:len(base_calls)] == base_calls, block_values  # the first base report
+
+
+@pytest.mark.parametrize("mode", ["base", "fft"])
+def test_shift_gap_view_calls_hold_less_than_a_block_and_an_anchor(tmp_path, monkeypatch, mode):
+    """Every view-generation call of a report holds fewer pixel values than
+    ``_BLOCK_VALUES`` plus one anchor's views, and a base report's calls make every
+    anchor's views."""
+    cfg = tiny_config(tmp_path, **dict(TINY_SSA_MLP, n_eval_per_class=20))
+    encoder = Encoder(cfg.encoder_config())
+    images = load_eval_data(cfg)[0]
+    n_mc, size = 12, images[0].size
+    anchor_views = n_mc * (1 + training._FFT_CANDIDATES if mode == "fft" else 1)
+    calls = _view_call_sizes(monkeypatch)
+    shift_gap_report(cfg, encoder, encoder.init_params(0), mode, n_mc=n_mc)
+    assert all(views * size < training._BLOCK_VALUES + anchor_views * size for views in calls)
+    assert 1 < len(calls) < len(images)  # blocks of several anchors
+    if mode == "base":
+        assert sum(calls) == n_mc * len(images)
+
+
+def test_shift_gap_closures_match_per_draw_oracle_across_chunks(tmp_path, monkeypatch):
+    """An anchor's base draws, 96 at 32x32x3, augment three chunks, and its fft draws, 8
+    mixed ones (72 views), two. At the default budget each anchor is a block of its own; in
+    one block two anchors share chunks. Every view keeps the op draws of its own seed."""
     cfg = tiny_config(tmp_path, **TINY_CONV)
     images, _ = load_train_data(cfg)
     encoder = Encoder(cfg.encoder_config())
     context = dict(encoder=encoder, params=encoder.init_params(0), pool_images=images)
     chunk_views = _BATCH_CHUNK_VALUES // images[0].size
     assert 2 * chunk_views < 96 and chunk_views < 8 * (1 + training._FFT_CANDIDATES) <= 2 * chunk_views
-    for mode, n in (("base", 96), ("fft", 8)):
-        batched = make_augment_fn(mode, cfg, **context)(images[0], np.random.default_rng(5), n)
-        per_draw = oracles.per_draw_augment_fn(mode, cfg, **context)(
-            images[0], np.random.default_rng(5), n)
-        assert len(batched) == n
-        for k, (view, expected) in enumerate(zip(batched, per_draw)):
-            assert view.tobytes() == expected.tobytes(), (mode, k)
+    for block_values, mode, n in ((training._BLOCK_VALUES, "base", 96), (2**40, "base", 96),
+                                  (training._BLOCK_VALUES, "fft", 8), (2**40, "fft", 8)):
+        monkeypatch.setattr(training, "_BLOCK_VALUES", block_values)
+        batched = list(make_augment_fn(mode, cfg, **context)(
+            images[:2], [np.random.default_rng(5), np.random.default_rng(6)], n))
+        per_draw = list(oracles.per_draw_augment_fn(mode, cfg, **context)(
+            images[:2], [np.random.default_rng(5), np.random.default_rng(6)], n))
+        assert len(batched) == 2
+        for anchor, (views, expected_views) in enumerate(zip(batched, per_draw)):
+            assert len(views) == n
+            for k, (view, expected) in enumerate(zip(views, expected_views)):
+                assert view.tobytes() == expected.tobytes(), (block_values, mode, anchor, k)
 
 
 class _ZeroEveryOtherBeta:
@@ -528,16 +590,17 @@ def test_fft_draws_with_and_without_candidates_match_per_draw_oracle(tmp_path):
     encoder = Encoder(cfg.encoder_config())
     params = encoder.init_params(0)
     context = dict(encoder=encoder, params=params, pool_images=images)
-    batched = make_augment_fn("fft", cfg, **context)(images[0], _ZeroEveryOtherBeta(3), 7)
-    per_draw = oracles.per_draw_augment_fn("fft", cfg, **context)(images[0],
-                                                                   _ZeroEveryOtherBeta(3), 7)
+    (batched,) = make_augment_fn("fft", cfg, **context)(images[:1], [_ZeroEveryOtherBeta(3)], 7)
+    (per_draw,) = oracles.per_draw_augment_fn("fft", cfg, **context)(
+        images[:1], [_ZeroEveryOtherBeta(3)], 7)
     assert len(batched) == 7
     for k, (view, expected) in enumerate(zip(batched, per_draw)):
         assert np.array_equal(view, expected), k
 
 
-def test_fft_draws_take_one_encoder_forward_per_call_that_mixes(tmp_path, monkeypatch):
-    """All of a call's views go through one forward; a call in which no draw mixes runs none."""
+def test_fft_draws_take_one_encoder_forward_per_anchor_that_mixes(tmp_path, monkeypatch):
+    """All of an anchor's views go through one forward, whatever block the anchor is in;
+    an anchor in which no draw mixes runs none."""
     cfg = tiny_config(tmp_path, **TINY_SSA_MLP)
     images, _ = load_train_data(cfg)
     encoder = Encoder(cfg.encoder_config())
@@ -551,14 +614,19 @@ def test_fft_draws_take_one_encoder_forward_per_call_that_mixes(tmp_path, monkey
         return real(self, params, images, tap)
 
     monkeypatch.setattr(Encoder, "_forward", counting)
-    # draws 1, 3 and 5 of seven mix; at alpha 0 no draw does
-    cases = [(cfg, _ZeroEveryOtherBeta(3), 7, [7 + 3 * (views_per_draw - 1)]),
-             (cfg, np.random.default_rng(4), 5, [5 * views_per_draw]),
-             (cfg, _ZeroEveryOtherBeta(3), 1, []),
-             (replace(cfg, fft_alpha=0.0), np.random.default_rng(4), 5, [])]
-    for config, rng, n, expected in cases:
+    # an anchor drawing with _ZeroEveryOtherBeta mixes draws 1, 3 and 5 of seven, and none
+    # of one; at alpha 0 no draw does
+    cases = [(cfg, [_ZeroEveryOtherBeta(3), np.random.default_rng(4)], 7,
+              [7 + 3 * (views_per_draw - 1), 7 * views_per_draw]),
+             (cfg, [np.random.default_rng(4)], 5, [5 * views_per_draw]),
+             (cfg, [_ZeroEveryOtherBeta(3), np.random.default_rng(4), _ZeroEveryOtherBeta(3)], 1,
+              [views_per_draw]),
+             (replace(cfg, fft_alpha=0.0), [np.random.default_rng(4), np.random.default_rng(5)],
+              5, [])]
+    for config, rngs, n, expected in cases:
         sizes.clear()
-        assert len(make_augment_fn("fft", config, **context)(images[0], rng, n)) == n
+        draws = make_augment_fn("fft", config, **context)(images[:len(rngs)], rngs, n)
+        assert [len(views) for views in draws] == [n] * len(rngs)
         assert sizes == expected
 
 
