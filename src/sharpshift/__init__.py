@@ -43,7 +43,7 @@ from .fourier import (
 )
 from .losses import LossConfig, loss_upper_bound
 from .sam import SamConfig, ascent_perturbation, sam_step
-from .shift import ShiftGapConfig, ShiftGapReport, estimate_shift_gap
+from .shift import ShiftGapReport, estimate_shift_gap
 from .training import run_experiment_matrix, standard_variants, train_ssl
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "ProbeModel",
     "SamConfig",
     "SharpshiftError",
-    "ShiftGapConfig",
     "ShiftGapReport",
     "TrainConfig",
     "amplitude_phase",

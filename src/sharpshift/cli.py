@@ -74,11 +74,8 @@ def _cmd_probe(args):
 def _cmd_shift_gap(args):
     config = _config_from(args)
     encoder, params, _ = training.load_run(args.checkpoint)
-    report = training.shift_gap_report(
-        config, encoder, params, args.aug,
-        n_mc=args.n_mc, exponent=args.exponent, tau_factor=args.tau_factor,
-        seed=args.seed,
-    )
+    report = training.shift_gap_report(config, encoder, params, args.aug, n_mc=args.n_mc,
+                                       seed=args.seed)
     record = report.to_json()
     training.append_metrics(args.checkpoint,
                             {"event": "shift_gap", "aug": args.aug, **json.loads(record)})
@@ -174,8 +171,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--aug", choices=("base", "fft", "identity"), default="base")
     p.add_argument("--n-mc", type=int, default=8)
-    p.add_argument("--exponent", type=float, choices=(0.5, 1.0), default=0.5)
-    p.add_argument("--tau-factor", choices=("none", "inverse_tau", "tau"), default="none")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_shift_gap)
 

@@ -37,7 +37,7 @@ from .fourier import AugmentConfig, fft_augment_batch, mix_batch, most_similar_i
 from .fourier import dft2, reconstruct  # noqa: F401  (benchmarks/tracer.py wraps these names)
 from .losses import LossConfig, info_nce_batch_grad
 from .sam import DEFAULT_ADAPTIVE_RHO, DEFAULT_RHO, sam_step, sgd_step
-from .shift import ShiftGapConfig, estimate_shift_gap
+from .shift import estimate_shift_gap
 from .streams import seed_rows
 
 # SeedSequence stream tags; every consumer of randomness gets its own branch.
@@ -349,8 +349,7 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
     return fft_fn
 
 
-def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, exponent=0.5,
-                     tau_factor="none", seed=0, eval_data=None):
+def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, seed=0, eval_data=None):
     """Shift gap of a trained encoder under one augmentation mode.
 
     A request whose draws would hold more than ``SIZE_CAP`` pixel values is
@@ -359,9 +358,6 @@ def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, exponent=0.5,
     if eval_data is None:
         eval_data = load_eval_data(config)
     images = eval_data[0]
-    gap_cfg = ShiftGapConfig(
-        n_mc_aug=n_mc, exponent=exponent, tau_factor=tau_factor, tau=config.tau, seed=seed
-    )
     views_per_draw = 1 + min(_FFT_CANDIDATES, len(images)) if aug_mode == "fft" else 1
     check_range(MetricError, "n_mc x views per draw x image values",
                 n_mc * views_per_draw * int(np.prod(np.shape(images)[1:])), 0, SIZE_CAP,
@@ -369,7 +365,7 @@ def shift_gap_report(config, encoder, params, aug_mode, n_mc=8, exponent=0.5,
     augment_fn = make_augment_fn(aug_mode, config, encoder=encoder, params=params,
                                  pool_images=images)
     return estimate_shift_gap(functools.partial(encoder.forward, params), eval_data, augment_fn,
-                              gap_cfg)
+                              n_mc, seed)
 
 
 # ----- evaluation glue --------------------------------------------------------
@@ -399,7 +395,6 @@ def evaluate_probe(config, encoder, params, ks=(1,), epsilon=None, eval_data=Non
     results = {f"top{k}": top_k_accuracy(logits, eval_data[1], k) for k in ks}
     if attack is not None:
         results["robust_top1"] = robust_accuracy(model, eval_data, attack)
-        results["clean_top1"] = top_k_accuracy(logits, eval_data[1], 1)
     return model, results
 
 
@@ -468,7 +463,10 @@ def _read_metrics(path):
 
 def _write_summary(path, rows):
     columns = list(dict.fromkeys(["variant"] + [key for row in rows for key in row]))
-    with os_errors(PipelineError, path), open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(columns) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(row.get(col, "")) for col in columns) + "\n")
+    with os_errors(PipelineError, path):
+        # a matrix whose every variant failed early has not created the directory
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\t".join(columns) + "\n")
+            for row in rows:
+                fh.write("\t".join(str(row.get(col, "")) for col in columns) + "\n")

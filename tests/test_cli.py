@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpshift.bounds import lab_suite
-from sharpshift.cli import main
+from sharpshift.cli import build_parser, main
 from sharpshift.config import TrainConfig, load_config
 from sharpshift.data import base_augment_batch, write_image
 from sharpshift.encoder import Encoder, load_checkpoint, save_checkpoint
@@ -103,7 +104,8 @@ def test_robust_eval_reports_accuracies(trained, capsys):
     ])
     assert code == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert payload["robust_top1"] == payload["clean_top1"]
+    assert payload["robust_top1"] == payload["top1"]
+    assert "clean_top1" not in payload
 
 
 def test_shift_gap_subcommand(trained, capsys):
@@ -244,6 +246,20 @@ def test_matrix_checks_fft_alpha_before_training(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: alpha must lie in [0, 1], got 5.0\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_matrix_reports_every_error_when_no_variant_made_its_directory(tmp_path, capsys):
+    out = tmp_path / "new"
+    code = main(["matrix", "--data", str(tmp_path / "missing"), "--set", f"train.output_dir={out}",
+                 "--variants", "baseline,sam"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [json.loads(line) for line in captured.out.strip().splitlines()]
+    assert [row["variant"] for row in rows] == ["baseline", "sam"]
+    assert all(row["error"].startswith("IngestionError: ") for row in rows)
+    lines = (out / "summary.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3 and lines[0] == "variant\terror"
 
 
 def test_missing_checkpoint_fails_cleanly(tmp_path, capsys):
@@ -578,6 +594,18 @@ def test_readme_lists_every_config_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
     assert sorted(re.findall(r"^\| `([a-z_.]+)` \|", section, flags=re.M)) == sorted(TRAIN_KEYS)
+
+
+def test_readme_cli_examples_parse():
+    """Every ``sharpshift`` command in README's ``sh`` blocks parses; a stale flag exits."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("sharpshift ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def write_fake_cifar(data_dir, name="data_batch_1.bin", records=12, seed=0, first_label=0):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sharpshift.errors import MetricError
-from sharpshift.shift import ShiftGapConfig, estimate_shift_gap
+from sharpshift.shift import estimate_shift_gap
 
 # A discrete setting: items are integers, the feature table plays the
 # encoder, and the augmentation draws from a small enumerable set.
@@ -35,7 +35,7 @@ def make_table_aug(moves, probs):
     return aug
 
 
-def exact_gap(data, moves, probs, exponent):
+def exact_gap(data, moves, probs):
     """Full enumeration over the augmentation set (the MC oracle)."""
     items, labels = np.asarray(data[0]), np.asarray(data[1])
     feats = table_features(items)
@@ -50,16 +50,14 @@ def exact_gap(data, moves, probs, exponent):
                 p * FEATURES[(int(item) + int(m)) % len(FEATURES)]
                 for m, p in zip(moves, probs)
             )
-            inner += np.linalg.norm(mean_c - aug_mean) ** exponent
+            inner += np.linalg.norm(mean_c - aug_mean) ** 0.5
         total += (mask.sum() / n) * (inner / mask.sum())
     return total
 
 
 def test_identity_augmentation_one_item_per_class_is_zero():
     data = ([0, 1, 2], [0, 1, 2])
-    report = estimate_shift_gap(
-        table_features, data, identity_aug, ShiftGapConfig(n_mc_aug=4, seed=0)
-    )
+    report = estimate_shift_gap(table_features, data, identity_aug, n_mc_aug=4, seed=0)
     assert report.aggregate == pytest.approx(0.0, abs=1e-12)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in report.per_class_gap.values())
 
@@ -72,9 +70,7 @@ def test_gaps_are_nonnegative_and_bounded():
     data[1] = (1, 1)
     data = tuple(np.array(column) for column in zip(*data))  # (items, labels)
     aug = make_table_aug([0, 1, 2], [0.5, 0.3, 0.2])
-    report = estimate_shift_gap(
-        table_features, data, aug, ShiftGapConfig(n_mc_aug=6, exponent=0.5, seed=1)
-    )
+    report = estimate_shift_gap(table_features, data, aug, n_mc_aug=6, seed=1)
     assert report.aggregate >= 0.0
     for gap in report.per_class_gap.values():
         # unit features make the inner norm at most 2, so sqrt caps at sqrt(2)
@@ -84,9 +80,7 @@ def test_gaps_are_nonnegative_and_bounded():
 def test_aggregate_is_prior_weighted_sum():
     data = ([0, 1, 4, 2, 3], [0, 0, 0, 1, 1])
     aug = make_table_aug([0, 1], [0.7, 0.3])
-    report = estimate_shift_gap(
-        table_features, data, aug, ShiftGapConfig(n_mc_aug=5, seed=2)
-    )
+    report = estimate_shift_gap(table_features, data, aug, n_mc_aug=5, seed=2)
     recomputed = sum(
         report.class_priors[c] * report.per_class_gap[c] for c in report.per_class_gap
     )
@@ -96,9 +90,8 @@ def test_aggregate_is_prior_weighted_sum():
 def test_seed_determinism():
     data = ([0, 1, 2, 3], [0, 0, 1, 1])
     aug = make_table_aug([0, 1, 3], [0.2, 0.5, 0.3])
-    cfg = ShiftGapConfig(n_mc_aug=7, seed=33)
-    a = estimate_shift_gap(table_features, data, aug, cfg)
-    b = estimate_shift_gap(table_features, data, aug, cfg)
+    a = estimate_shift_gap(table_features, data, aug, n_mc_aug=7, seed=33)
+    b = estimate_shift_gap(table_features, data, aug, n_mc_aug=7, seed=33)
     assert a.aggregate == b.aggregate
     assert a.per_class_gap == b.per_class_gap
 
@@ -107,12 +100,9 @@ def test_monte_carlo_matches_exact_enumeration():
     data = ([0, 1, 2, 3, 4, 5], [0, 0, 1, 1, 0, 1])
     moves, probs = [0, 1, 2], [0.5, 0.25, 0.25]
     aug = make_table_aug(moves, probs)
-    exact = exact_gap(data, moves, probs, exponent=0.5)
+    exact = exact_gap(data, moves, probs)
     estimates = [
-        estimate_shift_gap(
-            table_features, data, aug,
-            ShiftGapConfig(n_mc_aug=64, exponent=0.5, seed=seed),
-        ).aggregate
+        estimate_shift_gap(table_features, data, aug, n_mc_aug=64, seed=seed).aggregate
         for seed in range(20)
     ]
     mean = np.mean(estimates)
@@ -126,46 +116,12 @@ def test_more_mc_samples_reduce_variance():
 
     def spread(n_mc):
         vals = [
-            estimate_shift_gap(
-                table_features, data, aug, ShiftGapConfig(n_mc_aug=n_mc, seed=s)
-            ).aggregate
+            estimate_shift_gap(table_features, data, aug, n_mc_aug=n_mc, seed=s).aggregate
             for s in range(20)
         ]
         return np.var(vals)
 
     assert spread(32) < spread(4)
-
-
-def test_tau_factor_scaling():
-    data = ([0, 1, 2, 3], [0, 0, 1, 1])
-    aug = make_table_aug([1], [1.0])
-    tau = 0.5
-    base = estimate_shift_gap(
-        table_features, data, aug, ShiftGapConfig(n_mc_aug=3, tau_factor="none", tau=tau)
-    )
-    inv = estimate_shift_gap(
-        table_features, data, aug,
-        ShiftGapConfig(n_mc_aug=3, tau_factor="inverse_tau", tau=tau),
-    )
-    times = estimate_shift_gap(
-        table_features, data, aug, ShiftGapConfig(n_mc_aug=3, tau_factor="tau", tau=tau)
-    )
-    assert inv.aggregate == pytest.approx(base.aggregate / tau, rel=1e-12)
-    assert times.aggregate == pytest.approx(base.aggregate * tau, rel=1e-12)
-
-
-def test_exponent_one_versus_half():
-    data = ([0, 1, 2, 3], [0, 0, 1, 1])
-    aug = make_table_aug([1], [1.0])
-    half = estimate_shift_gap(
-        table_features, data, aug, ShiftGapConfig(n_mc_aug=2, exponent=0.5, seed=5)
-    )
-    one = estimate_shift_gap(
-        table_features, data, aug, ShiftGapConfig(n_mc_aug=2, exponent=1.0, seed=5)
-    )
-    # deterministic augmentation: per-anchor norms are the same, only the
-    # exponent differs; with norms in (1, 2] the sqrt version is smaller
-    assert half.aggregate != one.aggregate
 
 
 def test_each_anchor_is_featurized_before_the_next_is_pulled():
@@ -182,7 +138,7 @@ def test_each_anchor_is_featurized_before_the_next_is_pulled():
         seen.append(len(pulled))
         return table_features(items)
 
-    estimate_shift_gap(counting_features, data, counting_aug, ShiftGapConfig(n_mc_aug=3))
+    estimate_shift_gap(counting_features, data, counting_aug, n_mc_aug=3)
     # the class means come first, then each anchor's draws right after they are pulled
     assert seen == [0, 1, 2, 3, 4]
     assert pulled == data[0]
@@ -190,9 +146,7 @@ def test_each_anchor_is_featurized_before_the_next_is_pulled():
 
 def test_report_serializes_to_json():
     data = ([0, 1], [0, 1])
-    report = estimate_shift_gap(
-        table_features, data, identity_aug, ShiftGapConfig(n_mc_aug=2)
-    )
+    report = estimate_shift_gap(table_features, data, identity_aug, n_mc_aug=2)
     import json
 
     payload = json.loads(report.to_json())
@@ -201,17 +155,25 @@ def test_report_serializes_to_json():
 
 
 def test_config_validation():
-    with pytest.raises(MetricError):
-        ShiftGapConfig(n_mc_aug=0)
-    with pytest.raises(MetricError):
-        ShiftGapConfig(exponent=0.7)
-    with pytest.raises(MetricError):
-        ShiftGapConfig(tau_factor="sqrt")
-    for tau in (0.0, np.nan, np.inf):
-        with pytest.raises(MetricError):
-            ShiftGapConfig(tau=tau)
+    """Each bad count or seed is refused before any feature or draw."""
+    calls = []
+
+    def counting_features(items):
+        calls.append(items)
+        return table_features(items)
+
+    cases = [({"n_mc_aug": 0}, r"n_mc_aug must lie in \[1, inf\), got 0"),
+             ({"n_mc_aug": 2.5}, "n_mc_aug must be an integer, got 2.5"),
+             ({"n_mc_aug": True}, "n_mc_aug must be an integer, got True"),
+             ({"seed": -1}, r"seed must lie in \[0, 18446744073709551616\), got -1"),
+             ({"seed": 2**64}, "seed must lie in"),
+             ({"seed": np.nan}, "seed must lie in")]
+    for kwargs, message in cases:
+        with pytest.raises(MetricError, match=message):
+            estimate_shift_gap(counting_features, ([0, 1], [0, 1]), identity_aug, **kwargs)
+    assert calls == []
 
 
 def test_items_and_labels_of_different_lengths_raise():
     with pytest.raises(MetricError, match="3 items vs 2 labels"):
-        estimate_shift_gap(table_features, ([0, 1, 2], [0, 1]), identity_aug, ShiftGapConfig())
+        estimate_shift_gap(table_features, ([0, 1, 2], [0, 1]), identity_aug)
