@@ -14,7 +14,7 @@ from .config import load_config
 from .encoder import Encoder
 from .errors import AugmentationError, EvaluationError, SharpshiftError, check_range, os_errors
 from .evaluation import FGSM_DEFAULT_EPSILON
-from .fourier import AugmentConfig, draw_betas, mix_batch, most_similar_index
+from .fourier import AugmentConfig, draw_betas, mix_with_most_similar
 from .streams import seed_rows
 
 
@@ -104,10 +104,8 @@ def _cmd_augment_preview(args):
     else:
         encoder = Encoder(config.encoder_config())
         params = encoder.init_params(args.seed)
-    betas = draw_betas(count, fft_cfg)
-    partners, rows = np.arange(count), np.flatnonzero(betas)
-    partners[rows] = most_similar_index(encoder.forward(params, batch), rows)
-    mixed = mix_batch(batch, partners, betas)
+    betas = draw_betas(fft_cfg.rng_seed, count, fft_cfg.alpha)
+    mixed = mix_with_most_similar(batch, encoder.forward(params, batch), betas)
     with os_errors(AugmentationError, args.out):
         os.makedirs(args.out, exist_ok=True)
     for i in range(count):

@@ -120,13 +120,18 @@ def most_similar_index(features, k):
     return picks.reshape(k.shape) if k.ndim else int(picks[0])
 
 
-def draw_betas(n_views, config):
-    """Mixing coefficients for a batch, one Uniform(0, alpha) draw per view.
+def draw_betas(rng_seeds, n_views, alpha):
+    """Mixing coefficients, one Uniform(0, alpha) draw per view of one or more batches.
 
-    View k uses the substream SeedSequence([rng_seed, k]); all n_views streams
-    are seeded and drawn at once, with the same values as one at a time.
+    ``rng_seeds`` and ``n_views`` are a batch's seed and view count, or 1-D arrays
+    of them; the betas of every batch come back concatenated. View k of the batch
+    seeded s uses the substream SeedSequence([s, k]); all streams are seeded and
+    drawn at once, with the same values as one at a time.
     """
-    return Streams(seed_rows(config.rng_seed, np.arange(n_views))).uniform(0.0, config.alpha)
+    rng_seeds, n_views = np.atleast_1d(rng_seeds), np.atleast_1d(n_views)
+    starts = np.repeat(np.cumsum(n_views) - n_views, n_views)
+    view_index = np.arange(len(starts)) - starts
+    return Streams(seed_rows(np.repeat(rng_seeds, n_views), view_index)).uniform(0.0, alpha)
 
 
 def mix_batch(views, partners, betas):
@@ -172,17 +177,12 @@ def mix_batch(views, partners, betas):
     return out
 
 
-def fft_augment_batch(views, features, config):
-    """Replace every view by its amplitude-mixed counterpart.
+def mix_with_most_similar(views, features, betas):
+    """Amplitude-mix every view with beta != 0 toward its most feature-similar other view.
 
-    ``views`` is a (2b, H, W, C) stack of positive examples and ``features``
-    holds one unit feature vector per view, computed by the current encoder on
-    these exact views. For each view k a coefficient beta ~ Uniform(0, alpha)
-    is drawn (one draw shared by all channels of the view, which keeps color
-    coherence), the most feature-similar other view is located, and
-    ``mix_batch`` mixes the amplitudes at beta while each view keeps its own
-    phase. Views with beta == 0 are passed through bit-identically, so
-    alpha = 0 makes the whole op the identity.
+    ``views`` is an (n, H, W, C) stack and ``features`` holds one feature vector
+    per view. One ``most_similar_index`` call pairs the rows with beta != 0 and
+    one ``mix_batch`` call mixes them; views with beta == 0 come back untouched.
     """
     views, features = np.asarray(views, dtype=float), np.asarray(features, dtype=float)
     if views.ndim != 4:
@@ -191,8 +191,24 @@ def fft_augment_batch(views, features, config):
         raise AugmentationError(
             f"need one feature vector per view: {features.shape} vs {views.shape[0]} views"
         )
-    betas = draw_betas(len(views), config)
     partners, rows = np.arange(len(views)), np.flatnonzero(betas)
     if rows.size:
         partners[rows] = most_similar_index(features, rows)
     return mix_batch(views, partners, betas)
+
+
+def fft_augment_batch(views, features, config):
+    """Replace every view by its amplitude-mixed counterpart.
+
+    ``views`` is a (2b, H, W, C) stack of positive examples and ``features``
+    holds one unit feature vector per view, computed by the current encoder on
+    these exact views. For each view k a coefficient beta ~ Uniform(0, alpha)
+    is drawn (one draw shared by all channels of the view, which keeps color
+    coherence), and ``mix_with_most_similar`` mixes the amplitudes toward the
+    most feature-similar other view at beta while each view keeps its own
+    phase. Views with beta == 0 are passed through bit-identically, so
+    alpha = 0 makes the whole op the identity.
+    """
+    n_views = np.shape(views)[0] if np.ndim(views) else 0  # the mix refuses a 0-d input
+    return mix_with_most_similar(views, features, draw_betas(config.rng_seed, n_views,
+                                                             config.alpha))

@@ -1,12 +1,15 @@
 """Training-loop orchestration, metrics stream, and the experiment matrix.
 
-The loop is a single logical sequence: per batch, draw two base-augmented
-views per anchor, optionally rewrite them with the frequency-domain
-augmentation (using features from the current encoder, computed before any
-optimizer perturbation), take the contrastive loss over the paired batch,
-and update with either the plain or the sharpness-aware step. All randomness
-is derived from the run seed through tagged SeedSequence substreams, so a
-fixed config yields bit-identical metrics and checkpoints.
+The loop is a single logical sequence. The two base-augmented views per
+anchor, and the mixing coefficients of the frequency-domain augmentation,
+are drawn for a block of consecutive batches at a time; they depend on no
+parameter. Then per batch: optionally rewrite the views with the
+frequency-domain augmentation (pairing them by features from the current
+encoder, computed before any optimizer perturbation), take the contrastive
+loss over the paired batch, and update with either the plain or the
+sharpness-aware step. All randomness is derived from the run seed through
+tagged SeedSequence substreams, so a fixed config yields bit-identical
+metrics and checkpoints, whatever the blocks.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ from .evaluation import (
     top_k_accuracy,
     train_linear_probe,
 )
-from .fourier import AugmentConfig, fft_augment_batch, mix_batch, most_similar_index
-from .fourier import dft2, reconstruct  # noqa: F401  (benchmarks/tracer.py wraps these names)
+from .fourier import (AugmentConfig, draw_betas, mix_batch, mix_with_most_similar,
+                      most_similar_index)
+# benchmarks/tracer.py wraps these names
+from .fourier import dft2, fft_augment_batch, reconstruct  # noqa: F401
 from .losses import LossConfig, info_nce_batch_grad
 from .sam import DEFAULT_ADAPTIVE_RHO, DEFAULT_RHO, sam_step, sgd_step
 from .shift import estimate_shift_gap
@@ -98,10 +103,41 @@ def _cifar_sides(config):
 
 
 def _make_views(images, indices, epoch, config, pool):
-    """Views 2i and 2i+1 of a batch are the two base augmentations of anchor i."""
+    """Views 2i and 2i+1 of a batch, or of a block of batches, are the two base
+    augmentations of anchor i."""
     anchors = np.repeat(np.asarray(indices), 2)
     seeds = seed_rows(config.seed, TAG_VIEW, epoch, anchors, np.arange(len(anchors)) % 2)
     return data_mod.base_augment_batch(images[anchors], seeds, pool)
+
+
+def _batch_views(images, order, epoch, config, pool, alpha):
+    """(views, betas) of each training batch of an epoch, in order.
+
+    The batches are made one block of consecutive batches at a time (see
+    ``_blocks``): one ``_make_views`` call per block and, with ``alpha``, one
+    ``draw_betas`` call, where batch b draws from ``derived_seed(seed, TAG_FFT,
+    epoch, b_start)``. Without ``alpha`` betas is None. A view depends only on its
+    image and its seed, and a beta only on its batch's seed and its row, so
+    blocking changes no byte. A last batch of one anchor is skipped: in-batch
+    negatives need at least two.
+    """
+    anchor_values = 2 * np.size(images[0])  # an anchor's two views
+    batches = ((b_start, order[b_start:b_start + config.batch_size])
+               for b_start in range(0, len(order) - 1, config.batch_size))
+
+    def make(block):
+        starts, indices = zip(*block)
+        views = _make_views(images, np.concatenate(indices), epoch, config, pool)
+        counts = [2 * len(batch) for batch in indices]
+        if alpha is not None:
+            seeds = np.array([derived_seed(config.seed, TAG_FFT, epoch, b_start)
+                              for b_start in starts], dtype=np.uint64)
+            betas = draw_betas(seeds, counts, alpha)
+        bounds = np.cumsum([0] + counts)
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield views[lo:hi], None if alpha is None else betas[lo:hi]
+
+    return _blocks(batches, lambda batch: (batch, len(batch[1]) * anchor_values), make)
 
 
 def train_ssl(config: TrainConfig, resume=None):
@@ -161,7 +197,7 @@ def train_ssl(config: TrainConfig, resume=None):
     with os_errors(PipelineError, out_dir):
         os.makedirs(out_dir, exist_ok=True)
     last_checkpoint = None
-    # a batch with fewer than two anchors is skipped and is not a step
+    # a batch with fewer than two anchors is skipped and is not a step (see _batch_views)
     step = start_epoch * len(range(0, len(images) - 1, config.batch_size))
 
     # the guard covers the whole loop: every write and flush of the stream, and its close
@@ -173,16 +209,13 @@ def train_ssl(config: TrainConfig, resume=None):
             t0 = time.perf_counter()
             shuffle_rng = np.random.default_rng([config.seed, TAG_SHUFFLE, epoch])
             order = shuffle_rng.permutation(len(images))
+            mixing = fft_cfg is not None and epoch >= config.fft_warmup_epochs
             epoch_losses = []
-            for b_start in range(0, len(order), config.batch_size):
-                indices = order[b_start:b_start + config.batch_size]
-                if len(indices) < 2:
-                    continue  # in-batch negatives need at least two anchors
-                views = _make_views(images, indices, epoch, config, pool)
-                if fft_cfg is not None and epoch >= config.fft_warmup_epochs:
-                    feats = encoder.forward(params, views)
-                    fft_seed = derived_seed(config.seed, TAG_FFT, epoch, b_start)
-                    views = fft_augment_batch(views, feats, replace(fft_cfg, rng_seed=fft_seed))
+            for views, betas in _batch_views(images, order, epoch, config, pool,
+                                             fft_cfg.alpha if mixing else None):
+                if betas is not None:
+                    # partners come from the current encoder, before any perturbation
+                    views = mix_with_most_similar(views, encoder.forward(params, views), betas)
                 losses = []  # the first is the loss at the current params
 
                 def batch_loss(p):
@@ -234,25 +267,25 @@ def append_metrics(checkpoint_path, payload):
 # Base-augmented candidates an fft draw pairs its view with, at most.
 _FFT_CANDIDATES = 8
 
-# Pixel values of the views one view-generation call of a shift-gap closure makes,
-# less one anchor's: a block of anchors closes at the first anchor that reaches it.
+# Pixel values of the views one view-generation call makes, less one item's (a
+# shift-gap anchor's draws or a training batch): a block of items closes at the
+# first item that reaches it.
 _BLOCK_VALUES = 2**15
 
 
-def _blocks(images, rngs, draw, make):
-    """Each anchor's draws, made one block of consecutive anchors at a time.
+def _blocks(items, draw, make):
+    """Each item's result, made one block of consecutive items at a time.
 
-    ``draw(image, rng)`` takes one anchor's random draws from its own ``rng`` and
-    returns them with the number of views they make. A block closes at the first
-    anchor that brings its views' pixel values to ``_BLOCK_VALUES``; then
-    ``make(block)``, for a block of (drawn, views) pairs, yields each anchor's
-    draws in order.
+    ``draw(item)`` takes the item's own random draws and returns them with the
+    pixel values of the views they make. A block closes at the first item that
+    brings its views' pixel values to ``_BLOCK_VALUES``; then ``make(block)``, for
+    the list of the block's draws, yields each item's result in order.
     """
     block, values = [], 0
-    for image, rng in zip(images, rngs):
-        drawn, views = draw(image, rng)
-        block.append((drawn, views))
-        values += views * np.size(image)
+    for item in items:
+        drawn, item_values = draw(item)
+        block.append(drawn)
+        values += item_values
         if values >= _BLOCK_VALUES:
             yield from make(block)
             block, values = [], 0
@@ -272,7 +305,8 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
 
     Each anchor's generator is consumed as n one-draw calls would consume it: the
     view's seed, then for "fft" its beta and, unless beta is 0, the candidates and
-    their seeds. The views of a block of anchors (see ``_blocks``) are made by one
+    their seeds. Each anchor is an item of ``_blocks``, as each batch is in
+    training: the views of a block of consecutive anchors are made by one
     ``base_augment_batch`` call, and for "fft" mixed by one ``mix_batch`` call. A
     view depends only on its image and its seed, so blocking changes no byte. The
     "fft" partner search runs one encoder forward per anchor over that anchor's
@@ -284,11 +318,12 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
         return lambda images, rngs, n: ([image] * n for image in images)
     if mode == "base":
         def base_fn(images, rngs, n):
-            def draw(image, rng):
-                return (image, rng.integers(0, 2**62, size=(n, 2))), n
+            def draw(anchor):
+                image, rng = anchor
+                return (image, rng.integers(0, 2**62, size=(n, 2))), n * np.size(image)
 
             def make(block):
-                sources, seeds = zip(*(drawn for drawn, _ in block))
+                sources, seeds = zip(*block)
                 k, shape = len(sources), np.shape(sources[0])
                 # n copies of each image; a one-anchor block's are a broadcast view
                 copies = np.broadcast_to(np.stack(sources)[:, None], (k, n) + shape).reshape(
@@ -296,7 +331,7 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
                 views = data_mod.base_augment_batch(copies, np.concatenate(seeds), aug_pool)
                 return (views[j * n:(j + 1) * n] for j in range(k))
 
-            return _blocks(images, rngs, draw, make)
+            return _blocks(zip(images, rngs), draw, make)
 
         return base_fn
     if mode != "fft":
@@ -307,7 +342,8 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
     alpha = AugmentConfig(alpha=config.fft_alpha).alpha  # checked before any draw
 
     def fft_fn(images, rngs, n):
-        def draw(image, rng):
+        def draw(anchor):
+            image, rng = anchor
             # draw in the order of n one-at-a-time draws: the view's seed, its beta, and
             # unless beta is 0 the candidates and their seeds. Among the anchor's views,
             # a draw's own view is row rows[k], its candidates the count rows after.
@@ -322,29 +358,29 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
                     chosen = rng.choice(len(pool_images), size=count, replace=False)
                     seeds.append(rng.integers(0, 2**62, size=(count, 2)))
                     sources.append(pool_images[chosen])
-            return (sources, seeds, rows, mixed), n + count * len(mixed)
+            return (sources, seeds, rows, mixed), (n + count * len(mixed)) * np.size(image)
 
         def make(block):
             sources, seeds, starts = [], [], [0]
-            for (own_sources, own_seeds, _, _), size in block:
+            for own_sources, own_seeds, _, _ in block:
                 sources += own_sources
                 seeds += own_seeds
-                starts.append(starts[-1] + size)
+                starts.append(starts[-1] + sum(map(len, own_sources)))
             views = data_mod.base_augment_batch(np.concatenate(sources), np.concatenate(seeds),
                                                 aug_pool)
             # each draw's own row is mixed toward its partner row; candidate rows have
             # beta 0. An anchor's views go through one forward, and a draw pairs within
             # its anchor's rows of the features.
             partners, mix_betas = np.arange(len(views)), np.zeros(len(views))
-            for start, stop, ((_, _, _, mixed), _) in zip(starts, starts[1:], block):
+            for start, stop, (_, _, _, mixed) in zip(starts, starts[1:], block):
                 feats = encoder.forward(params, views[start:stop]) if mixed else None
                 for row, beta in mixed:
                     partners[start + row] += most_similar_index(feats[row:row + 1 + count], 0)
                     mix_betas[start + row] = beta
             out = mix_batch(views, partners, mix_betas)
-            return (out[start + np.array(drawn[2])] for start, (drawn, _) in zip(starts, block))
+            return (out[start + np.array(rows)] for start, (_, _, rows, _) in zip(starts, block))
 
-        return _blocks(images, rngs, draw, make)
+        return _blocks(zip(images, rngs), draw, make)
 
     return fft_fn
 

@@ -205,7 +205,7 @@ def test_augment_preview_at_the_default_alpha_is_one_fft_augment_batch(tmp_path,
     files = _preview(tmp_path, "preview", seed)
     views, feats = _preview_inputs(tmp_path, seed)
     config = AugmentConfig(alpha=0.2, rng_seed=seed)
-    betas = draw_betas(6, config).tolist()
+    betas = draw_betas(seed, 6, config.alpha).tolist()
     expected = {**_image_files(tmp_path, "before", views),
                 **_image_files(tmp_path, "after", fft_augment_batch(views, feats, config)),
                 "betas.txt": "".join(f"view_{i:03d} beta={beta!r}\n"

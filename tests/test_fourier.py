@@ -326,7 +326,7 @@ def test_batch_matches_scripted_composition():
             views = np.asfortranarray(views)
         feats = unit_rows(rng, shape[0], 8)
         config = AugmentConfig(alpha=alpha, rng_seed=99)
-        betas = draw_betas(shape[0], config)
+        betas = draw_betas(config.rng_seed, shape[0], config.alpha)
         partners = [most_similar_index(feats, k) for k in range(shape[0])]
         expected = scripted_mix(views, views[partners], betas)
         assert max_error(fft_augment_batch(views, feats, config), expected) <= 1e-12
@@ -388,7 +388,16 @@ def test_zero_beta_rows_pass_through_bit_identically():
 def test_draw_betas_match_one_generator_per_view(rng_seed):
     config = AugmentConfig(alpha=0.3, rng_seed=rng_seed)
     for n_views in (1, 2, 64, 300):
-        assert np.array_equal(draw_betas(n_views, config), draw_betas_one_by_one(n_views, config))
+        assert np.array_equal(draw_betas(rng_seed, n_views, config.alpha),
+                              draw_betas_one_by_one(n_views, config))
+
+
+def test_draw_betas_of_many_batches_are_each_batch_drawn_alone():
+    seeds = np.array([0, 2**63 + 11, 7, 2**64 - 1, 2**32 + 5], dtype=np.uint64)
+    counts = [3, 1, 0, 64, 2]
+    expected = [draw_betas_one_by_one(n, AugmentConfig(alpha=0.4, rng_seed=int(s)))
+                for s, n in zip(seeds, counts)]
+    assert np.array_equal(draw_betas(seeds, counts, 0.4), np.concatenate(expected))
 
 
 def test_rng_seed_must_fit_sixty_four_bits():
@@ -417,7 +426,7 @@ def test_batch_seed_determinism():
 
 
 def test_beta_draws_respect_alpha_bound():
-    betas = draw_betas(64, AugmentConfig(alpha=0.2, rng_seed=1))
+    betas = draw_betas(1, 64, 0.2)
     assert np.all(betas >= 0.0) and np.all(betas <= 0.2)
 
 

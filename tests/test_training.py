@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sharpshift import training
+from sharpshift import fourier, training
 from sharpshift.cli import main
 from sharpshift.config import TrainConfig, load_config, parse_config_file
 from sharpshift.data import _BATCH_CHUNK_VALUES, AugmentPool
@@ -386,20 +386,18 @@ def test_fft_enabled_changes_views_but_trains(tmp_path):
 
 
 def test_fft_warmup_delays_activation(tmp_path, monkeypatch):
-    import sharpshift.training as tr
-
     seen = []
-    real = tr.fft_augment_batch
+    real = training.mix_with_most_similar
 
-    def spy(views, feats, cfg):
-        seen.append(1)
-        return real(views, feats, cfg)
+    def spy(views, feats, betas):
+        seen.append(len(views))
+        return real(views, feats, betas)
 
-    monkeypatch.setattr(tr, "fft_augment_batch", spy)
+    monkeypatch.setattr(training, "mix_with_most_similar", spy)
     cfg = tiny_config(tmp_path, epochs=2, n_per_class=4, batch_size=4,
                       fft_enabled=True, fft_warmup_epochs=1)
     train_ssl(cfg)
-    assert len(seen) == 2  # only the post-warm-up epoch's 2 batches
+    assert seen == [8, 8]  # one mixing step per batch of the post-warm-up epoch
 
 
 def test_batch_too_large_rejected(tmp_path):
@@ -469,9 +467,89 @@ def _run_bytes(config):
 def test_training_matches_per_image_view_oracle(tmp_path, monkeypatch, overrides):
     cfg = tiny_config(tmp_path / "batched", **overrides)
     batched = _run_bytes(cfg)
-    monkeypatch.setattr(training, "_make_views", oracles.make_views_per_image)
+    anchors = []
+
+    def per_image(images, indices, epoch, config, pool):
+        anchors.append(len(indices))
+        return oracles.make_views_per_image(images, indices, epoch, config, pool)
+
+    monkeypatch.setattr(training, "_make_views", per_image)
     per_image = _run_bytes(replace(cfg, output_dir=str(tmp_path / "per_image")))
     assert batched == per_image
+    # the oracle made every view, in blocks of more than one batch
+    assert sum(anchors) == cfg.epochs * len(load_train_data(cfg)[1])
+    assert max(anchors) > cfg.batch_size
+
+
+# FFT mixing from the second of three epochs: 10 images in batches of 3 make three
+# batches and a skipped one-anchor batch, and blocks of two batches split them 2 + 1.
+BLOCKED_SSA_MLP = dict(TINY_SSA_MLP, n_per_class=5, batch_size=3, epochs=3, fft_warmup_epochs=1)
+
+
+def _batch_values(cfg):
+    """Pixel values of one full training batch's views."""
+    return 2 * cfg.batch_size * cfg.image_size**2 * cfg.channels
+
+
+@pytest.mark.parametrize("overrides, epoch_calls", [
+    (BLOCKED_SSA_MLP, {1: [6, 6, 6], 2: [12, 6], "default": [18], 2**40: [18]}),
+    (TINY_CONV, {1: [8, 8, 8], 2: [16, 8], "default": [16, 8], 2**40: [24]}),
+], ids=["ssa_mlp", "conv"])
+def test_training_bytes_do_not_depend_on_the_blocks(tmp_path, monkeypatch, overrides,
+                                                    epoch_calls):
+    """One batch per block, blocks of two batches, the default blocks and one block per
+    epoch give the same checkpoint and metrics bytes, with one view call per block."""
+    cfg = tiny_config(tmp_path, **overrides)
+    budgets = {1: 1, 2: 2 * _batch_values(cfg), "default": training._BLOCK_VALUES, 2**40: 2**40}
+    calls = _view_call_sizes(monkeypatch)
+    runs = set()
+    for key, budget in budgets.items():
+        monkeypatch.setattr(training, "_BLOCK_VALUES", budget)
+        calls.clear()
+        runs.add(_run_bytes(replace(cfg, output_dir=str(tmp_path / str(key)))))
+        assert calls == epoch_calls[key] * cfg.epochs, key
+    assert len(runs) == 1
+
+
+def test_blocked_run_resumed_mid_run_matches_uninterrupted_run(tmp_path, monkeypatch):
+    """With blocks of two batches, a run resumed from its last warm-up epoch's
+    checkpoint gives the bytes of a run that was never interrupted."""
+    straight = tiny_config(tmp_path / "straight", **BLOCKED_SSA_MLP, checkpoint_every=1,
+                           momentum=0.9)
+    monkeypatch.setattr(training, "_BLOCK_VALUES", 2 * _batch_values(straight))
+    expected = _run_bytes(straight)
+    resumed = replace(straight, output_dir=str(tmp_path / "resumed"))
+    os.makedirs(resumed.output_dir)
+    ckpt = os.path.join(resumed.output_dir, "checkpoint_ep0000.ckpt")
+    shutil.copy(os.path.join(straight.output_dir, "checkpoint_ep0000.ckpt"), ckpt)
+    with open(os.path.join(resumed.output_dir, METRICS_NAME), "wb") as fh:
+        fh.write(expected[1].splitlines(keepends=True)[0])
+    final = train_ssl(resumed, resume=ckpt)
+    with open(final, "rb") as ckpt_fh, \
+            open(os.path.join(resumed.output_dir, METRICS_NAME), "rb") as log:
+        assert (ckpt_fh.read(), log.read()) == expected
+
+
+def test_training_view_calls_hold_less_than_a_block_and_a_batch(tmp_path, monkeypatch):
+    """Every view-generation call of training holds fewer pixel values than
+    ``_BLOCK_VALUES`` plus one batch's views, and a block's betas take one seeding."""
+    # 80 images in batches of 8: ten batches of 16 views of 256 values, 8 to a block
+    cfg = tiny_config(tmp_path, **dict(TINY_SSA_MLP, n_per_class=40, batch_size=8))
+    calls = _view_call_sizes(monkeypatch)
+    seedings = []
+    real = fourier.Streams
+
+    def counting(entropy):
+        seedings.append(len(entropy))
+        return real(entropy)
+
+    monkeypatch.setattr(fourier, "Streams", counting)
+    train_ssl(cfg)
+    view_values = cfg.image_size**2
+    assert all(views * view_values < training._BLOCK_VALUES + _batch_values(cfg)
+               for views in calls)
+    assert calls == [128, 32] * cfg.epochs
+    assert seedings == calls  # one seeding per block, one stream per view
 
 
 @pytest.mark.parametrize("overrides", [TINY_SSA_MLP, TINY_CONV], ids=["ssa_mlp", "conv"])
