@@ -159,7 +159,7 @@ def exact_info_nce_expectation(world, tau, beta_neg, k_negatives):
 
     A world and K whose similarity gather exceeds ``MAX_EXACT_ENTRIES`` are refused.
     """
-    check_range(LabError, "k_negatives", k_negatives, 1)
+    k_negatives = check_range(LabError, "k_negatives", k_negatives, 1, integer=True)
     check_range(LabError, "tau", tau, 0, lo_open=True)
     check_range(LabError, "beta_neg", beta_neg, 0)
     n = world.n_points
@@ -234,8 +234,8 @@ class PacPenaltyInputs:
     theta_norm: float
 
     def __post_init__(self):
-        check_range(LabError, "n_samples", self.n_samples, 1)
-        check_range(LabError, "n_params", self.n_params, 1)
+        check_range(LabError, "n_samples", self.n_samples, 1, integer=True)
+        check_range(LabError, "n_params", self.n_params, 1, integer=True)
         check_range(LabError, "delta", self.delta, 0, 1, lo_open=True)
         check_range(LabError, "rho", self.rho, 0, lo_open=True)
         check_range(LabError, "tau", self.tau, 0, lo_open=True)
@@ -305,7 +305,7 @@ def lab_suite(suite, n_worlds, seed):
             "pac-penalty": _pac_penalty_row}
     if suite not in rows:
         raise LabError(f"unknown bound-lab suite {suite!r}; choose from {sorted(rows)}")
-    check_range(LabError, "n_worlds", n_worlds, 1, SIZE_CAP, hi_open=False)
-    check_range(LabError, "seed", seed, 0, 2**64)
-    rng = np.random.default_rng([int(seed)])
+    check_range(LabError, "n_worlds", n_worlds, 1, SIZE_CAP, hi_open=False, integer=True)
+    seed = check_range(LabError, "seed", seed, 0, 2**64, integer=True)
+    rng = np.random.default_rng([seed])
     return (rows[suite](rng, i) for i in range(n_worlds))

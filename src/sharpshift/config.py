@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -77,12 +78,18 @@ class TrainConfig:
 
     def __post_init__(self):
         """Check the whole config before any data is made or any file is touched."""
-        check_range(PipelineError, "train.batch_size", self.batch_size, 2)
-        check_range(PipelineError, "train.epochs", self.epochs, 0, SIZE_CAP, hi_open=False)
-        check_range(PipelineError, "train.seed", self.seed, 0, 2**64)
-        check_range(PipelineError, "dataset.image_size", self.image_size, 1)
-        check_range(PipelineError, "dataset.limit", self.data_limit, 0)
-        check_range(PipelineError, "train.checkpoint_every", self.checkpoint_every, 0)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, bool) and not isinstance(value, bool):
+                raise PipelineError(f"{f.metadata['key']} must be a bool, got {value!r}")
+        integer = functools.partial(check_range, PipelineError, integer=True)
+        integer("train.batch_size", self.batch_size, 2)
+        integer("train.epochs", self.epochs, 0, SIZE_CAP, hi_open=False)
+        integer("train.seed", self.seed, 0, 2**64)
+        integer("dataset.image_size", self.image_size, 1)
+        integer("dataset.limit", self.data_limit, 0)
+        integer("train.checkpoint_every", self.checkpoint_every, 0)
+        integer("fft.warmup_epochs", self.fft_warmup_epochs, -math.inf)
         if self.dataset not in ("synthetic", "cifar10"):
             raise PipelineError(f"unknown dataset {self.dataset!r}")
         if not self.output_dir:

@@ -75,18 +75,22 @@ def gen_synthetic(n_per_class, num_classes, image_size=16, channels=1, seed=0,
     (default: ``seed``) controls the class patterns alone, so train and
     held-out splits drawn with different sample seeds share the same classes.
     """
-    check_range(IngestionError, "n_per_class", n_per_class, 1)
-    check_range(IngestionError, "num_classes", num_classes, 2)
+    n_per_class = check_range(IngestionError, "n_per_class", n_per_class, 1, integer=True)
+    num_classes = check_range(IngestionError, "num_classes", num_classes, 2, integer=True)
+    h = w = check_range(IngestionError, "image_size", image_size, 1, integer=True)
+    channels = check_range(IngestionError, "channels", channels, 1, integer=True)
+    seed = check_range(IngestionError, "seed", seed, 0, 2**64, integer=True)
     if pattern_seed is None:
         pattern_seed = seed
-    h = w = int(image_size)
-    coarse = np.random.default_rng([int(pattern_seed), 0]).standard_normal(
+    pattern_seed = check_range(IngestionError, "pattern_seed", pattern_seed, 0, 2**64,
+                               integer=True)
+    coarse = np.random.default_rng([pattern_seed, 0]).standard_normal(
         (num_classes, 4, 4, channels))
     zero, four = np.zeros(num_classes, dtype=np.int64), np.full(num_classes, 4)
     base = _resize_crops(coarse, zero, zero, four, four, np.zeros(num_classes, bool), h, w)
     spread = np.maximum(np.max(np.abs(base), axis=(1, 2, 3)), 1e-12)
     base = 0.5 + 0.3 * base / spread[:, None, None, None]
-    images = np.random.default_rng([int(seed), 1]).standard_normal(
+    images = np.random.default_rng([seed, 1]).standard_normal(
         (num_classes, n_per_class, h, w, channels))
     images *= 0.1
     images += base[:, None]
@@ -136,7 +140,12 @@ def base_augment(image, seed, pool=AugmentPool()):
     image = np.asarray(image, dtype=float)
     if image.ndim != 3:
         raise AugmentationError(f"image must be (H, W, C), got {image.shape}")
-    return base_augment_batch(image[None], np.array(seed, dtype=np.uint64).reshape(1, -1), pool)[0]
+    values = np.array(seed, dtype=object).reshape(-1).tolist()
+    try:  # one column per int, so that no array of them goes through float
+        seeds = seed_rows(*values) if values else np.empty((1, 0), np.uint64)
+    except ValueError as exc:  # a negative or non-integer seed
+        raise AugmentationError(str(exc)) from exc
+    return base_augment_batch(image[None], seeds, pool)[0]
 
 
 # Pixel values one pixel pass of base_augment_batch works on (about 42 views of
@@ -191,8 +200,11 @@ def _draw_ops(seeds, pool, h, w):
     - gray: a coin, true with probability gray_p
     """
     n = len(seeds)
-    # op-major rows: row slot * n + i is seeds[i] followed by the slot
-    streams = Streams(seed_rows(*np.tile(seeds, (4, 1)).T, np.repeat(np.arange(4), n)))
+    try:  # op-major rows: row slot * n + i is seeds[i] followed by the slot
+        entropy = seed_rows(*np.tile(seeds, (4, 1)).T, np.repeat(np.arange(4), n))
+    except ValueError as exc:  # a negative or non-integer seed
+        raise AugmentationError(str(exc)) from exc
+    streams = Streams(entropy)
     # each op's first draw is a uniform: the crop area, then the flip, jitter and gray coins
     low, high = np.zeros(4 * n), np.ones(4 * n)
     low[:n], high[:n] = pool.crop_scale

@@ -14,9 +14,9 @@ central-difference oracle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -27,13 +27,6 @@ from .errors import SIZE_CAP, ModelError, check_range, os_errors
 
 _NORM_EPS = 1e-12
 _CHECKPOINT_MAGIC = b"SHARPSHIFT-CKPT-1\n"
-
-
-def _size(name, value):
-    """``value`` as an int: a width or dimension must be an integer of at least 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ModelError(f"{name} must be an integer, got {value!r}")
-    return check_range(ModelError, name, int(value), 1)
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,8 @@ class EncoderConfig:
             raise ModelError(f"unknown architecture {self.architecture!r}")
         if len(self.input_shape) != 3:
             raise ModelError(f"input_shape must be (H, W, C), got {self.input_shape}")
-        h, w, c = (_size(name, x) for name, x in
+        size = functools.partial(check_range, ModelError, lo=1, integer=True)
+        h, w, c = (size(name, x) for name, x in
                    zip(("input height", "input width", "input channels"), self.input_shape))
         if c not in (1, 3):
             raise ModelError(f"input channels must be 1 or 3, got {c}")
@@ -69,10 +63,10 @@ class EncoderConfig:
         if not isinstance(self.center_input, bool):
             raise ModelError(f"center_input must be a bool, got {self.center_input!r}")
         object.__setattr__(self, "input_shape", (h, w, c))
-        object.__setattr__(self, "hidden", tuple(_size("hidden width", x) for x in self.hidden))
-        object.__setattr__(self, "feature_dim", _size("feature_dim", self.feature_dim))
+        object.__setattr__(self, "hidden", tuple(size("hidden width", x) for x in self.hidden))
+        object.__setattr__(self, "feature_dim", size("feature_dim", self.feature_dim))
         if self.proj_hidden is not None:
-            object.__setattr__(self, "proj_hidden", _size("proj_hidden", self.proj_hidden))
+            object.__setattr__(self, "proj_hidden", size("proj_hidden", self.proj_hidden))
 
     def to_dict(self):
         return asdict(self)
@@ -159,7 +153,8 @@ class Encoder:
         land on an exactly-zero projection output (which would break the
         unit-norm output contract).
         """
-        rng = np.random.default_rng([int(seed)])
+        rng = np.random.default_rng([check_range(ModelError, "seed", seed, 0, 2**64,
+                                                 integer=True)])
         flat = np.zeros(self.n_params)
         for name, shape, offset in self.layout:
             size = math.prod(shape)

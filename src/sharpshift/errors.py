@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import numbers
 
 #: Largest count the program allocates or loops over: the values of one array
 #: (a synthetic split's images, an encoder's parameters) and the epochs of a run
@@ -9,17 +10,27 @@ import math
 SIZE_CAP = 2**28
 
 
-def check_range(error, name, value, lo, hi=math.inf, lo_open=False, hi_open=True):
+def check_range(error, name, value, lo, hi=math.inf, lo_open=False, hi_open=True, integer=False):
     """``value`` if it lies between ``lo`` and ``hi``, else ``error`` naming ``name``.
 
     Each end is closed unless ``lo_open``/``hi_open`` says otherwise. NaN and
-    +-inf never pass, and -0.0 comes back as 0.0.
+    +-inf never pass, -0.0 comes back as 0.0, and a bool or a str is no number.
+    With ``integer``, the check of every count and seed, a non-integral value fails
+    too and the value comes back as an int.
     """
-    inside = (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)
-    if not inside or abs(value) == math.inf:
+    kind = numbers.Integral if integer else object
+    try:
+        inside = ((lo < value if lo_open else lo <= value)
+                  and (value < hi if hi_open else value <= hi) and abs(value) != math.inf)
+        number = isinstance(value, kind) and not isinstance(value, bool)
+    except TypeError:  # a str or None compares with no number
+        inside, number = True, False
+    if not inside:
         bounds = f"{'[('[lo_open]}{lo}, {hi}{'])'[hi_open]}"
         raise error(f"{name} must lie in {bounds}, got {value}")
-    return value + 0  # -0.0 + 0 is 0.0, and an int stays an int
+    if not number:
+        raise error(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else value + 0  # -0.0 + 0 is 0.0, and an int stays an int
 
 
 @contextlib.contextmanager

@@ -26,12 +26,13 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_range(EvaluationError, "epochs", self.epochs, 1, SIZE_CAP, hi_open=False)
+        check_range(EvaluationError, "epochs", self.epochs, 1, SIZE_CAP, hi_open=False,
+                    integer=True)
         check_range(EvaluationError, "lr", self.lr, 0, lo_open=True)
         if self.tap_point not in ("backbone", "projection"):
             raise EvaluationError(f"unknown tap point {self.tap_point!r}")
         check_range(EvaluationError, "tau", self.tau, 0, lo_open=True)
-        check_range(EvaluationError, "seed", self.seed, 0, 2**64)
+        check_range(EvaluationError, "seed", self.seed, 0, 2**64, integer=True)
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def top_k_accuracy(logits, labels, k):
     if logits.ndim != 2 or labels.shape != logits.shape[:1]:
         raise EvaluationError(f"need a batch: logits (n, M) and labels (n,), got "
                               f"{logits.shape} and {labels.shape}")
-    check_range(EvaluationError, "k", k, 1, logits.shape[1], hi_open=False)
+    k = check_range(EvaluationError, "k", k, 1, logits.shape[1], hi_open=False, integer=True)
     order = np.argsort(-logits, axis=1, kind="stable")
     hits = (order[:, :k] == labels[:, None]).any(axis=1)
     return float(hits.mean())

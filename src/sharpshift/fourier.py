@@ -34,7 +34,7 @@ class AugmentConfig:
         # stored normalised: Uniform(0, -0.0) is an error in NumPy
         object.__setattr__(self, "alpha", check_range(AugmentationError, "alpha", self.alpha,
                                                       0, 1, hi_open=False))
-        check_range(AugmentationError, "rng_seed", self.rng_seed, 0, 2**64)
+        check_range(AugmentationError, "rng_seed", self.rng_seed, 0, 2**64, integer=True)
 
 
 def dft2(channel):
@@ -131,7 +131,11 @@ def draw_betas(rng_seeds, n_views, alpha):
     rng_seeds, n_views = np.atleast_1d(rng_seeds), np.atleast_1d(n_views)
     starts = np.repeat(np.cumsum(n_views) - n_views, n_views)
     view_index = np.arange(len(starts)) - starts
-    return Streams(seed_rows(np.repeat(rng_seeds, n_views), view_index)).uniform(0.0, alpha)
+    try:
+        entropy = seed_rows(np.repeat(rng_seeds, n_views), view_index)
+    except ValueError as exc:  # a negative or non-integer seed
+        raise AugmentationError(str(exc)) from exc
+    return Streams(entropy).uniform(0.0, alpha)
 
 
 def mix_batch(views, partners, betas):

@@ -43,7 +43,7 @@ def loss_upper_bound(tau, beta):
 def _check_unit(vectors, what):
     norms = np.linalg.norm(vectors, axis=1)
     worst = np.max(np.abs(norms - 1.0))
-    if worst > UNIT_NORM_TOL:
+    if not worst <= UNIT_NORM_TOL:  # written so that a NaN fails the check
         raise ContractViolationError(
             f"{what} must be unit-norm within {UNIT_NORM_TOL:g} (worst deviation {worst:.3g})"
         )

@@ -44,6 +44,8 @@ class SamConfig:
         check_range(OptimizerError, "grad_eps", self.grad_eps, 0, lo_open=True)
         check_range(OptimizerError, "weight_decay", self.weight_decay, 0)
         check_range(OptimizerError, "momentum", self.momentum, 0, 1)
+        if not isinstance(self.adaptive, bool):
+            raise OptimizerError(f"adaptive must be a bool, got {self.adaptive!r}")
 
 
 def ascent_perturbation(grad, params, config):

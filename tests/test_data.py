@@ -276,6 +276,24 @@ def test_bad_image_rank_rejected():
         base_augment(np.zeros((4, 4)), seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2.5, [3, -1], True], ids=repr)
+def test_a_bad_view_seed_is_an_augmentation_error(seed):
+    image = np.full((4, 4, 3), 0.5)
+    with pytest.raises(AugmentationError, match="non-negative ints"):
+        base_augment(image, seed)
+    with pytest.raises(AugmentationError, match="non-negative ints"):
+        base_augment_batch(image[None], [np.atleast_1d(np.array(seed, dtype=object)).tolist()])
+
+
+def test_base_augment_reads_a_seed_list_of_mixed_sizes_exactly():
+    """A list mixing words above 2**63 with small ones is read as ints, never as floats."""
+    image = np.random.default_rng(3).uniform(size=(6, 6, 3))
+    for seed in ([2**64 - 1, 5], [3, 2**63]):
+        table = np.array([seed], dtype=np.uint64)
+        assert np.array_equal(base_augment(image, seed),
+                              base_augment_batch(image[None], table)[0])
+
+
 def test_pool_validation():
     with pytest.raises(AugmentationError):
         AugmentPool(crop_scale=(0.0, 1.0))

@@ -494,7 +494,7 @@ def test_config_validation():
     dict(feature_dim=4.5), dict(feature_dim=4.0), dict(feature_dim=True),
     dict(hidden=(6.5,)), dict(hidden=(6, False)), dict(proj_hidden=2.0),
     dict(input_shape=(16.0, 16, 1)), dict(input_shape=(16, 16, True)),
-    dict(center_input="false"), dict(center_input=1),
+    dict(center_input="false"), dict(center_input=1), dict(feature_dim="4"),
 ], ids=repr)
 def test_config_refuses_non_integral_sizes_and_non_bool_centering(overrides):
     with pytest.raises(ModelError):

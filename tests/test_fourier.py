@@ -430,6 +430,12 @@ def test_beta_draws_respect_alpha_bound():
     assert np.all(betas >= 0.0) and np.all(betas <= 0.2)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, 2**64, [1, -1]], ids=repr)
+def test_a_bad_beta_seed_is_an_augmentation_error(seed):
+    with pytest.raises(AugmentationError, match="non-negative ints"):
+        draw_betas(seed, 3, 0.2)
+
+
 def test_feature_count_mismatch_raises():
     rng = np.random.default_rng(16)
     with pytest.raises(AugmentationError):

@@ -144,6 +144,13 @@ def test_non_unit_inputs_rejected():
         info_nce_batch_grad(views, LossConfig())
 
 
+def test_a_nan_feature_breaks_the_unit_norm_contract():
+    views = np.eye(4)
+    views[1, 1] = np.nan
+    with pytest.raises(ContractViolationError, match="unit-norm"):
+        info_nce_batch_grad(views, LossConfig())
+
+
 def test_scalar_gradients_match_finite_differences():
     # the contract: dloss/ds_pos = w - 1 and dloss/ds_neg = u, row by row
     rng = np.random.default_rng(6)

@@ -200,6 +200,12 @@ def test_momentum_without_velocity_buffer_raises(step):
         step(np.array([1.0]), quadratic, SamConfig(rho=0.0, momentum=0.9))
 
 
+def test_adaptive_must_be_a_bool():
+    """A non-empty string is truthy: "no" would run the adaptive variant."""
+    with pytest.raises(OptimizerError, match="^adaptive must be a bool, got 'no'$"):
+        SamConfig(adaptive="no")
+
+
 def test_config_validation():
     with pytest.raises(OptimizerError):
         SamConfig(rho=-0.1)

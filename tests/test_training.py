@@ -147,6 +147,17 @@ def test_config_validation():
         TrainConfig(seed=2**64)  # the view seeds are 64-bit words
 
 
+@pytest.mark.parametrize("field, key", [("sam_enabled", "sam.enabled"),
+                                        ("sam_adaptive", "sam.adaptive"),
+                                        ("fft_enabled", "fft.enabled"),
+                                        ("metrics_timing", "metrics.timing")])
+def test_config_flags_must_be_bools(field, key):
+    """A non-empty string is truthy: "no" would switch the flag on, and to_flat would
+    write it back as "no"."""
+    with pytest.raises(PipelineError, match=f"^{key} must be a bool, got 'no'$"):
+        TrainConfig(**{field: "no"})
+
+
 @pytest.mark.parametrize("field, value", [("tau", -1.0), ("tau", float("nan")),
                                           ("fft_alpha", 5.0)])
 def test_config_checks_the_loss_and_mixing_values(field, value):
