@@ -159,7 +159,9 @@ def base_augment_batch(images, seeds, pool=AugmentPool()):
     """One base-augmented view of each image: crop, flip, color jitter, grayscale.
 
     ``images`` is (N, H, W, C) and ``seeds`` holds one seed per image, all of
-    equal length: N ints or an (N, L) array of non-negative ints below 2**64.
+    equal length: N ints or an (N, L) array of non-negative ints below 2**64. Rows
+    of unequal length, or a table whose size does not split evenly over the N
+    images, are an ``AugmentationError``.
     A view depends only on its image's values and its seed: never on the rest
     of the batch, nor on the array's memory layout (C, Fortran, channel-planar
     or broadcast). Output shape equals input shape and pixels stay in [0, 1].
@@ -176,7 +178,13 @@ def base_augment_batch(images, seeds, pool=AugmentPool()):
     n = len(images)
     if n == 0:
         return images.copy()
-    ops = _draw_ops(np.asarray(seeds).reshape(n, -1), pool, *images.shape[1:3])
+    try:
+        seeds = np.asarray(seeds)
+    except ValueError as exc:  # rows of unequal length
+        raise AugmentationError(f"seed rows must be of equal length ({exc})") from exc
+    if seeds.size % n:
+        raise AugmentationError(f"{seeds.size} seed values do not split evenly over {n} images")
+    ops = _draw_ops(seeds.reshape(n, -1), pool, *images.shape[1:3])
     out = np.empty(images.shape)
     chunks = -(-images.size // _BATCH_CHUNK_VALUES)
     for k in range(chunks):

@@ -193,16 +193,20 @@ class Encoder:
         for op, name in self._layers[:self._taps[tap]]:
             cache = None
             if op == "center":
-                x = (x - 0.5) * 2.0  # fixed input normalization: [0, 1] pixels -> [-1, 1]
+                x = x - 0.5  # fixed input normalization: [0, 1] pixels -> [-1, 1]
+                x *= 2.0
             elif op == "flatten":
                 cache, x = x.shape, x.reshape(x.shape[0], -1)
             elif op == "linear":
-                cache, x = x, x @ p[f"{name}.W"] + p[f"{name}.b"]
+                cache, x = x, x @ p[f"{name}.W"]
+                x += p[f"{name}.b"]
             elif op == "conv":
                 w, cols = p[f"{name}.W"], _im2col(x)
-                cache, x = (cols, x.shape), cols @ w.reshape(-1, w.shape[-1]) + p[f"{name}.b"]
-            elif op == "relu":
-                cache, x = x > 0.0, np.maximum(x, 0.0)
+                cache, x = (cols, x.shape), cols @ w.reshape(-1, w.shape[-1])
+                x += p[f"{name}.b"]
+            elif op == "relu":  # x is the fresh output of the layer before
+                cache = x > 0.0
+                np.maximum(x, 0.0, out=x)
             else:  # normalize
                 norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), _NORM_EPS)
                 x = x / norms
@@ -288,13 +292,16 @@ def _conv_out(size):
 def _im2col(x):
     """(n, h, w, c) images -> (n, out_h, out_w, k*k*c) patches of the zero-padded input.
 
-    The patches are one strided read-only view of the padded input, (n, out_h, out_w, k, k, c),
-    copied once into C order; a patch row holds its taps in (i, j, channel) order.
+    The input is written into a zero-filled padded buffer (``np.pad`` costs more per
+    call than a small batch's copy). The patches are one strided read-only view of that
+    buffer, (n, out_h, out_w, k, k, c), copied once into C order; a patch row holds its
+    taps in (i, j, channel) order.
     """
     k, s, pad = Encoder.CONV_KERNEL, Encoder.CONV_STRIDE, Encoder.CONV_PAD
     n, h, w, c = x.shape
     out_h, out_w = _conv_out(h), _conv_out(w)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad:pad + h, pad:pad + w] = x
     sn, sh, sw, sc = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp, (n, out_h, out_w, k, k, c), (sn, s * sh, s * sw, sh, sw, sc), writeable=False)

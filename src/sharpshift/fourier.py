@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AugmentationError, check_range
+from .errors import SIZE_CAP, AugmentationError, check_range
 from .streams import Streams, seed_rows
 
 
@@ -124,11 +124,15 @@ def draw_betas(rng_seeds, n_views, alpha):
     """Mixing coefficients, one Uniform(0, alpha) draw per view of one or more batches.
 
     ``rng_seeds`` and ``n_views`` are a batch's seed and view count, or 1-D arrays
-    of them; the betas of every batch come back concatenated. View k of the batch
+    of them; the betas of every batch come back concatenated. A view count that
+    is not an integer in [0, SIZE_CAP] is an ``AugmentationError``. View k of the batch
     seeded s uses the substream SeedSequence([s, k]); all streams are seeded and
     drawn at once, with the same values as one at a time.
     """
-    rng_seeds, n_views = np.atleast_1d(rng_seeds), np.atleast_1d(n_views)
+    rng_seeds = np.atleast_1d(rng_seeds)
+    n_views = np.array([check_range(AugmentationError, "n_views", count, 0, SIZE_CAP,
+                                    hi_open=False, integer=True)
+                        for count in np.atleast_1d(n_views).tolist()], dtype=np.int64)
     starts = np.repeat(np.cumsum(n_views) - n_views, n_views)
     view_index = np.arange(len(starts)) - starts
     try:

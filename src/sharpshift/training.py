@@ -269,8 +269,10 @@ _FFT_CANDIDATES = 8
 
 # Pixel values of the views one view-generation call makes, less one item's (a
 # shift-gap anchor's draws or a training batch): a block of items closes at the
-# first item that reaches it.
-_BLOCK_VALUES = 2**15
+# first item that reaches it. A block thus holds less than 2**16 values plus one
+# item, so while every item holds at most 2**16 values the whole block is one pixel
+# chunk of base_augment_batch (data._BATCH_CHUNK_VALUES, 2**17).
+_BLOCK_VALUES = 2**16
 
 
 def _blocks(items, draw, make):

@@ -384,6 +384,19 @@ def test_batch_takes_int_seeds_and_empty_batches():
         base_augment_batch(images[0], [1], AugmentPool())
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ([1, 2, 3], "3 seed values do not split evenly over 2 images"),
+    ([[1, 2, 3]], "3 seed values do not split evenly over 2 images"),
+    (np.arange(9).reshape(3, 3), "9 seed values do not split evenly over 2 images"),
+    ([[1, 2], [3]], "seed rows must be of equal length"),
+], ids=["three_ints", "one_row_of_three", "three_rows_of_three", "ragged_rows"])
+def test_a_seed_table_that_does_not_split_over_the_images_is_an_augmentation_error(seeds,
+                                                                                   message):
+    images = np.random.default_rng(11).uniform(size=(2, 4, 4, 1))
+    with pytest.raises(AugmentationError, match=message):
+        base_augment_batch(images, seeds, AugmentPool())
+
+
 @pytest.mark.parametrize("pool", BATCH_POOLS)
 def test_batch_never_writes_its_input(pool):
     """Contiguous, read-only and broadcast inputs keep their bytes and match the oracle."""

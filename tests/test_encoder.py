@@ -122,9 +122,11 @@ def test_one_pixel_input_survives_every_conv_block():
     assert enc.forward(enc.init_params(0), np.full((1, 1, 1, 1), 0.7)).shape == (1, 2)
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 5, 7, 3), (3, 16, 16, 8), (4, 32, 32, 3)],
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 5, 7, 3), (3, 16, 16, 8), (4, 32, 32, 3)]
+                         + [(n, size, size, 3) for n in (1, 2, 9) for size in (1, 3)],
                          ids=lambda shape: "x".join(map(str, shape)))
 def test_conv_kernels_match_per_tap_oracle(shape):
+    """Against ``np.pad`` windows: on a 1x1 or 3x3 image most taps read the zero border."""
     k, s, pad = Encoder.CONV_KERNEL, Encoder.CONV_STRIDE, Encoder.CONV_PAD
     rng = np.random.default_rng(sum(shape))
     x = rng.standard_normal(shape)
@@ -138,6 +140,35 @@ def test_conv_kernels_match_per_tap_oracle(shape):
     # adjoint: <im2col(x), d> == <x, col2im(d)>, up to rounding of the sums
     lhs, rhs = np.sum(cols * dcols), np.sum(x * dx)
     assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(cols * dcols))
+
+
+@pytest.mark.parametrize("center", [True, False])
+@pytest.mark.parametrize("config", [TINY_MLP, TINY_CONV2], ids=["mlp", "small_conv"])
+def test_forward_never_writes_its_input(config, center):
+    """forward, loss_and_grad and input_gradient leave a C-contiguous input's bytes as
+    they were, and a read-only broadcast input gives the results of its copy."""
+    enc = Encoder(replace(config, center_input=center))
+    params = enc.init_params(2)
+    rng = np.random.default_rng(3)
+    images = rng.uniform(size=(4,) + config.input_shape)
+    broadcast = np.broadcast_to(images[:1], images.shape)
+
+    def square(feats):
+        return float(np.sum(feats * feats)), 2.0 * feats
+
+    def run(x):
+        before = x.tobytes()
+        results = [enc.forward(params, x), enc.forward(params, x, "backbone"),
+                   *enc.loss_and_grad(params, x, feature_loss())[1:],
+                   enc.input_gradient(params, x, square),
+                   enc.input_gradient(params, x, square, "projection")]
+        assert x.tobytes() == before
+        assert not any(np.shares_memory(out, x) for out in results)
+        return results
+
+    run(images)
+    for a, b in zip(run(broadcast), run(broadcast.copy())):
+        assert np.array_equal(a, b)
 
 
 # ----- parameter layout ----------------------------------------------------------

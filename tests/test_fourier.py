@@ -436,6 +436,15 @@ def test_a_bad_beta_seed_is_an_augmentation_error(seed):
         draw_betas(seed, 3, 0.2)
 
 
+@pytest.mark.parametrize("n_views, message", [
+    (-1, r"n_views must lie in \[0, "), (2.5, "n_views must be an integer, got 2.5"),
+    (True, "n_views must be an integer, got True"), ([3, -1], r"n_views must lie in \[0, "),
+], ids=["minus_one", "two_and_a_half", "true", "one_of_two_negative"])
+def test_a_bad_view_count_is_an_augmentation_error(n_views, message):
+    with pytest.raises(AugmentationError, match=message):
+        draw_betas(np.zeros(np.size(n_views), dtype=np.uint64), n_views, 0.2)
+
+
 def test_feature_count_mismatch_raises():
     rng = np.random.default_rng(16)
     with pytest.raises(AugmentationError):

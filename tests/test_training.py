@@ -502,9 +502,22 @@ def _batch_values(cfg):
     return 2 * cfg.batch_size * cfg.image_size**2 * cfg.channels
 
 
+def _block_calls(item_views, view_values, budget):
+    """The views of each call when a block closes at the first item that brings its
+    pixel values to ``budget``, and the last block takes what is left."""
+    calls, views = [], 0
+    for n in item_views:
+        views += n
+        if views * view_values >= budget:
+            calls, views = calls + [views], 0
+    return calls + [views] if views else calls
+
+
 @pytest.mark.parametrize("overrides, epoch_calls", [
-    (BLOCKED_SSA_MLP, {1: [6, 6, 6], 2: [12, 6], "default": [18], 2**40: [18]}),
-    (TINY_CONV, {1: [8, 8, 8], 2: [16, 8], "default": [16, 8], 2**40: [24]}),
+    (BLOCKED_SSA_MLP, {1: [6, 6, 6], 2: [12, 6], 2**40: [18],
+                       "default": _block_calls([6, 6, 6], 16 * 16, training._BLOCK_VALUES)}),
+    (TINY_CONV, {1: [8, 8, 8], 2: [16, 8], 2**40: [24],
+                 "default": _block_calls([8, 8, 8], 32 * 32 * 3, training._BLOCK_VALUES)}),
 ], ids=["ssa_mlp", "conv"])
 def test_training_bytes_do_not_depend_on_the_blocks(tmp_path, monkeypatch, overrides,
                                                     epoch_calls):
@@ -544,8 +557,10 @@ def test_blocked_run_resumed_mid_run_matches_uninterrupted_run(tmp_path, monkeyp
 def test_training_view_calls_hold_less_than_a_block_and_a_batch(tmp_path, monkeypatch):
     """Every view-generation call of training holds fewer pixel values than
     ``_BLOCK_VALUES`` plus one batch's views, and a block's betas take one seeding."""
-    # 80 images in batches of 8: ten batches of 16 views of 256 values, 8 to a block
-    cfg = tiny_config(tmp_path, **dict(TINY_SSA_MLP, n_per_class=40, batch_size=8))
+    # batches of 16 views of 256 values: one block and a quarter of one per epoch
+    per_block = -(-training._BLOCK_VALUES // (16 * 16 * 16))
+    n_batches = per_block + max(1, per_block // 4)
+    cfg = tiny_config(tmp_path, **dict(TINY_SSA_MLP, n_per_class=4 * n_batches, batch_size=8))
     calls = _view_call_sizes(monkeypatch)
     seedings = []
     real = fourier.Streams
@@ -559,8 +574,30 @@ def test_training_view_calls_hold_less_than_a_block_and_a_batch(tmp_path, monkey
     view_values = cfg.image_size**2
     assert all(views * view_values < training._BLOCK_VALUES + _batch_values(cfg)
                for views in calls)
-    assert calls == [128, 32] * cfg.epochs
+    assert calls == [16 * per_block, 16 * (n_batches - per_block)] * cfg.epochs
     assert seedings == calls  # one seeding per block, one stream per view
+
+
+def test_a_block_of_items_up_to_two_to_the_sixteen_values_is_one_pixel_chunk(tmp_path,
+                                                                             monkeypatch):
+    """A block holds less than ``_BLOCK_VALUES`` plus one item, so while no item holds
+    more than ``_BLOCK_VALUES`` values a block's views take one pixel pass: the 12 base
+    draws of a 32x32x3 anchor (36,864 values) go two anchors to a call and one chunk."""
+    assert 2 * training._BLOCK_VALUES <= _BATCH_CHUNK_VALUES
+    cfg = tiny_config(tmp_path, **TINY_CONV)
+    encoder = Encoder(cfg.encoder_config())
+    calls = _view_call_sizes(monkeypatch)
+    chunks = []
+    real = training.data_mod._augment_chunk
+
+    def counting(images, *args):
+        chunks.append(len(images))
+        return real(images, *args)
+
+    monkeypatch.setattr(training.data_mod, "_augment_chunk", counting)
+    shift_gap_report(cfg, encoder, encoder.init_params(0), "base", n_mc=12)
+    assert 12 * 32 * 32 * 3 <= training._BLOCK_VALUES
+    assert calls == chunks == [24] * (len(load_eval_data(cfg)[1]) // 2)
 
 
 @pytest.mark.parametrize("overrides", [TINY_SSA_MLP, TINY_CONV], ids=["ssa_mlp", "conv"])
