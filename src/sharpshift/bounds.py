@@ -70,10 +70,6 @@ class DiscreteWorld:
         object.__setattr__(self, "features", features)
 
     @property
-    def n_classes(self):
-        return self.priors.shape[0]
-
-    @property
     def n_points(self):
         return self.features.shape[0]
 

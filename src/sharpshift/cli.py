@@ -14,7 +14,7 @@ from .config import load_config
 from .encoder import Encoder
 from .errors import AugmentationError, EvaluationError, SharpshiftError, check_range, os_errors
 from .evaluation import FGSM_DEFAULT_EPSILON
-from .fourier import AugmentConfig, draw_betas, mix_with_most_similar
+from .fourier import draw_betas, mix_with_most_similar
 from .streams import seed_rows
 
 
@@ -96,15 +96,14 @@ def _cmd_augment_preview(args):
     images, _ = training.load_train_data(config)
     count = check_range(AugmentationError, "--n (amplitude mixing pairs views)",
                         min(args.n, len(images)), 2)
-    fft_cfg = AugmentConfig(alpha=config.fft_alpha, rng_seed=args.seed)  # checks --seed first
-    seeds = seed_rows(args.seed, np.arange(count))
+    seeds = seed_rows(args.seed, np.arange(count))  # checks --seed first
     batch = data.base_augment_batch(images[:count], seeds, config.augment_pool())
     if args.checkpoint:
         encoder, params, _ = training.load_run(args.checkpoint)
     else:
         encoder = Encoder(config.encoder_config())
         params = encoder.init_params(args.seed)
-    betas = draw_betas(fft_cfg.rng_seed, count, fft_cfg.alpha)
+    betas = draw_betas(args.seed, count, config.fft_alpha)
     mixed = mix_with_most_similar(batch, encoder.forward(params, batch), betas)
     with os_errors(AugmentationError, args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -129,7 +128,7 @@ def _cmd_matrix(args):
         raise SharpshiftError(f"unknown variants {unknown}; choose from {sorted(available)}")
     rows = training.run_experiment_matrix(
         [(name, available[name]) for name in wanted],
-        summary_path=os.path.join(config.resolved_output_dir(), training.SUMMARY_NAME),
+        summary_path=os.path.join(config.output_dir, training.SUMMARY_NAME),
     )
     for row in rows:
         print(json.dumps(row, sort_keys=True))

@@ -5,18 +5,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 from .data import AugmentPool
-from .encoder import EncoderConfig
+from .encoder import Encoder, EncoderConfig
 from .errors import SIZE_CAP, PipelineError, check_range, os_errors
 from .evaluation import ProbeConfig
 from .fourier import AugmentConfig
 from .losses import LossConfig
 from .sam import SamConfig
-
-OUTPUT_ROOT_ENV = "SHARPSHIFT_OUTPUT_ROOT"
 
 
 def _key(key, default):
@@ -24,7 +21,7 @@ def _key(key, default):
     return field(default=default, metadata={"key": key})
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs, one field per dotted config key."""
 
@@ -77,12 +74,16 @@ class TrainConfig:
     metrics_timing: bool = _key("metrics.timing", False)
 
     def __post_init__(self):
-        """Check the whole config before any data is made or any file is touched."""
+        """Check the whole config before any data is made or any file is touched, and
+        store each number as checked: -0.0 as 0.0, as a config file reads it."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, bool) and not isinstance(value, bool):
                 raise PipelineError(f"{f.metadata['key']} must be a bool, got {value!r}")
         integer = functools.partial(check_range, PipelineError, integer=True)
+        integer("dataset.n_per_class", self.n_per_class, 1)
+        integer("dataset.n_eval_per_class", self.n_eval_per_class, 1)
+        integer("dataset.classes", self.num_classes, 2)
         integer("train.batch_size", self.batch_size, 2)
         integer("train.epochs", self.epochs, 0, SIZE_CAP, hi_open=False)
         integer("train.seed", self.seed, 0, 2**64)
@@ -94,16 +95,22 @@ class TrainConfig:
             raise PipelineError(f"unknown dataset {self.dataset!r}")
         if not self.output_dir:
             raise PipelineError("train.output_dir must not be empty")
-        # the larger synthetic split is one array; a negative size is gen_synthetic's to reject
-        sizes = (max(self.n_per_class, self.n_eval_per_class), self.num_classes,
-                 self.image_size, self.image_size, self.channels)
-        check_range(PipelineError, "synthetic split values (n_per_class x classes x image_size^2 x "
-                    "channels)", math.prod(max(n, 0) for n in sizes), 0, SIZE_CAP, hi_open=False)
-        # each value is checked by the sub-config that owns it
-        for build in (self.encoder_config, self.sam_config, self.probe_config, self.augment_pool):
+        # each value is checked by the sub-config that owns it, the parameter cap by the Encoder
+        Encoder(self.encoder_config())
+        for build in (self.sam_config, self.probe_config, self.augment_pool):
             build()
         LossConfig(tau=self.tau)
         AugmentConfig(alpha=self.fft_alpha)
+        for f in fields(self):  # also a number no sub-config reads, such as cifar10's channels
+            if type(f.default) in (int, float):
+                object.__setattr__(self, f.name, check_range(
+                    PipelineError, f.metadata["key"], getattr(self, f.name), -math.inf,
+                    integer=type(f.default) is int))
+        # the larger synthetic split is one array
+        sizes = (max(self.n_per_class, self.n_eval_per_class), self.num_classes,
+                 self.image_size, self.image_size, self.channels)
+        check_range(PipelineError, "synthetic split values (n_per_class x classes x image_size^2 x "
+                    "channels)", math.prod(sizes), 0, SIZE_CAP, hi_open=False)
 
     # ----- derived sub-configs ---------------------------------------------
 
@@ -155,12 +162,11 @@ class TrainConfig:
 
     @classmethod
     def from_flat(cls, mapping):
-        names = {f.metadata["key"]: f.name for f in fields(cls)}
-        unknown = set(mapping) - set(names)
+        keyed = {f.metadata["key"]: f for f in fields(cls)}
+        unknown = set(mapping) - set(keyed)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
-        defaults = cls()
-        return cls(**{names[key]: _parse(key, raw, getattr(defaults, names[key]))
+        return cls(**{keyed[key].name: _parse(key, raw, keyed[key].default)
                       for key, raw in mapping.items()})
 
     def config_hash(self):
@@ -174,12 +180,6 @@ class TrainConfig:
         skip = {"train.output_dir", "train.checkpoint_every", "metrics.timing"}
         canon = "\n".join(f"{k}={flat[k]}" for k in sorted(flat) if k not in skip)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-    def resolved_output_dir(self):
-        root = os.environ.get(OUTPUT_ROOT_ENV)
-        if root and not os.path.isabs(self.output_dir):
-            return os.path.join(root, self.output_dir)
-        return self.output_dir
 
 
 def _render(value):
@@ -206,28 +206,30 @@ def _parse(key, raw, template):
         if isinstance(template, int):
             return int(raw)
         if isinstance(template, float):
-            return float(raw) + 0.0  # -0 reads as 0, in the value and in the config hash
+            return float(raw)
     except ValueError as exc:
         raise PipelineError(f"cannot parse {key}={raw!r}: {exc}") from exc
     return raw
 
 
 def parse_config_file(path):
-    """Flat key-value text: one ``key = value`` per line, '#' comments."""
+    """Flat key-value text: one ``key = value`` per line, '#' comments, each key once."""
     with os_errors(PipelineError, path), open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise PipelineError(f"{path}: {exc}") from exc
-    mapping = {}
+    mapping, set_on = {}, {}
     for lineno, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise PipelineError(f"{path}:{lineno}: expected key = value")
-        key, value = stripped.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in set_on:
+            raise PipelineError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        mapping[key], set_on[key] = value, lineno
     return mapping
 
 

@@ -141,10 +141,8 @@ def base_augment(image, seed, pool=AugmentPool()):
     if image.ndim != 3:
         raise AugmentationError(f"image must be (H, W, C), got {image.shape}")
     values = np.array(seed, dtype=object).reshape(-1).tolist()
-    try:  # one column per int, so that no array of them goes through float
-        seeds = seed_rows(*values) if values else np.empty((1, 0), np.uint64)
-    except ValueError as exc:  # a negative or non-integer seed
-        raise AugmentationError(str(exc)) from exc
+    # one column per int, so that no array of them goes through float
+    seeds = seed_rows(*values) if values else np.empty((1, 0), np.uint64)
     return base_augment_batch(image[None], seeds, pool)[0]
 
 
@@ -208,11 +206,8 @@ def _draw_ops(seeds, pool, h, w):
     - gray: a coin, true with probability gray_p
     """
     n = len(seeds)
-    try:  # op-major rows: row slot * n + i is seeds[i] followed by the slot
-        entropy = seed_rows(*np.tile(seeds, (4, 1)).T, np.repeat(np.arange(4), n))
-    except ValueError as exc:  # a negative or non-integer seed
-        raise AugmentationError(str(exc)) from exc
-    streams = Streams(entropy)
+    # op-major rows: row slot * n + i is seeds[i] followed by the slot
+    streams = Streams(seed_rows(*np.tile(seeds, (4, 1)).T, np.repeat(np.arange(4), n)))
     # each op's first draw is a uniform: the crop area, then the flip, jitter and gray coins
     low, high = np.zeros(4 * n), np.ones(4 * n)
     low[:n], high[:n] = pool.crop_scale

@@ -49,6 +49,8 @@ def _as_batch(images, labels):
     if images.ndim != 4 or labels.shape != images.shape[:1]:
         raise EvaluationError(f"need a batch: images (n, H, W, C) and labels (n,), got "
                               f"{images.shape} and {labels.shape}")
+    if (labels < 0).any():
+        raise EvaluationError(f"labels must be non-negative, got {labels.min()}")
     return images, labels
 
 
@@ -75,7 +77,7 @@ def train_linear_probe(encoder, params, labeled_data, config):
 
 
 def top_k_accuracy(logits, labels, k):
-    """Fraction of rows whose label is among the k largest logits.
+    """Fraction of rows whose label, a class in [0, M), is among the k largest logits.
 
     Ties rank the lower class index first, so results are deterministic.
     """
@@ -84,6 +86,9 @@ def top_k_accuracy(logits, labels, k):
     if logits.ndim != 2 or labels.shape != logits.shape[:1]:
         raise EvaluationError(f"need a batch: logits (n, M) and labels (n,), got "
                               f"{logits.shape} and {labels.shape}")
+    outside = labels[(labels < 0) | (labels >= logits.shape[1])]
+    if outside.size:
+        raise EvaluationError(f"labels must lie in [0, {logits.shape[1]}), got {outside[0]}")
     k = check_range(EvaluationError, "k", k, 1, logits.shape[1], hi_open=False, integer=True)
     order = np.argsort(-logits, axis=1, kind="stable")
     hits = (order[:, :k] == labels[:, None]).any(axis=1)

@@ -125,21 +125,20 @@ def draw_betas(rng_seeds, n_views, alpha):
 
     ``rng_seeds`` and ``n_views`` are a batch's seed and view count, or 1-D arrays
     of them; the betas of every batch come back concatenated. A view count that
-    is not an integer in [0, SIZE_CAP] is an ``AugmentationError``. View k of the batch
-    seeded s uses the substream SeedSequence([s, k]); all streams are seeded and
-    drawn at once, with the same values as one at a time.
+    is not an integer in [0, SIZE_CAP], or counts that do not match the seeds, are an
+    ``AugmentationError``. View k of the batch seeded s uses the substream
+    SeedSequence([s, k]); all streams are seeded and drawn at once, with the same values
+    as one at a time.
     """
     rng_seeds = np.atleast_1d(rng_seeds)
     n_views = np.array([check_range(AugmentationError, "n_views", count, 0, SIZE_CAP,
                                     hi_open=False, integer=True)
                         for count in np.atleast_1d(n_views).tolist()], dtype=np.int64)
+    if n_views.size not in (1, rng_seeds.size):
+        raise AugmentationError(f"{n_views.size} view counts for {rng_seeds.size} seeds")
     starts = np.repeat(np.cumsum(n_views) - n_views, n_views)
     view_index = np.arange(len(starts)) - starts
-    try:
-        entropy = seed_rows(np.repeat(rng_seeds, n_views), view_index)
-    except ValueError as exc:  # a negative or non-integer seed
-        raise AugmentationError(str(exc)) from exc
-    return Streams(entropy).uniform(0.0, alpha)
+    return Streams(seed_rows(np.repeat(rng_seeds, n_views), view_index)).uniform(0.0, alpha)
 
 
 def mix_batch(views, partners, betas):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import AugmentationError
+
 _M32 = np.uint64(0xFFFFFFFF)
 _U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 _POOL_SIZE = 4
@@ -90,12 +92,13 @@ def _step(hi, lo, inc_hi, inc_lo):
 def seed_rows(*columns):
     """The (n, k) uint64 entropy table whose row i holds element i of each 1-D column;
     a scalar column repeats down the rows. A negative or non-integer column raises
-    ``ValueError`` before the uint64 cast, which would wrap a negative value silently."""
+    ``AugmentationError`` before the uint64 cast, which would wrap a negative value silently."""
     columns = [np.atleast_1d(column) for column in columns]
     for column in columns:
         if (column.ndim != 1 or column.dtype.kind not in "iu"
                 or (column.dtype.kind == "i" and (column < 0).any())):
-            raise ValueError("seed columns must be scalars or 1-D arrays of non-negative ints")
+            raise AugmentationError(
+                "seed columns must be scalars or 1-D arrays of non-negative ints")
     return np.stack([column.astype(np.uint64) for column in np.broadcast_arrays(*columns)],
                     axis=1)
 
@@ -109,7 +112,7 @@ def _entropy_words(entropy):
     values = np.asarray(entropy)
     if (values.ndim != 2 or values.dtype.kind not in "iu"
             or (values.dtype.kind == "i" and (values < 0).any())):
-        raise ValueError("entropy must be rows of non-negative integers below 2**64")
+        raise AugmentationError("entropy must be rows of non-negative integers below 2**64")
     values = values.astype(np.uint64)
     words = np.empty((len(values), 2 * values.shape[1]), dtype=np.uint32)
     words[:, 0::2] = values & _M32
@@ -196,7 +199,7 @@ class Streams:
         if high.ndim == 0:
             high = np.full(len(self), high)
         if high.size and (high.min() < 1 or high.max() > 2**32):
-            raise ValueError("integers(0, high) needs 1 <= high <= 2**32")
+            raise AugmentationError("integers(0, high) needs 1 <= high <= 2**32")
         out = np.zeros(len(high), dtype=np.int64)
         rows = np.flatnonzero(high > 1)
         excl = high[rows].astype(np.uint64)

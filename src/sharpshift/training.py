@@ -36,8 +36,7 @@ from .evaluation import (
     top_k_accuracy,
     train_linear_probe,
 )
-from .fourier import (AugmentConfig, draw_betas, mix_batch, mix_with_most_similar,
-                      most_similar_index)
+from .fourier import draw_betas, mix_batch, mix_with_most_similar, most_similar_index
 # benchmarks/tracer.py wraps these names
 from .fourier import dft2, fft_augment_batch, reconstruct  # noqa: F401
 from .losses import LossConfig, info_nce_batch_grad
@@ -155,14 +154,12 @@ def train_ssl(config: TrainConfig, resume=None):
         raise PipelineError(
             f"dataset has {len(images)} images, batch_size {config.batch_size} is too large"
         )
-    # every sub-config is built and checked before the output directory is touched
     encoder = Encoder(config.encoder_config())
     pool = config.augment_pool()
     sam_cfg = config.sam_config()
     update = sam_step if config.sam_enabled else sgd_step
     loss_cfg = LossConfig(tau=config.tau)
-    fft_cfg = AugmentConfig(alpha=config.fft_alpha) if config.fft_enabled else None
-    out_dir = config.resolved_output_dir()
+    out_dir = config.output_dir
     metrics_path = os.path.join(out_dir, METRICS_NAME)
     final_path = os.path.join(out_dir, CHECKPOINT_NAME)
     config_hash = config.config_hash()
@@ -209,10 +206,10 @@ def train_ssl(config: TrainConfig, resume=None):
             t0 = time.perf_counter()
             shuffle_rng = np.random.default_rng([config.seed, TAG_SHUFFLE, epoch])
             order = shuffle_rng.permutation(len(images))
-            mixing = fft_cfg is not None and epoch >= config.fft_warmup_epochs
+            mixing = config.fft_enabled and epoch >= config.fft_warmup_epochs
             epoch_losses = []
             for views, betas in _batch_views(images, order, epoch, config, pool,
-                                             fft_cfg.alpha if mixing else None):
+                                             config.fft_alpha if mixing else None):
                 if betas is not None:
                     # partners come from the current encoder, before any perturbation
                     views = mix_with_most_similar(views, encoder.forward(params, views), betas)
@@ -341,7 +338,6 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
     if encoder is None or params is None or pool_images is None:
         raise PipelineError("fft augmentation mode needs encoder, params and pool_images")
     count = min(_FFT_CANDIDATES, len(pool_images))
-    alpha = AugmentConfig(alpha=config.fft_alpha).alpha  # checked before any draw
 
     def fft_fn(images, rngs, n):
         def draw(anchor):
@@ -354,7 +350,7 @@ def make_augment_fn(mode, config, encoder=None, params=None, pool_images=None):
                 rows.append(len(rows) + count * len(mixed))
                 seeds.append(rng.integers(0, 2**62, size=(1, 2)))
                 sources.append(image[None])
-                beta = float(rng.uniform(0.0, alpha))
+                beta = float(rng.uniform(0.0, config.fft_alpha))
                 if beta != 0.0:
                     mixed.append((rows[-1], beta))
                     chosen = rng.choice(len(pool_images), size=count, replace=False)
@@ -474,7 +470,7 @@ def run_experiment_matrix(variants, summary_path=None):
                                         eval_data=eval_data)
             report = shift_gap_report(config, encoder, params, "base", n_mc=_MATRIX_SHIFT_N_MC,
                                       seed=config.seed, eval_data=eval_data)
-            metrics = _read_metrics(os.path.join(config.resolved_output_dir(), METRICS_NAME))
+            metrics = _read_metrics(os.path.join(config.output_dir, METRICS_NAME))
             row.update(results)
             row["shift_gap"] = report.aggregate
             row["final_loss"] = metrics[-1]["loss"] if metrics else float("nan")

@@ -660,15 +660,6 @@ def test_data_flag_selects_cifar(tmp_path, capsys):
     assert os.path.exists(tmp_path / "crun" / "checkpoint.ckpt")
 
 
-def test_output_root_env_resolves_relative_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("SHARPSHIFT_OUTPUT_ROOT", str(tmp_path))
-    args = run_args(tmp_path)
-    # replace the absolute output with a relative one
-    args[1] = "train.output_dir=envrun"
-    assert main(["train", *args]) == 0
-    assert os.path.exists(tmp_path / "envrun" / "checkpoint.ckpt")
-
-
 @pytest.fixture(scope="module")
 def cifar_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cifar")

@@ -158,6 +158,21 @@ def test_k_out_of_range_raises():
         top_k_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), 4)
 
 
+@pytest.mark.parametrize("label, k", [(5, 1), (3, 3), (-1, 3)])
+def test_a_label_outside_the_logit_classes_is_refused(label, k):
+    """A label the logits cannot rank would be scored as a miss."""
+    with pytest.raises(EvaluationError, match=rf"labels must lie in \[0, 3\), got {label}$"):
+        top_k_accuracy(np.zeros((2, 3)), [0, label], k)
+
+
+def test_probe_refuses_a_negative_label():
+    """-1 would index the last class's logits and train as that class."""
+    enc, params = small_real_encoder()
+    images = np.random.default_rng(2).uniform(size=(4, 4, 4, 1))
+    with pytest.raises(EvaluationError, match="labels must be non-negative, got -1$"):
+        train_linear_probe(enc, params, (images, np.array([0, 1, 1, -1])), ProbeConfig())
+
+
 # ----- fgsm -----------------------------------------------------------------------
 
 

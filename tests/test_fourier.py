@@ -445,6 +445,11 @@ def test_a_bad_view_count_is_an_augmentation_error(n_views, message):
         draw_betas(np.zeros(np.size(n_views), dtype=np.uint64), n_views, 0.2)
 
 
+def test_view_counts_that_do_not_match_the_seeds_are_an_augmentation_error():
+    with pytest.raises(AugmentationError, match="^3 view counts for 2 seeds$"):
+        draw_betas([1, 2], [3, 4, 5], 0.2)
+
+
 def test_feature_count_mismatch_raises():
     rng = np.random.default_rng(16)
     with pytest.raises(AugmentationError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sharpshift.errors import AugmentationError
 from sharpshift.streams import Streams, seed_rows
 
 NEAR_2_32 = [2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32]  # high rejection rates, and no bias
@@ -72,14 +73,14 @@ def test_rows_continue_their_own_streams():
 
 @pytest.mark.parametrize("entropy", [[[-1, 2]], [[0.5, 1.0]], [1, 2], [[2**64]]])
 def test_bad_entropy_is_rejected(entropy):
-    with pytest.raises(ValueError):
+    with pytest.raises(AugmentationError):
         Streams(entropy)
 
 
 def test_integers_range_is_checked():
     streams = Streams([[1], [2]])
     for high in (0, 2**32 + 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(AugmentationError):
             streams.integers(high)
 
 
@@ -101,5 +102,14 @@ def test_seed_rows_keeps_large_values_beside_int64_columns():
 
 @pytest.mark.parametrize("bad", [-1, 0.5, np.array([3, -1]), np.array([0.5, 1.0]), [[1, 2]]])
 def test_seed_rows_rejects_negative_non_integer_and_2d_columns(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(AugmentationError):
         seed_rows(np.arange(2), bad)
+
+
+@pytest.mark.parametrize("call", [lambda: seed_rows(-1), lambda: Streams([[-1]]),
+                                  lambda: Streams([[1]]).integers(0)],
+                         ids=["seed_rows", "streams", "integers"])
+def test_a_bad_seed_table_or_range_is_an_augmentation_error(call):
+    """Every stream seeded here is a view's or a beta's, so its errors are augmentation errors."""
+    with pytest.raises(AugmentationError):
+        call()

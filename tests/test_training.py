@@ -1,7 +1,7 @@
 import json
 import os
 import shutil
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from sharpshift.cli import main
 from sharpshift.config import TrainConfig, load_config, parse_config_file
 from sharpshift.data import _BATCH_CHUNK_VALUES, AugmentPool
 from sharpshift.encoder import Encoder, EncoderConfig, load_checkpoint, save_checkpoint
-from sharpshift.errors import PipelineError, SharpshiftError
+from sharpshift.errors import ModelError, PipelineError, SharpshiftError
 from sharpshift.evaluation import ProbeConfig
 from sharpshift.fourier import AugmentConfig
 from sharpshift.losses import LossConfig
@@ -100,6 +100,16 @@ def test_malformed_line_rejected(tmp_path):
         parse_config_file(str(path))
 
 
+def test_a_key_set_twice_in_a_file_is_refused(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("train.epochs = 3\n# again\ntrain.epochs = 5\n")
+    with pytest.raises(PipelineError, match=f"^{path}:3: train.epochs is already set on line 1$"):
+        load_config(str(path))
+    # --set still wins over the file, and a later --set over an earlier one
+    path.write_text("train.epochs = 3\n")
+    assert load_config(str(path), ["train.epochs=4", "train.epochs=5"]).epochs == 5
+
+
 def test_every_config_file_bit_flip_loads_or_fails_cleanly(tmp_path):
     # a file that sets every key; each single-bit flip must give a config whose
     # sub-configs all build, or exit through a SharpshiftError
@@ -126,14 +136,6 @@ def test_config_hash_sensitivity():
     # bookkeeping fields do not change the run identity
     assert a.config_hash() == TrainConfig(output_dir="elsewhere").config_hash()
     assert a.config_hash() == TrainConfig(checkpoint_every=5).config_hash()
-
-
-def test_output_root_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SHARPSHIFT_OUTPUT_ROOT", str(tmp_path))
-    cfg = TrainConfig(output_dir="nested/run")
-    assert cfg.resolved_output_dir() == str(tmp_path / "nested" / "run")
-    absolute = TrainConfig(output_dir=str(tmp_path / "abs"))
-    assert absolute.resolved_output_dir() == str(tmp_path / "abs")
 
 
 def test_config_validation():
@@ -164,6 +166,49 @@ def test_config_checks_the_loss_and_mixing_values(field, value):
     """train.tau and fft.alpha are checked at load, as every other key is."""
     with pytest.raises(SharpshiftError, match="must lie in"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda out: TrainConfig(n_per_class="x", output_dir=out), PipelineError,
+     "^dataset.n_per_class must be an integer, got 'x'$"),
+    (lambda out: TrainConfig(n_per_class=2.5, output_dir=out), PipelineError,
+     "^dataset.n_per_class must be an integer, got 2.5$"),
+    (lambda out: TrainConfig(n_eval_per_class=0, output_dir=out), PipelineError,
+     r"^dataset.n_eval_per_class must lie in \[1, inf\), got 0$"),
+    (lambda out: TrainConfig(num_classes=1, output_dir=out), PipelineError,
+     r"^dataset.classes must lie in \[2, inf\), got 1$"),
+    (lambda out: TrainConfig(dataset="cifar10", channels=None, output_dir=out), PipelineError,
+     "^dataset.channels must be an integer, got None$"),
+    (lambda out: load_config(overrides=["encoder.hidden=20000,20000", f"train.output_dir={out}"]),
+     ModelError, r"^parameter count must lie in \[1, 268435456\], got 805500016$"),
+], ids=["n_per_class_str", "n_per_class_float", "n_eval_per_class_zero", "one_class",
+        "cifar10_channels_none", "parameter_cap"])
+def test_load_refuses_before_any_data_is_made(tmp_path, monkeypatch, build, error, message):
+    """The split sizes and the encoder's parameter cap are checked when the config is
+    built: no split is made and no file is touched."""
+    made = []
+    monkeypatch.setattr(training.data_mod, "gen_synthetic", lambda *args, **kw: made.append(args))
+    out = tmp_path / "run"
+    with pytest.raises(error, match=message):
+        train_ssl(build(str(out)))
+    assert made == [] and not out.exists()
+
+
+def test_minus_zero_is_stored_as_zero_as_a_config_file_reads_it(tmp_path):
+    config = tiny_config(tmp_path, fft_alpha=-0.0)
+    assert config.fft_alpha == 0.0 and str(config.fft_alpha) == "0.0"
+    digest = tiny_config(tmp_path, fft_alpha=0.0).config_hash()
+    assert config.config_hash() == digest
+    assert load_config(overrides=[f"{key}={value}" for key, value in config.to_flat().items()]
+                       + ["fft.alpha=-0.0"]).config_hash() == digest
+    encoder = Encoder(config.encoder_config())
+    report = shift_gap_report(config, encoder, encoder.init_params(0), "fft", n_mc=2)
+    assert np.isfinite(report.aggregate)
+
+
+def test_a_train_config_is_frozen():
+    with pytest.raises(FrozenInstanceError):
+        TrainConfig().epochs = 3
 
 
 def test_train_config_defaults_match_the_sub_configs_that_own_them():
