@@ -7,6 +7,14 @@ such worlds every population expectation is a finite sum, so the
 mean-classifier supervised loss, the surrogate contrastive loss, the exact
 K-negative contrastive expectation and the concrete PAC-Bayes penalty can be
 evaluated to machine precision and compared against each other.
+
+The surrogate and the exact expectation each have one kernel over a stack of W
+worlds of equal shape, priors (W, M), conditionals (W, M, n) and features
+(W, n, d); the one-world functions are its W = 1 case. The ``k-trend`` suite
+evaluates its worlds in stacks of at most ``EXACT_CHUNK_ROWS`` contrastive rows,
+so a few hundred worlds take a handful of NumPy calls per stack instead of a few
+dozen per world. These worlds give every pair and multiset mass, and each gets
+the bytes it gets when evaluated alone.
 """
 
 from __future__ import annotations
@@ -24,14 +32,19 @@ from .losses import contrastive_rows, cross_entropy_rows, loss_upper_bound
 
 # The exact K-negative expectation gathers the similarities of every point x to
 # every multiset of K negatives, an (n, M, K) array with M = C(K+n-1, n-1), and
-# reduces it to one effective negative per (x, multiset). This guard bounds the
-# gather's entries n * M * K, which also bounds the cached (M, K) multiset table;
-# n <= 10 with K <= 8 is always inside.
+# reduces it to one effective negative per (x, multiset). This guard bounds a
+# world's gather entries n * M * K, which also bounds the cached (M, K) multiset
+# table; n <= 10 with K <= 8 is always inside.
 MAX_EXACT_ENTRIES = 2**22
-# Then one contrastive row per (x, x+) pair with p_pos > 0 and multiset: a
-# (pairs * M, 1) row table, built in chunks of whole pairs holding at most this
-# many rows (one pair per chunk when M alone exceeds it).
-EXACT_CHUNK_ROWS = 2**16
+# Then one contrastive row per (world, x, x+) and multiset, for the pairs with
+# p_pos > 0: a (worlds * pairs * M, 1) row table. A k-trend stack holds at most
+# this many rows; a table holds as many whole worlds as fit, or the whole pairs of
+# one world that does not (one pair when its rows alone exceed it). A table and
+# its temporaries are a few times this many floats. At 2**14 a k-trend stack is six
+# worlds of n = 4 at K = 8, and a benchmark round's peak RSS moved by at most 1%
+# against one world at a time; at 2**16 a train_ssa_mlp round's rose by about
+# 2 MB (45.1 -> 47.1 MB).
+EXACT_CHUNK_ROWS = 2**14
 
 
 @dataclass(frozen=True)
@@ -76,17 +89,41 @@ class DiscreteWorld:
     @property
     def p_data(self):
         """Marginal over points: sum_c pi_c p_c."""
-        return self.priors @ self.conditionals
+        return _p_data(self.priors, self.conditionals)
 
     @property
     def p_pos(self):
         """Positive-pair matrix P[x, x+] = sum_c pi_c p_c(x) p_c(x+)."""
-        return self.conditionals.T @ (self.priors[:, None] * self.conditionals)
+        return _p_pos(self.priors, self.conditionals)
 
     @property
     def mean_features(self):
         """Class-conditional mean feature per class, the mean-classifier rows."""
         return self.conditionals @ self.features
+
+
+# The helpers below take one world's arrays or a stack of them (leading axis W).
+# Each stacked matmul runs the same BLAS call per world (gemv, gemm, the syrk of
+# f @ f.T, or a dot) as the one-world product, so a world's values keep their
+# bytes in any stack.
+
+
+def _p_data(priors, conditionals):
+    return (priors[..., None, :] @ conditionals)[..., 0, :]
+
+
+def _p_pos(priors, conditionals):
+    return np.swapaxes(conditionals, -1, -2) @ (priors[..., :, None] * conditionals)
+
+
+def _sims(features, tau):
+    return features @ np.swapaxes(features, -1, -2) / tau
+
+
+def _stack(worlds):
+    """The arrays of equal-shape worlds, stacked: priors, conditionals, features."""
+    return tuple(np.stack([getattr(w, name) for w in worlds])
+                 for name in ("priors", "conditionals", "features"))
 
 
 def make_random_world(rng, n_points=4, n_classes=2, dim=3):
@@ -119,14 +156,19 @@ def surrogate_unsup_loss(world, tau):
     E_{(x,x+)~p_pos}[-f(x).f(x+)/tau] + E_x[log E_{x-}[exp(f(x).f(x-)/tau)]],
     both expectations evaluated exactly.
     """
+    return float(_surrogate(*_stack([world]), tau)[0])
+
+
+def _surrogate(priors, conditionals, features, tau):
+    """``surrogate_unsup_loss`` of each world of a stack, (W,)."""
     check_range(LabError, "tau", tau, 0, lo_open=True)
-    w_bar = world.mean_features
-    align = -np.sum(world.priors * np.sum(w_bar * w_bar, axis=1)) / tau
-    p_data = world.p_data
-    sims = world.features @ world.features.T / tau
-    shift = sims.max(axis=1, keepdims=True)
-    log_part = shift[:, 0] + np.log(np.exp(sims - shift) @ p_data)
-    return float(align + p_data @ log_part)
+    w_bar = conditionals @ features
+    align = -np.sum(priors * np.sum(w_bar * w_bar, axis=2), axis=1) / tau
+    p_data = _p_data(priors, conditionals)
+    sims = _sims(features, tau)
+    shift = sims.max(axis=2, keepdims=True)
+    log_part = shift[:, :, 0] + np.log(np.exp(sims - shift) @ p_data[:, :, None])[:, :, 0]
+    return align + (p_data[:, None, :] @ log_part[:, :, None])[:, 0, 0]
 
 
 class ExpectationResult(NamedTuple):
@@ -155,44 +197,73 @@ def exact_info_nce_expectation(world, tau, beta_neg, k_negatives):
 
     A world and K whose similarity gather exceeds ``MAX_EXACT_ENTRIES`` are refused.
     """
+    return ExpectationResult(float(
+        _exact_expectation(*_stack([world]), tau, beta_neg, k_negatives)[0]))
+
+
+def _exact_expectation(priors, conditionals, features, tau, beta_neg, k_negatives):
+    """``exact_info_nce_expectation`` of each world of a stack, (W,).
+
+    Pairs and multisets with mass in any world of the stack are evaluated for all
+    of them; where a world gives one no mass its weight is 0, so a one-world stack
+    keeps exactly the pairs and multisets of that world. A world whose pairs and
+    multisets are those of the stack gets the bytes it gets alone.
+    """
     k_negatives = check_range(LabError, "k_negatives", k_negatives, 1, integer=True)
     check_range(LabError, "tau", tau, 0, lo_open=True)
     check_range(LabError, "beta_neg", beta_neg, 0)
-    n = world.n_points
+    n_worlds, n = features.shape[:2]
     entries = n * math.comb(k_negatives + n - 1, n - 1) * k_negatives
     if entries > MAX_EXACT_ENTRIES:
         raise LabError(
             f"the exact gather of {entries} similarities exceeds the guard ({MAX_EXACT_ENTRIES})"
         )
-    return ExpectationResult(_exact_expectation(world, tau, beta_neg, k_negatives))
-
-
-def _exact_expectation(world, tau, beta_neg, k_negatives):
-    p_data = world.p_data
-    combos, log_coef = _negative_multisets(world.n_points, k_negatives)
-    p_neg = p_data[combos]
-    keep = np.all(p_neg > 0.0, axis=1)  # a p = 0 point is never drawn
+    combos, log_coef = _negative_multisets(n, k_negatives)
+    # log of each multiset's probability; np.take gathers C-contiguous, so the K-sum
+    # runs along a contiguous axis with NumPy's pairwise summation, as on a
+    # one-world (M, K) gather
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a p = 0 point is never drawn
+        log_mass = log_coef + np.take(np.log(_p_data(priors, conditionals)), combos,
+                                      axis=1).sum(axis=2)
+    keep = np.any(log_mass > -np.inf, axis=0)
     combos = combos[keep]
-    weights = np.exp(log_coef[keep] + np.log(p_neg[keep]).sum(axis=1))
-    sims = world.features @ world.features.T / tau
+    # 0 where a world gives a multiset no mass; np.compress keeps each world's row
+    # contiguous, since BLAS sums a strided vector in another order
+    weights = np.exp(np.compress(keep, log_mass, axis=1))
+    sims = _sims(features, tau)
     # (beta/K) sum_k exp(s_k) = beta exp(s_eff): the negatives enter the loss only
     # through one effective similarity per (x, multiset), independent of x+. Each
     # multiset is shifted by its own maximum, so its sum never underflows to 0.
-    s_neg = sims[:, combos]
+    # Indexed by combos.T, the gather keeps NumPy's fancy-index layout with K its
+    # outermost axis in memory, so the K-max and K-sum run as K - 1 passes over
+    # contiguous blocks of W n M values, the sum in order, as on a one-world gather.
+    s_neg = sims[:, :, combos.T]
     top = s_neg.max(axis=2)
     s_eff = top + np.log(np.exp(s_neg - top[:, :, None]).sum(axis=2) / k_negatives)
-    p_pos = world.p_pos
-    xs, xps = np.nonzero(p_pos > 0.0)
-    per_pair = np.empty(len(xs))
-    step = max(1, EXACT_CHUNK_ROWS // len(combos))
-    for lo in range(0, len(xs), step):
-        x, xp = xs[lo:lo + step], xps[lo:lo + step]
-        # one row per (x, x+) pair and multiset: s_pos = sims[x, x+], one negative s_eff[x, m]
-        losses, _, _ = contrastive_rows(
-            np.repeat(sims[x, xp], len(combos)), s_eff[x].reshape(-1, 1), beta_neg
-        )
-        per_pair[lo:lo + step] = losses.reshape(len(x), -1) @ weights
-    return float(p_pos[xs, xps] @ per_pair)
+    p_pos = _p_pos(priors, conditionals)
+    xs, xps = np.nonzero(np.any(p_pos > 0.0, axis=0))
+    per_pair = np.empty((n_worlds, len(xs), 1))
+    # A chunk is as many whole worlds as fit, or one world's pairs in the chunks
+    # it takes alone: BLAS's gemv groups a call's rows in fours, so a row's bytes
+    # depend on how the pairs are chunked, and a world gets its one-world chunks.
+    pairs_step = max(1, EXACT_CHUNK_ROWS // len(combos))
+    worlds_step = max(1, EXACT_CHUNK_ROWS // (len(xs) * len(combos)))
+    for w in range(0, n_worlds, worlds_step):
+        ws = slice(w, w + worlds_step)
+        for lo in range(0, len(xs), pairs_step):
+            x, xp = xs[lo:lo + pairs_step], xps[lo:lo + pairs_step]
+            # one row per (world, x, x+) and multiset: s_pos = sims[w, x, x+], one
+            # negative s_eff[w, x, m]
+            losses, _, _ = contrastive_rows(
+                np.repeat(sims[ws, x, xp], len(combos), axis=1).ravel(),
+                s_eff[ws, x].reshape(-1, 1), beta_neg,
+            )
+            # per world, the gemv of the one-world (pairs, M) @ (M,) product
+            per_pair[ws, lo:lo + pairs_step] = (losses.reshape(-1, len(x), len(combos))
+                                                @ weights[ws, :, None])
+    # per world, the dot of the one-world (pairs,) @ (pairs,) product, on a
+    # C-contiguous copy of the gather
+    return (np.ascontiguousarray(p_pos[:, xs, xps])[:, None, :] @ per_pair)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -260,34 +331,45 @@ def pac_penalty(inputs):
     )
 
 
-def _mean_classifier_row(rng, i):
-    n_points, n_classes = int(rng.integers(2, 7)), int(rng.integers(2, 4))
-    check = verify_mean_classifier_step(make_random_world(rng, n_points, n_classes, 3), tau=0.5)
-    return {"world": i, "lhs": check.lhs, "rhs": check.rhs, "slack": check.slack,
-            "holds": check.holds}, check.holds
+def _mean_classifier_rows(rng, n_worlds):
+    for i in range(n_worlds):
+        n_points, n_classes = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        world = make_random_world(rng, n_points, n_classes, 3)
+        check = verify_mean_classifier_step(world, tau=0.5)
+        yield {"world": i, "lhs": check.lhs, "rhs": check.rhs, "slack": check.slack,
+               "holds": check.holds}, check.holds
 
 
-def _k_trend_row(rng, i):
-    world = make_random_world(rng, n_points=4, n_classes=2, dim=3)
-    surrogate = surrogate_unsup_loss(world, tau=0.5)
-    exact = {k: exact_info_nce_expectation(world, 0.5, float(k), k).value for k in (1, 2, 4, 8)}
-    gaps = {str(k): float(abs(value - surrogate - np.log(k))) for k, value in exact.items()}
-    shrinks = bool(gaps["8"] < gaps["1"])
-    return {"world": i, "gap_by_k": gaps, "shrinks": shrinks}, shrinks
+def _k_trend_rows(rng, n_worlds):
+    """Worlds drawn one by one and evaluated a stack at a time."""
+    n_points, ks = 4, (1, 2, 4, 8)
+    # these worlds give every pair and multiset mass, so each has n^2 M rows at K = 8
+    world_rows = n_points**2 * math.comb(max(ks) + n_points - 1, n_points - 1)
+    size = max(1, EXACT_CHUNK_ROWS // world_rows)
+    for start in range(0, n_worlds, size):
+        stack = _stack([make_random_world(rng, n_points=n_points, n_classes=2, dim=3)
+                        for _ in range(min(size, n_worlds - start))])
+        surrogate = _surrogate(*stack, 0.5)
+        exact = {k: _exact_expectation(*stack, 0.5, float(k), k) for k in ks}
+        for j, value in enumerate(surrogate):
+            gaps = {str(k): float(abs(exact[k][j] - value - np.log(k))) for k in ks}
+            shrinks = bool(gaps["8"] < gaps["1"])
+            yield {"world": start + j, "gap_by_k": gaps, "shrinks": shrinks}, shrinks
 
 
-def _pac_penalty_row(rng, i):
-    inputs = PacPenaltyInputs(
-        n_samples=int(rng.integers(10, 10_000)),
-        n_params=int(rng.integers(2, 100_000)),
-        delta=float(rng.uniform(0.01, 0.5)),
-        rho=float(rng.uniform(0.01, 2.0)),
-        tau=float(rng.uniform(0.1, 2.0)),
-        beta_neg=float(rng.uniform(0.0, 8.0)),
-        theta_norm=float(rng.uniform(0.0, 50.0)),
-    )
-    return {"case": i, "n_samples": inputs.n_samples, "n_params": inputs.n_params,
-            "penalty": pac_penalty(inputs)}, True
+def _pac_penalty_rows(rng, n_worlds):
+    for i in range(n_worlds):
+        inputs = PacPenaltyInputs(
+            n_samples=int(rng.integers(10, 10_000)),
+            n_params=int(rng.integers(2, 100_000)),
+            delta=float(rng.uniform(0.01, 0.5)),
+            rho=float(rng.uniform(0.01, 2.0)),
+            tau=float(rng.uniform(0.1, 2.0)),
+            beta_neg=float(rng.uniform(0.0, 8.0)),
+            theta_norm=float(rng.uniform(0.0, 50.0)),
+        )
+        yield {"case": i, "n_samples": inputs.n_samples, "n_params": inputs.n_params,
+               "penalty": pac_penalty(inputs)}, True
 
 
 def lab_suite(suite, n_worlds, seed):
@@ -297,11 +379,10 @@ def lab_suite(suite, n_worlds, seed):
     K-negative loss nears surrogate + log K as K grows, ``pac-penalty`` evaluates the
     penalty (it always holds).
     """
-    rows = {"mean-classifier": _mean_classifier_row, "k-trend": _k_trend_row,
-            "pac-penalty": _pac_penalty_row}
-    if suite not in rows:
-        raise LabError(f"unknown bound-lab suite {suite!r}; choose from {sorted(rows)}")
+    suites = {"mean-classifier": _mean_classifier_rows, "k-trend": _k_trend_rows,
+              "pac-penalty": _pac_penalty_rows}
+    if suite not in suites:
+        raise LabError(f"unknown bound-lab suite {suite!r}; choose from {sorted(suites)}")
     check_range(LabError, "n_worlds", n_worlds, 1, SIZE_CAP, hi_open=False, integer=True)
     seed = check_range(LabError, "seed", seed, 0, 2**64, integer=True)
-    rng = np.random.default_rng([seed])
-    return (rows[suite](rng, i) for i in range(n_worlds))
+    return suites[suite](np.random.default_rng([seed]), n_worlds)

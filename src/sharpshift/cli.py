@@ -109,9 +109,7 @@ def _cmd_augment_preview(args):
         os.makedirs(args.out, exist_ok=True)
     for i in range(count):
         for side, views in (("before", batch), ("after", mixed)):
-            path = os.path.join(args.out, f"view_{i:03d}_{side}.ppm")
-            with os_errors(AugmentationError, path):
-                data.write_image(path, views[i])
+            data.write_image(os.path.join(args.out, f"view_{i:03d}_{side}.ppm"), views[i])
     path = os.path.join(args.out, "betas.txt")
     with os_errors(AugmentationError, path), open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"view_{i:03d} beta={beta!r}\n" for i, beta in enumerate(betas.tolist()))

@@ -335,13 +335,16 @@ def _resize_crops(images, top, left, crop_h, crop_w, flipped, out_h, out_w, out=
 
 
 def write_image(path, image):
-    """Write a [0, 1] image as binary PPM (3 channels) or PGM (1 channel)."""
+    """Write a [0, 1] image as binary PPM (3 channels) or PGM (1 channel).
+
+    A file that cannot be written is an ``IngestionError``, "<path>: <strerror>".
+    """
     image = np.asarray(image, dtype=float)
     if image.ndim != 3 or image.shape[2] not in (1, 3):
         raise IngestionError(f"cannot write image of shape {image.shape}")
     h, w, c = image.shape
     pixels = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
     magic = b"P6" if c == 3 else b"P5"
-    with open(path, "wb") as fh:
+    with os_errors(IngestionError, path), open(path, "wb") as fh:
         fh.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

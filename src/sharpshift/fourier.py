@@ -125,11 +125,12 @@ def draw_betas(rng_seeds, n_views, alpha):
 
     ``rng_seeds`` and ``n_views`` are a batch's seed and view count, or 1-D arrays
     of them; the betas of every batch come back concatenated. A view count that
-    is not an integer in [0, SIZE_CAP], or counts that do not match the seeds, are an
-    ``AugmentationError``. View k of the batch seeded s uses the substream
-    SeedSequence([s, k]); all streams are seeded and drawn at once, with the same values
-    as one at a time.
+    is not an integer in [0, SIZE_CAP], counts that do not match the seeds, or an
+    alpha outside [0, 1] (``AugmentConfig``'s rule) are an ``AugmentationError``.
+    View k of the batch seeded s uses the substream SeedSequence([s, k]); all
+    streams are seeded and drawn at once, with the same values as one at a time.
     """
+    alpha = check_range(AugmentationError, "alpha", alpha, 0, 1, hi_open=False)
     rng_seeds = np.atleast_1d(rng_seeds)
     n_views = np.array([check_range(AugmentationError, "n_views", count, 0, SIZE_CAP,
                                     hi_open=False, integer=True)

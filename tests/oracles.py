@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: direct double sums, ordered-tuple
 enumerations, explicit loops. None of it shares code with the package, except
-the augmentation oracles at the end. ``base_augment`` there is the per-image
-composition of the four base ops, each drawing from its own ``op_rng``
-substream, and it resizes the crop with the per-image ``bilinear_resize``
-below. The per-draw oracles loop over it, and mix each draw's (view,
-partner) pair through ``fourier.mix_batch`` on its own.
+the k-trend loop and the augmentation oracles at the end. The k-trend loop
+calls the package's one-world bound functions, one world at a time.
+``base_augment`` among the augmentation oracles is the per-image composition of
+the four base ops, each drawing from its own ``op_rng`` substream, and it
+resizes the crop with the per-image ``bilinear_resize`` below. The per-draw
+oracles loop over it, and mix each draw's (view, partner) pair through
+``fourier.mix_batch`` on its own.
 ``data.base_augment_batch`` and the package's other batched paths must
 reproduce them bit for bit.
 """
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from sharpshift import data, fourier, training
+from sharpshift import bounds, data, fourier, training
 from sharpshift.errors import AugmentationError
 
 
@@ -231,6 +233,21 @@ def top_k_by_sorting(logits, labels, k):
         if label in ranked[:k]:
             hits += 1
     return hits / len(labels)
+
+
+def k_trend_rows_one_by_one(n_worlds, seed):
+    """``lab_suite("k-trend", n_worlds, seed)``, one world and one call at a time."""
+    rng = np.random.default_rng([seed])
+    rows = []
+    for i in range(n_worlds):
+        world = bounds.make_random_world(rng, n_points=4, n_classes=2, dim=3)
+        surrogate = bounds.surrogate_unsup_loss(world, tau=0.5)
+        exact = {k: bounds.exact_info_nce_expectation(world, 0.5, float(k), k).value
+                 for k in (1, 2, 4, 8)}
+        gaps = {str(k): float(abs(value - surrogate - np.log(k))) for k, value in exact.items()}
+        shrinks = bool(gaps["8"] < gaps["1"])
+        rows.append(({"world": i, "gap_by_k": gaps, "shrinks": shrinks}, shrinks))
+    return rows
 
 
 # ----- per-image and per-draw augmentation (the batched paths must match these bit for bit) -----

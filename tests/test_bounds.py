@@ -17,12 +17,13 @@ from sharpshift.bounds import (
     surrogate_unsup_loss,
     verify_mean_classifier_step,
 )
-from sharpshift.errors import LabError
+from sharpshift.errors import SIZE_CAP, LabError
 
 from oracles import (
     enumerate_info_nce,
     enumerate_sup_loss,
     enumerate_surrogate_loss,
+    k_trend_rows_one_by_one,
     pac_penalty_direct,
 )
 
@@ -275,6 +276,53 @@ def test_k_trend_gap_shrinks():
         res = exact_info_nce_expectation(world, tau, float(k), k)
         gaps[k] = abs(res.value - surrogate - np.log(k))
     assert gaps[8] < gaps[1]
+
+
+# ----- stacks of worlds ------------------------------------------------------------
+
+
+# the default budget, one K = 8 k-trend world (4^2 pairs x 165 multisets), a few
+# pairs, one pair
+@pytest.mark.parametrize("chunk_rows", [bounds.EXACT_CHUNK_ROWS, 2640, 40, 1])
+def test_each_world_of_a_stack_gets_its_one_world_bytes(monkeypatch, chunk_rows):
+    monkeypatch.setattr(bounds, "EXACT_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(10)
+    # seven worlds: at the default budget a K = 8 stack of them is two blocks, 6 + 1
+    worlds = [make_random_world(rng, n_points=4, n_classes=2, dim=3) for _ in range(7)]
+    stack = bounds._stack(worlds)
+    assert (bounds._surrogate(*stack, 0.5).tolist()
+            == [surrogate_unsup_loss(world, 0.5) for world in worlds])
+    for k in (1, 2, 4, 8):
+        assert (bounds._exact_expectation(*stack, 0.5, float(k), k).tolist()
+                == [exact_info_nce_expectation(world, 0.5, float(k), k).value
+                    for world in worlds])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n_worlds", [1, 7, 300])
+def test_k_trend_rows_equal_the_one_world_loop(n_worlds, seed):
+    assert list(lab_suite("k-trend", n_worlds, seed)) == k_trend_rows_one_by_one(n_worlds, seed)
+
+
+def test_k_trend_stays_lazy_stack_by_stack():
+    rows = lab_suite("k-trend", SIZE_CAP, 3)
+    first = next(rows)
+    assert first == k_trend_rows_one_by_one(1, 3)[0]
+
+
+def test_a_stack_mixing_zero_mass_and_full_support_worlds_matches_enumeration():
+    rng = np.random.default_rng(11)
+    worlds = [make_random_world(rng, n_points=4, n_classes=2, dim=3) for _ in range(4)]
+    worlds[1], worlds[3] = _zero_mass_world(worlds[1]), _zero_mass_world(worlds[3])
+    stack = bounds._stack(worlds)
+    for tau, beta, k in ((0.5, 2.0, 3), (0.7, 1.0, 1), (0.4, 0.0, 2), (0.002, 0.5, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = bounds._exact_expectation(*stack, tau, beta, k)
+        for world, value in zip(worlds, values):
+            oracle = enumerate_info_nce(world.priors, world.conditionals, world.features,
+                                        tau, beta, k)
+            assert value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_lab_suite_rejects_unknown_suite():

@@ -144,6 +144,15 @@ def test_augment_preview_writes_files(tmp_path):
     assert len(betas) == 3
 
 
+def test_augment_preview_reports_a_file_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "preview"
+    blocker = out / "view_000_before.ppm"
+    blocker.mkdir(parents=True)  # a directory where the first image goes
+    code = main(["augment-preview", *run_args(tmp_path), "--out", str(out), "--n", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {blocker}: Is a directory\n"
+
+
 def _preview(tmp_path, name, seed, *extra):
     """augment-preview of 6 views on the tiny run: {file name: bytes}."""
     out = tmp_path / name

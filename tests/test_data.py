@@ -450,3 +450,10 @@ def test_write_image_ppm_and_pgm(tmp_path):
     path2 = tmp_path / "x.pgm"
     write_image(path2, gray)
     assert path2.read_bytes().startswith(b"P5\n2 2\n255\n")
+
+
+def test_write_image_into_a_missing_directory_is_an_ingestion_error(tmp_path):
+    path = tmp_path / "missing" / "x.ppm"
+    with pytest.raises(IngestionError, match=f"^{path}: No such file or directory$"):
+        write_image(path, np.zeros((2, 2, 3)))
+    assert not path.parent.exists()

@@ -445,6 +445,13 @@ def test_a_bad_view_count_is_an_augmentation_error(n_views, message):
         draw_betas(np.zeros(np.size(n_views), dtype=np.uint64), n_views, 0.2)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), -0.1, 1.5], ids=repr)
+def test_a_bad_alpha_is_an_augmentation_error(alpha):
+    # the rule AugmentConfig applies, checked where draw_betas takes alpha
+    with pytest.raises(AugmentationError, match=r"^alpha must lie in \[0, 1\], got "):
+        draw_betas(0, 2, alpha)
+
+
 def test_view_counts_that_do_not_match_the_seeds_are_an_augmentation_error():
     with pytest.raises(AugmentationError, match="^3 view counts for 2 seeds$"):
         draw_betas([1, 2], [3, 4, 5], 0.2)
